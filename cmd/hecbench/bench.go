@@ -128,8 +128,8 @@ func benchTrain(reps, weeks, batch int) (BenchResult, error) {
 }
 
 // benchPrecompute measures hec.Precompute over a trained three-tier
-// deployment, per-sample vs batched detection, both on one worker so the
-// ratio isolates vectorisation from parallelism.
+// deployment, batches of one vs batches of N through the same engine, both
+// on one worker so the ratio isolates vectorisation from parallelism.
 func benchPrecompute(reps, samples, batch int) (BenchResult, error) {
 	const dim = 672
 	rng := rand.New(rand.NewSource(21))
@@ -177,7 +177,7 @@ func benchPrecompute(reps, samples, batch int) (BenchResult, error) {
 	}
 	return BenchResult{
 		Name:         "hec-precompute",
-		Detail:       fmt.Sprintf("3 AE tiers × %d weekly samples, 1 worker", samples),
+		Detail:       fmt.Sprintf("3 AE tiers × %d weekly samples, 1 worker: batches of %d vs batches of 1, same engine", samples, batch),
 		BatchSize:    batch,
 		SequentialMs: seq,
 		BatchedMs:    bat,
@@ -185,8 +185,8 @@ func benchPrecompute(reps, samples, batch int) (BenchResult, error) {
 	}, nil
 }
 
-// benchReconstruct measures the multivariate engine: batched lockstep LSTM
-// reconstruction vs per-window autoregression.
+// benchReconstruct measures what lockstep batching buys the multivariate
+// engine: one batch of N windows vs N batches of 1 through the same path.
 func benchReconstruct(reps, windows int) (BenchResult, error) {
 	const (
 		T = 128
@@ -228,7 +228,7 @@ func benchReconstruct(reps, windows int) (BenchResult, error) {
 	}
 	return BenchResult{
 		Name:         "seq2seq-reconstruct",
-		Detail:       fmt.Sprintf("LSTM-seq2seq-IoT, %d windows of %d×%d", windows, T, D),
+		Detail:       fmt.Sprintf("LSTM-seq2seq-IoT, windows of %d×%d: one batch of %d vs %d batches of 1, same engine", T, D, windows, windows),
 		BatchSize:    windows,
 		SequentialMs: seq,
 		BatchedMs:    bat,

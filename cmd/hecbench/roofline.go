@@ -14,15 +14,15 @@ import (
 )
 
 // The -roofline mode: measures this machine's compute and memory ceilings,
-// then places every matrix micro-kernel (per dispatch level and per
-// quantization tier) on the roofline so a snapshot diff shows whether a
+// then places the packed matrix micro-kernel of every dispatch level on the
+// roofline so a snapshot diff shows whether a
 // kernel regressed against the hardware rather than against a previous
 // build. The emitted file (BENCH_8.json style) also carries the two
 // CI-gated comparisons: AVX2-over-SSE2 on a batched training epoch, and
 // cached packed panels over repacking on steady-state inference.
 
 // rooflineSchema identifies the snapshot layout for downstream tooling.
-const rooflineSchema = "hec-roofline/1"
+const rooflineSchema = "hec-roofline/2"
 
 // RooflinePoint is one kernel placed on the roofline model.
 type RooflinePoint struct {
@@ -30,8 +30,6 @@ type RooflinePoint struct {
 	Name string `json:"name"`
 	// Kernel is the dispatch level the measurement ran under.
 	Kernel string `json:"kernel"`
-	// Quant is the packed-panel storage format (f64, f16, i8).
-	Quant string `json:"quant"`
 	// Shape describes the product measured, m×k · (n×k)ᵀ.
 	Shape string `json:"shape"`
 	// Flops and MovedBytes are per-call work and minimum memory traffic
@@ -108,7 +106,7 @@ func measurePeakGFlops(reps int) (float64, error) {
 	b := mat.New(n, k)
 	fillRand(a.Data, rng)
 	fillRand(b.Data, rng)
-	p := mat.Pack(b, mat.QuantF64)
+	p := mat.Pack(b)
 	dst := mat.New(m, n)
 	ms, err := timeIt(reps, func() error {
 		for i := 0; i < iters; i++ {
@@ -152,27 +150,15 @@ func measureBandwidthGBs(reps int) (float64, error) {
 // measurePoint places one kernel configuration on the roofline: the packed
 // product for an AE-Cloud-shaped layer (batch 8 × 672 against the 336×672
 // first codec), measured under the currently active dispatch level with
-// panels pre-packed in the given format.
-func measurePoint(name string, quant mat.Quant, peak, bw float64, reps int) (RooflinePoint, error) {
+// panels pre-packed.
+func measurePoint(name string, peak, bw float64, reps int) (RooflinePoint, error) {
 	const m, k, n, iters = 8, 672, 336, 50
 	rng := rand.New(rand.NewSource(43))
 	a := mat.New(m, k)
 	b := mat.New(n, k)
 	fillRand(a.Data, rng)
 	fillRand(b.Data, rng)
-	if quant == mat.QuantI8 {
-		// Panel packing quantizes a snapshot; quantize the matrix in place
-		// first so the measurement matches deployment (weights already
-		// carry the codes).
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			scale := mat.I8RowScale(row)
-			for j, v := range row {
-				row[j] = mat.QuantizeI8(v, scale)
-			}
-		}
-	}
-	p := mat.Pack(b, quant)
+	p := mat.Pack(b)
 	dst := mat.New(m, n)
 	ms, err := timeIt(reps, func() error {
 		for i := 0; i < iters; i++ {
@@ -198,7 +184,6 @@ func measurePoint(name string, quant mat.Quant, peak, bw float64, reps int) (Roo
 	return RooflinePoint{
 		Name:          name,
 		Kernel:        mat.KernelName(),
-		Quant:         quant.String(),
 		Shape:         fmt.Sprintf("%d×%d · (%d×%d)ᵀ", m, k, n, k),
 		Flops:         flops,
 		MovedBytes:    bytes,
@@ -356,14 +341,13 @@ func runRoofline(path string, fast bool) error {
 	snap.RidgeIntensity = peak / bw
 	fmt.Fprintf(os.Stderr, "  ceilings: %.2f GFLOP/s compute, %.2f GB/s bandwidth, ridge %.2f flops/byte\n", peak, bw, peak/bw)
 
-	// One f64 point per exact dispatch level, plus the quantized tiers
-	// under the default (best) level.
+	// One point per exact dispatch level.
 	for _, k := range kernels {
 		if k == "neon" {
 			continue // opt-in, bounded-ULP; not part of the dispatch default
 		}
 		err := withKernelRestore(k, func() error {
-			pt, err := measurePoint("mulbt-f64-"+k, mat.QuantF64, peak, bw, reps)
+			pt, err := measurePoint("mulbt-f64-"+k, peak, bw, reps)
 			if err != nil {
 				return err
 			}
@@ -373,13 +357,6 @@ func runRoofline(path string, fast bool) error {
 		if err != nil {
 			return fmt.Errorf("roofline: %s: %w", k, err)
 		}
-	}
-	for _, q := range []mat.Quant{mat.QuantF16, mat.QuantI8} {
-		pt, err := measurePoint("mulbt-"+q.String()+"-"+mat.KernelName(), q, peak, bw, reps)
-		if err != nil {
-			return fmt.Errorf("roofline: %v: %w", q, err)
-		}
-		snap.Points = append(snap.Points, pt)
 	}
 	for _, pt := range snap.Points {
 		fmt.Fprintf(os.Stderr, "  %-18s %7.2f GFLOP/s  %5.2f flops/byte  %-9s bound  %4.0f%% of ceiling\n",

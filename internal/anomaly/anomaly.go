@@ -8,6 +8,7 @@ package anomaly
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mat"
 )
@@ -88,19 +89,6 @@ func (s *Scorer) Score(errVec []float64) (float64, error) {
 	return s.gauss.LogPDF(errVec)
 }
 
-// ScoreAll scores every error vector in a window.
-func (s *Scorer) ScoreAll(errVecs [][]float64) ([]float64, error) {
-	out := make([]float64, len(errVecs))
-	for i, e := range errVecs {
-		lp, err := s.gauss.LogPDF(e)
-		if err != nil {
-			return nil, fmt.Errorf("anomaly: scoring point %d: %w", i, err)
-		}
-		out[i] = lp
-	}
-	return out, nil
-}
-
 // ScoreMatrix scores a whole error matrix at once — one reconstruction-error
 // vector per row — through the vectorised Gaussian kernel. The scores are
 // bit-identical to per-row Score calls but reuse the factor-solve scratch
@@ -119,14 +107,20 @@ func (s *Scorer) ScoreMatrix(errs *mat.Matrix) ([]float64, error) {
 func (s *Scorer) Dim() int { return s.gauss.Dim() }
 
 // Judge applies the detection threshold and confidence rule to a window's
-// point scores.
+// point scores. A NaN or infinite score — what a NaN or infinite reading
+// reconstructs to — compares false against any threshold, so it is judged
+// as the most anomalous score there is, -Inf: a window the model cannot
+// score is never "normal".
 func (s *Scorer) Judge(scores []float64, conf Confidence) Verdict {
 	if len(scores) == 0 {
 		return Verdict{}
 	}
-	v := Verdict{MinLogPD: scores[0]}
+	v := Verdict{MinLogPD: math.Inf(1)}
 	anomalous := 0
 	for _, sc := range scores {
+		if math.IsNaN(sc) || math.IsInf(sc, 0) {
+			sc = math.Inf(-1)
+		}
 		if sc < v.MinLogPD {
 			v.MinLogPD = sc
 		}
@@ -165,9 +159,9 @@ type Detector interface {
 
 // BatchDetector is implemented by detectors that judge many windows in one
 // vectorised pass through the batched tensor engine. DetectBatch must return
-// one verdict per window, each equal (within floating-point noise; the
-// repository's engines are bit-identical) to Detect on that window, and must
-// be safe for concurrent use like Detect.
+// one verdict per window, each equal to Detect on that window (the
+// repository's models implement Detect as DetectBatch of one), and must be
+// safe for concurrent use like Detect.
 type BatchDetector interface {
 	Detector
 	DetectBatch(windows [][][]float64) ([]Verdict, error)

@@ -2,9 +2,12 @@ package anomaly
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mat"
 )
 
 func normalErrs(rng *rand.Rand, n, d int) [][]float64 {
@@ -27,7 +30,11 @@ func TestFitScorerThresholdIsMin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No training point scores below the threshold (it is the minimum).
-	scores, err := s.ScoreAll(errs)
+	m, err := mat.NewFromRows(errs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores, err := s.ScoreMatrix(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +128,45 @@ func TestJudgeDetectionAndConfidence(t *testing.T) {
 	}
 	if v.AnomalousFraction != 0.07 {
 		t.Fatalf("AnomalousFraction = %g, want 0.07", v.AnomalousFraction)
+	}
+}
+
+// TestJudgeNonFiniteScoreIsAnomalous: a window with a NaN or infinite
+// reading (sensor dropout, hostile bytes over the wire) reconstructs to a
+// non-finite error and must be flagged, confidently, with MinLogPD = -Inf —
+// not pass as normal because NaN compares false against the threshold.
+func TestJudgeNonFiniteScoreIsAnomalous(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, dim := range []int{1, 3} {
+		s, err := FitScorer(normalErrs(rng, 300, dim), 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			at   int // point of the 40-point window that carries the bad value
+			bad  float64
+		}{
+			{"NaN first", 0, nan},
+			{"NaN mid-window", 17, nan},
+			{"+Inf reading", 23, inf},
+			{"-Inf reading last", 39, -inf},
+		} {
+			errs := mat.New(40, dim)
+			for i := range errs.Data {
+				errs.Data[i] = rng.NormFloat64() * 0.01
+			}
+			errs.Row(tc.at)[dim-1] = tc.bad
+			scores, err := s.ScoreMatrix(errs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := s.Judge(scores, DefaultConfidence())
+			if !v.Anomaly || !v.Confident || !math.IsInf(v.MinLogPD, -1) || v.AnomalousFraction != 1.0/40 {
+				t.Errorf("dim %d, %s: verdict %+v, want a confident anomaly at -Inf with one anomalous point", dim, tc.name, v)
+			}
+		}
 	}
 }
 

@@ -236,47 +236,17 @@ func (m *Model) Fit(train [][]float64, cfg TrainConfig, rng *rand.Rand) (float64
 	return last, nil
 }
 
-// pointErrors reconstructs x and returns the per-point scalar error
-// vectors ([e_i] per reading).
-func (m *Model) pointErrors(x []float64) ([][]float64, error) {
-	rec, err := m.Net.Forward(x, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(x))
-	for i := range x {
-		out[i] = []float64{rec[i] - x[i]}
-	}
-	return out, nil
-}
-
 // Name implements anomaly.Detector.
 func (m *Model) Name() string { return m.ModelName }
 
-// Detect implements anomaly.Detector for frames of width 1 (univariate).
+// Detect implements anomaly.Detector for frames of width 1 (univariate):
+// DetectBatch of one window.
 func (m *Model) Detect(frames [][]float64) (anomaly.Verdict, error) {
-	if m.Scorer == nil {
-		return anomaly.Verdict{}, fmt.Errorf("autoencoder: %s not fitted", m.ModelName)
-	}
-	if len(frames) != m.inputDim {
-		return anomaly.Verdict{}, fmt.Errorf("autoencoder: %s expects %d frames, got %d", m.ModelName, m.inputDim, len(frames))
-	}
-	x := make([]float64, len(frames))
-	for i, f := range frames {
-		if len(f) != 1 {
-			return anomaly.Verdict{}, fmt.Errorf("autoencoder: univariate frame has %d dims", len(f))
-		}
-		x[i] = f[0]
-	}
-	errs, err := m.pointErrors(x)
+	vs, err := m.DetectBatch([][][]float64{frames})
 	if err != nil {
 		return anomaly.Verdict{}, err
 	}
-	scores, err := m.Scorer.ScoreAll(errs)
-	if err != nil {
-		return anomaly.Verdict{}, err
-	}
-	return m.Scorer.Judge(scores, m.Conf), nil
+	return vs[0], nil
 }
 
 // detectScratch is the per-call workspace of DetectBatch, leased from a
@@ -291,8 +261,8 @@ var detectScratchPool = sync.Pool{New: func() any { return new(detectScratch) }}
 
 // DetectBatch implements anomaly.BatchDetector: it judges every window in
 // one vectorised pass — all windows reconstructed through one batched
-// forward, all B·T point errors scored through one matrix scoring call.
-// Verdicts are bit-identical to per-window Detect calls; like Detect it is
+// forward, all B·T point errors scored through one matrix scoring call. A
+// window's verdict does not depend on the batch around it, and the call is
 // safe for concurrent use (each call leases its own scratch).
 func (m *Model) DetectBatch(windows [][][]float64) ([]anomaly.Verdict, error) {
 	if m.Scorer == nil {
@@ -353,9 +323,9 @@ func (m *Model) FlopsPerWindow(int) int64 { return m.Net.FlopsDense() }
 // worst-case rounding error.
 func (m *Model) Quantize() float64 { return m.QuantizeMode(nn.QuantFP16) }
 
-// QuantizeMode compresses the model weights at the given precision tier
-// (fp16 or int8) and switches inference onto the matching quantized packed
-// kernels. Returns the worst-case rounding error introduced.
+// QuantizeMode rounds the model weights in place to the given precision
+// tier's representable values (fp16 or int8). Returns the worst-case
+// rounding error introduced.
 func (m *Model) QuantizeMode(mode nn.QuantMode) float64 {
 	return nn.QuantizeParams(m.Net.Params(), mode)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/anomaly"
+	"repro/internal/nn"
 )
 
 // trainWeeks synthesises n smooth "normal" weeks of width dim.
@@ -46,43 +47,102 @@ func fittedModel(t testing.TB, bs int) *Model {
 	return m
 }
 
-// TestDetectBatchMatchesDetect pins the vectorised inference entry point to
-// the per-window path: identical verdicts, bit for bit (the equivalence
-// guarantee of the batched engine, well inside the 1e-9 budget).
-func TestDetectBatchMatchesDetect(t *testing.T) {
-	m := fittedModel(t, 1)
-	rng := rand.New(rand.NewSource(7))
-	weeks := trainWeeks(9, 84, rng)
-	// Make some windows anomalous so both verdict polarities are covered.
-	for i := 0; i < len(weeks); i += 3 {
-		weeks[i][10] += 4
-		weeks[i][11] += 4
+// refDetect is the scalar reference for one window: the per-sample forward,
+// one LogPDF per point and Judge — what Detect computed before it became
+// DetectBatch of one.
+func refDetect(t *testing.T, m *Model, frames [][]float64) anomaly.Verdict {
+	t.Helper()
+	x := make([]float64, len(frames))
+	for i, f := range frames {
+		x[i] = f[0]
 	}
-	windows := make([][][]float64, len(weeks))
-	for i, w := range weeks {
-		windows[i] = toFrames(w)
-	}
-	got, err := m.DetectBatch(windows)
+	rec, err := m.Net.Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawAnomaly, sawNormal := false, false
-	for i, w := range windows {
-		want, err := m.Detect(w)
+	scores := make([]float64, len(x))
+	for i := range x {
+		if scores[i], err = m.Scorer.Score([]float64{rec[i] - x[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m.Scorer.Judge(scores, m.Conf)
+}
+
+// TestDetectBatchMatchesDetect pins batch-size invariance of the one
+// inference path on full-precision, fp16- and int8-rounded weights: the
+// verdict for row r of a batch of 16 is bit-identical to the same window as
+// a batch of 1 (Detect), and both to the scalar reference.
+func TestDetectBatchMatchesDetect(t *testing.T) {
+	for _, mode := range []nn.QuantMode{nn.QuantNone, nn.QuantFP16, nn.QuantInt8} {
+		m := fittedModel(t, 1)
+		m.QuantizeMode(mode)
+		rng := rand.New(rand.NewSource(7))
+		weeks := trainWeeks(16, 84, rng)
+		// Make some windows anomalous so both verdict polarities are covered.
+		for i := 0; i < len(weeks); i += 3 {
+			weeks[i][10] += 4
+			weeks[i][11] += 4
+		}
+		windows := make([][][]float64, len(weeks))
+		for i, w := range weeks {
+			windows[i] = toFrames(w)
+		}
+		got, err := m.DetectBatch(windows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i] != want {
-			t.Fatalf("window %d: batch verdict %+v vs per-window %+v", i, got[i], want)
+		sawAnomaly, sawNormal := false, false
+		for i, w := range windows {
+			one, err := m.Detect(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != one {
+				t.Fatalf("%v window %d: batch of 16 %+v vs batch of 1 %+v", mode, i, got[i], one)
+			}
+			if want := refDetect(t, m, w); got[i] != want {
+				t.Fatalf("%v window %d: batch %+v vs scalar reference %+v", mode, i, got[i], want)
+			}
+			if one.Anomaly {
+				sawAnomaly = true
+			} else {
+				sawNormal = true
+			}
 		}
-		if want.Anomaly {
-			sawAnomaly = true
-		} else {
-			sawNormal = true
+		if !sawAnomaly || !sawNormal {
+			t.Fatalf("%v: test windows did not cover both verdicts (anomaly=%v normal=%v)", mode, sawAnomaly, sawNormal)
 		}
 	}
-	if !sawAnomaly || !sawNormal {
-		t.Fatalf("test windows did not cover both verdicts (anomaly=%v normal=%v)", sawAnomaly, sawNormal)
+}
+
+// TestDetectSteadyStateAllocs keeps the per-window scalar path from growing
+// back: a warm Detect allocates its verdict and score slices, not the
+// thousands of per-point vectors the deleted path did.
+func TestDetectSteadyStateAllocs(t *testing.T) {
+	// The paper-scale weekly window: 672 readings.
+	rng := rand.New(rand.NewSource(8))
+	m, err := New(TierIoT, 672, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 1
+	if _, err := m.Fit(trainWeeks(4, 672, rng), cfg, rng); err != nil {
+		t.Fatal(err)
+	}
+	w := toFrames(trainWeeks(1, 672, rng)[0])
+	if _, err := m.Detect(w); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := m.Detect(w); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Detect: %.0f allocations/call", allocs)
+	if allocs > 16 {
+		t.Fatalf("Detect allocates %.0f objects/call in steady state, want ≤ 16", allocs)
 	}
 }
 

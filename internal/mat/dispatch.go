@@ -75,7 +75,6 @@ type cpuFeatures struct {
 	sse2 bool // amd64 baseline (always true on amd64 builds with asm)
 	avx2 bool // AVX2 + OS YMM support
 	fma  bool // FMA3 (informational; the exact kernels do not fuse)
-	f16c bool // VCVTPH2PS available (informational)
 	neon bool // arm64 AdvSIMD (always true on arm64 builds with asm)
 }
 

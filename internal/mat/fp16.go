@@ -1,17 +1,13 @@
 package mat
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
-// IEEE-754 binary16 conversion — the storage format of the FP16 quantized
-// inference tier. The paper compresses the IoT- and edge-deployed models
-// from FP32 to FP16 and observes no detection-performance decrease; this
-// file provides the canonical round-to-nearest-even conversion (with
-// overflow to ±Inf and gradual underflow to subnormals) plus the decode
-// table the quantized kernels read through. Package nn re-exports the same
-// functions for its public quantisation API.
+// IEEE-754 binary16 conversion — the storage and wire format of the FP16
+// tier. The paper compresses the IoT- and edge-deployed models from FP32 to
+// FP16 and observes no detection-performance decrease; this file provides
+// the canonical round-to-nearest-even conversion (with overflow to ±Inf and
+// gradual underflow to subnormals), which nn.QuantizeParams rounds weights
+// through and the model codec writes on the wire.
 
 // Float16Bits converts a float64 to its nearest IEEE-754 binary16 bit
 // pattern.
@@ -87,22 +83,3 @@ func Float16From(bits uint16) float64 {
 
 // QuantizeFP16 rounds v through binary16 and back.
 func QuantizeFP16(v float64) float64 { return Float16From(Float16Bits(v)) }
-
-// f16Table is the 65536-entry binary16 → float64 decode table the FP16
-// panel kernels index; 512 KiB, built once on first quantized pack so
-// unquantized deployments never pay for it.
-var (
-	f16TableOnce sync.Once
-	f16Table     []float64
-)
-
-func float16Table() []float64 {
-	f16TableOnce.Do(func() {
-		t := make([]float64, 1<<16)
-		for i := range t {
-			t[i] = Float16From(uint16(i))
-		}
-		f16Table = t
-	})
-	return f16Table
-}

@@ -25,7 +25,6 @@ func detectFeatures() {
 		cpuidFMA     = 1 << 12
 		cpuidOSXSAVE = 1 << 27
 		cpuidAVX     = 1 << 28
-		cpuidF16C    = 1 << 29
 	)
 	avxOS := false
 	if c1&cpuidOSXSAVE != 0 {
@@ -33,7 +32,6 @@ func detectFeatures() {
 		avxOS = lo&6 == 6
 	}
 	features.fma = avxOS && c1&cpuidFMA != 0
-	features.f16c = avxOS && c1&cpuidF16C != 0
 	if maxID >= 7 {
 		_, b7, _, _ := cpuidAsm(7, 0)
 		features.avx2 = avxOS && c1&cpuidAVX != 0 && b7&(1<<5) != 0

@@ -23,49 +23,10 @@ import (
 // group. The trailing r = rows mod width rows are stored at the end with
 // stride r (element [kk·r + c]), consumed by the generic Go loop.
 //
-// Quantized panels (QuantF16, QuantI8) store the same layout in 16-bit or
-// 8-bit codes and are always packed 4-wide; they are consumed by dedicated
-// Go kernels that decode per element. Their error contract is documented on
-// Quant below.
-
-// Quant selects the storage format of a packed panel.
-type Quant int32
-
-const (
-	// QuantF64 stores full float64 weights. Consumers are bit-identical to
-	// MulBTInto and the per-sample MulVec path at every dispatch level
-	// except neon (see KernelExact).
-	QuantF64 Quant = iota
-	// QuantF16 stores IEEE binary16 codes (1 sign, 5 exponent, 10 mantissa
-	// bits), decoded through a lookup table. Packing a matrix whose weights
-	// were already rounded to binary16 (nn.QuantizeParams) is lossless, so
-	// panel products are then bit-identical to the float64 matrix path.
-	QuantF16
-	// QuantI8 stores int8 codes with one power-of-two scale per packed row
-	// (per output column): scale = 2^e, the smallest power of two with
-	// max|row| ≤ 127·scale, q = round(v/scale) ∈ [−127, 127]. Because the
-	// scale is a power of two, q·scale is exact in float64 — so packing a
-	// matrix already quantized in place (nn.QuantizeParams) reproduces the
-	// stored values bit for bit and panel products match the float64 matrix
-	// path exactly. The quantization itself has relative error ≤ 2⁻⁷ per
-	// weight (the power-of-two scale spends up to one bit of range, in
-	// exchange for exact decode).
-	QuantI8
-)
-
-// String implements fmt.Stringer.
-func (q Quant) String() string {
-	switch q {
-	case QuantF64:
-		return "f64"
-	case QuantF16:
-		return "f16"
-	case QuantI8:
-		return "i8"
-	default:
-		return fmt.Sprintf("Quant(%d)", int32(q))
-	}
-}
+// Panels always hold float64. Quantization (nn.QuantizeParams) rounds the
+// weight matrix in place to fp16- or int8-representable values before it is
+// packed, so the panels of a quantized model carry exactly those values and
+// need no storage format of their own.
 
 // Packed is a weight matrix interleaved for the panel micro-kernels,
 // produced by Pack. It is immutable after construction and safe to share
@@ -73,12 +34,7 @@ func (q Quant) String() string {
 type Packed struct {
 	rows, cols int // dimensions of the source matrix (b.Rows × b.Cols)
 	width      int // panel width the full groups are interleaved at
-	quant      Quant
-
-	f64    []float64 // QuantF64 storage
-	f16    []uint16  // QuantF16 storage (binary16 codes)
-	i8     []int8    // QuantI8 storage
-	scales []float64 // QuantI8 per-row scales (len rows, power-of-two)
+	data       []float64
 }
 
 // Rows reports the source matrix's row count (= output columns of a·bᵀ).
@@ -90,95 +46,35 @@ func (p *Packed) Cols() int { return p.cols }
 // Width reports the panel width full groups are interleaved at.
 func (p *Packed) Width() int { return p.width }
 
-// Quant reports the storage format.
-func (p *Packed) Quant() Quant { return p.quant }
-
 // Bytes reports the resident size of the packed weight data — the bytes a
 // full product must stream per pass, which is what the roofline harness
 // charges panel kernels for.
-func (p *Packed) Bytes() int {
-	switch p.quant {
-	case QuantF16:
-		return len(p.f16) * 2
-	case QuantI8:
-		return len(p.i8) + len(p.scales)*8
-	default:
-		return len(p.f64) * 8
-	}
-}
+func (p *Packed) Bytes() int { return len(p.data) * 8 }
 
-// Pack interleaves b into panels for the active kernel's width (QuantF64)
-// or 4-wide (quantized formats). The returned Packed snapshots b; later
-// writes to b are not reflected.
-func Pack(b *Matrix, quant Quant) *Packed {
+// Pack interleaves b into panels for the active kernel's width. The
+// returned Packed snapshots b; later writes to b are not reflected.
+func Pack(b *Matrix) *Packed {
 	n, k := b.Rows, b.Cols
 	w := packWidth()
-	if quant != QuantF64 {
-		w = 4
-	}
-	p := &Packed{rows: n, cols: k, width: w, quant: quant}
-	groups := n / w
-	tail := n - groups*w
-	switch quant {
-	case QuantF16:
-		p.f16 = make([]uint16, n*k)
-		packRows(n, k, w, groups, tail, func(row []float64, at func(kk int) int) {
-			for kk, v := range row {
-				p.f16[at(kk)] = Float16Bits(v)
+	p := &Packed{rows: n, cols: k, width: w, data: make([]float64, n*k)}
+	// Rows are grouped w at a time; the trailing group is narrower.
+	for r0 := 0; r0 < n; r0 += w {
+		gw := min(w, n-r0)
+		group := p.data[r0*k : (r0+gw)*k]
+		for c := 0; c < gw; c++ {
+			for kk, v := range b.Data[(r0+c)*k : (r0+c+1)*k] {
+				group[kk*gw+c] = v
 			}
-		}, b)
-	case QuantI8:
-		p.i8 = make([]int8, n*k)
-		p.scales = make([]float64, n)
-		for r := 0; r < n; r++ {
-			p.scales[r] = I8RowScale(b.Data[r*k : (r+1)*k])
 		}
-		ri := 0
-		packRows(n, k, w, groups, tail, func(row []float64, at func(kk int) int) {
-			s := p.scales[ri]
-			ri++
-			for kk, v := range row {
-				p.i8[at(kk)] = I8Quantize(v, s)
-			}
-		}, b)
-	default:
-		p.f64 = make([]float64, n*k)
-		packRows(n, k, w, groups, tail, func(row []float64, at func(kk int) int) {
-			for kk, v := range row {
-				p.f64[at(kk)] = v
-			}
-		}, b)
 	}
 	return p
-}
-
-// packRows walks b's rows in packed order, handing each row and its
-// index-mapping function (source position kk → packed offset) to store.
-// Rows arrive in ascending order: all full groups, then the tail.
-func packRows(n, k, w, groups, tail int, store func(row []float64, at func(kk int) int), b *Matrix) {
-	for g := 0; g < groups; g++ {
-		base := g * w * k
-		for c := 0; c < w; c++ {
-			row := b.Data[(g*w+c)*k : (g*w+c+1)*k]
-			cc := c
-			store(row, func(kk int) int { return base + kk*w + cc })
-		}
-	}
-	if tail > 0 {
-		base := groups * w * k
-		for c := 0; c < tail; c++ {
-			row := b.Data[(groups*w+c)*k : (groups*w+c+1)*k]
-			cc := c
-			store(row, func(kk int) int { return base + kk*tail + cc })
-		}
-	}
 }
 
 // I8RowScale returns the int8 quantization scale for one weight row: the
 // smallest power of two with max|row| ≤ 127·scale (0 for an all-zero or
 // non-finite row, which quantizes to zeros). A power of two makes q·scale
 // and v/scale exact float64 operations, so quantization is idempotent and
-// packed panels decode bit-identically to in-place quantized matrices.
+// int8 codes decode bit-identically to the in-place quantized matrix.
 func I8RowScale(row []float64) float64 {
 	maxAbs := 0.0
 	for _, v := range row {
@@ -215,46 +111,28 @@ func I8Quantize(v, scale float64) int8 {
 	return int8(q)
 }
 
-// QuantizeI8 rounds v to its int8-representable value at scale — the exact
-// value a QuantI8 panel decodes to (q·scale is exact for power-of-two
-// scales).
+// QuantizeI8 rounds v to its int8-representable value at scale — the value
+// its int8 code decodes to (q·scale is exact for power-of-two scales).
 func QuantizeI8(v, scale float64) float64 {
 	return float64(I8Quantize(v, scale)) * scale
 }
 
 // PanelCache memoises one Packed per weight matrix so steady-state
 // inference packs once and reuses the panels across every batch. The zero
-// value is ready to use (QuantF64). It must not be copied after first use.
+// value is ready to use. It must not be copied after first use.
 //
 // Contract: every code path that mutates the weight matrix must call
 // Invalidate afterwards (the optimiser steps, snapshot restore and
-// quantization all do, via nn.Param.Cache). Invalidate also resets the
-// quantization mode to QuantF64 — a weight update writes full-precision
-// values, so a stale f16/i8 mode must not silently re-quantize them on the
-// next pack; callers re-select a mode with SetQuant after quantizing.
-// Concurrent readers during a repack may pack twice; both results are
-// identical and the duplicate is garbage collected.
+// quantization all do, via nn.Param.Cache). Concurrent readers during a
+// repack may pack twice; both results are identical and the duplicate is
+// garbage collected.
 type PanelCache struct {
 	packed atomic.Pointer[Packed]
-	quant  atomic.Int32
 }
 
-// Invalidate drops the cached panels and resets the storage mode to
-// QuantF64. Call after any write to the weight matrix.
-func (c *PanelCache) Invalidate() {
-	c.quant.Store(int32(QuantF64))
-	c.packed.Store(nil)
-}
-
-// SetQuant selects the storage format for future packs and drops the
-// current panels.
-func (c *PanelCache) SetQuant(q Quant) {
-	c.quant.Store(int32(q))
-	c.packed.Store(nil)
-}
-
-// Quant reports the storage format the next pack will use.
-func (c *PanelCache) Quant() Quant { return Quant(c.quant.Load()) }
+// Invalidate drops the cached panels. Call after any write to the weight
+// matrix.
+func (c *PanelCache) Invalidate() { c.packed.Store(nil) }
 
 // Cached returns the currently cached panels without packing (nil when the
 // cache is empty or was invalidated). Intended for tests and introspection.
@@ -262,29 +140,23 @@ func (c *PanelCache) Cached() *Packed { return c.packed.Load() }
 
 // get returns panels for b, packing (and caching) them if the cache is
 // empty, was invalidated, belongs to a differently-shaped matrix, or was
-// packed at a different width or quantization than currently requested
-// (e.g. after SetKernel changed the panel width).
+// packed at a different width than the active kernel's (e.g. after
+// SetKernel changed the panel width).
 func (c *PanelCache) get(b *Matrix) *Packed {
-	q := Quant(c.quant.Load())
-	w := packWidth()
-	if q != QuantF64 {
-		w = 4
-	}
 	if p := c.packed.Load(); p != nil &&
-		p.quant == q && p.width == w && p.rows == b.Rows && p.cols == b.Cols {
+		p.width == packWidth() && p.rows == b.Rows && p.cols == b.Cols {
 		return p
 	}
-	p := Pack(b, q)
+	p := Pack(b)
 	c.packed.Store(p)
 	return p
 }
 
 // MulBTCachedInto computes dst = a·bᵀ like MulBTInto, but consumes b
-// through the panel cache: b is packed once (at the active kernel's width
-// and the cache's quantization mode) and the panels are reused across
-// calls until the cache is invalidated. A nil cache falls back to
-// MulBTInto. Results under QuantF64 are bit-identical to MulBTInto at
-// every exact dispatch level.
+// through the panel cache: b is packed once (at the active kernel's width)
+// and the panels are reused across calls until the cache is invalidated. A
+// nil cache falls back to MulBTInto. Results are bit-identical to MulBTInto
+// at every exact dispatch level.
 func MulBTCachedInto(dst, a, b *Matrix, c *PanelCache) error {
 	if c == nil {
 		return MulBTInto(dst, a, b)
@@ -330,44 +202,21 @@ func MulBTPackedInto(dst, a *Matrix, p *Packed) error {
 // plain multiply-then-add chain over ascending kk, bit-identical to MulVec
 // and MulBTInto.
 func mulBTPackedRange(dst, a *Matrix, p *Packed, r0, r1 int) {
-	if p.quant == QuantF64 {
-		switch kern := ActiveKernel(); {
-		case p.width == 8 && kern == KernelAVX2:
-			mulBTPackedAVX2(dst, a, p, r0, r1)
-			return
-		case p.width == 4 && (kern == KernelSSE2 || kern == KernelAVX2):
-			mulBTPackedSSE2(dst, a, p, r0, r1)
-			return
-		case p.width == 4 && kern == KernelNEON:
-			mulBTPackedNEON(dst, a, p, r0, r1)
-			return
-		}
+	switch kern := ActiveKernel(); {
+	case p.width == 8 && kern == KernelAVX2:
+		mulBTPackedAVX2(dst, a, p, r0, r1)
+		return
+	case p.width == 4 && (kern == KernelSSE2 || kern == KernelAVX2):
+		mulBTPackedSSE2(dst, a, p, r0, r1)
+		return
+	case p.width == 4 && kern == KernelNEON:
+		mulBTPackedNEON(dst, a, p, r0, r1)
+		return
 	}
 	k, n, w := p.cols, p.rows, p.width
-	groups := n / w
-	switch p.quant {
-	case QuantF16:
-		tbl := float16Table()
-		for g := 0; g < groups; g++ {
-			mulBTPanelF16(dst, a, p.f16[g*w*k:(g+1)*w*k], tbl, k, g*w, w, r0, r1)
-		}
-		if tail := n - groups*w; tail > 0 {
-			mulBTPanelF16(dst, a, p.f16[groups*w*k:], tbl, k, groups*w, tail, r0, r1)
-		}
-	case QuantI8:
-		for g := 0; g < groups; g++ {
-			mulBTPanelI8(dst, a, p.i8[g*w*k:(g+1)*w*k], p.scales[g*w:(g+1)*w], k, g*w, w, r0, r1)
-		}
-		if tail := n - groups*w; tail > 0 {
-			mulBTPanelI8(dst, a, p.i8[groups*w*k:], p.scales[groups*w:], k, groups*w, tail, r0, r1)
-		}
-	default:
-		for g := 0; g < groups; g++ {
-			mulBTPanelF64(dst, a, p.f64[g*w*k:(g+1)*w*k], k, g*w, w, r0, r1)
-		}
-		if tail := n - groups*w; tail > 0 {
-			mulBTPanelF64(dst, a, p.f64[groups*w*k:], k, groups*w, tail, r0, r1)
-		}
+	for j := 0; j < n; j += w {
+		gw := min(w, n-j)
+		mulBTPanelF64(dst, a, p.data[j*k:(j+gw)*k], k, j, gw, r0, r1)
 	}
 }
 
@@ -379,7 +228,7 @@ func mulBTPackedAVX2(dst, a *Matrix, p *Packed, r0, r1 int) {
 	var out2 [16]float64
 	var out1 [8]float64
 	for g := 0; g < groups; g++ {
-		panel := p.f64[g*8*k : (g+1)*8*k]
+		panel := p.data[g*8*k : (g+1)*8*k]
 		j := g * 8
 		i := r0
 		for ; i+2 <= r1; i += 2 {
@@ -393,7 +242,7 @@ func mulBTPackedAVX2(dst, a *Matrix, p *Packed, r0, r1 int) {
 		}
 	}
 	if tail := n - groups*8; tail > 0 {
-		mulBTPanelF64(dst, a, p.f64[groups*8*k:], k, groups*8, tail, r0, r1)
+		mulBTPanelF64(dst, a, p.data[groups*8*k:], k, groups*8, tail, r0, r1)
 	}
 }
 
@@ -403,7 +252,7 @@ func mulBTPackedSSE2(dst, a *Matrix, p *Packed, r0, r1 int) {
 	groups := n / 4
 	var out [8]float64
 	for g := 0; g < groups; g++ {
-		panel := p.f64[g*4*k : (g+1)*4*k]
+		panel := p.data[g*4*k : (g+1)*4*k]
 		j := g * 4
 		i := r0
 		for ; i+2 <= r1; i += 2 {
@@ -416,7 +265,7 @@ func mulBTPackedSSE2(dst, a *Matrix, p *Packed, r0, r1 int) {
 		}
 	}
 	if tail := n - groups*4; tail > 0 {
-		mulBTPanelF64(dst, a, p.f64[groups*4*k:], k, groups*4, tail, r0, r1)
+		mulBTPanelF64(dst, a, p.data[groups*4*k:], k, groups*4, tail, r0, r1)
 	}
 }
 
@@ -427,7 +276,7 @@ func mulBTPackedNEON(dst, a *Matrix, p *Packed, r0, r1 int) {
 	groups := n / 4
 	var out [8]float64
 	for g := 0; g < groups; g++ {
-		panel := p.f64[g*4*k : (g+1)*4*k]
+		panel := p.data[g*4*k : (g+1)*4*k]
 		j := g * 4
 		i := r0
 		for ; i+2 <= r1; i += 2 {
@@ -440,7 +289,7 @@ func mulBTPackedNEON(dst, a *Matrix, p *Packed, r0, r1 int) {
 		}
 	}
 	if tail := n - groups*4; tail > 0 {
-		mulBTPanelF64(dst, a, p.f64[groups*4*k:], k, groups*4, tail, r0, r1)
+		mulBTPanelF64(dst, a, p.data[groups*4*k:], k, groups*4, tail, r0, r1)
 	}
 }
 
@@ -454,40 +303,6 @@ func mulBTPanelF64(dst, a *Matrix, panel []float64, k, j0, w, r0, r1 int) {
 			pb := panel[kk*w : kk*w+w : kk*w+w]
 			for c, bv := range pb {
 				acc[c] += av * bv
-			}
-		}
-		copy(dst.Data[i*dst.Cols+j0:i*dst.Cols+j0+w], acc[:w])
-	}
-}
-
-// mulBTPanelF16 decodes binary16 codes through the lookup table while
-// accumulating; identical accumulation order to mulBTPanelF64.
-func mulBTPanelF16(dst, a *Matrix, panel []uint16, tbl []float64, k, j0, w, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		arow := a.Data[i*k : i*k+k : i*k+k]
-		var acc [8]float64
-		for kk, av := range arow {
-			pb := panel[kk*w : kk*w+w : kk*w+w]
-			for c, bits := range pb {
-				acc[c] += av * tbl[bits]
-			}
-		}
-		copy(dst.Data[i*dst.Cols+j0:i*dst.Cols+j0+w], acc[:w])
-	}
-}
-
-// mulBTPanelI8 decodes int8 codes against the group's per-row scales while
-// accumulating. q·scale is exact (power-of-two scale), so each decoded
-// weight equals the in-place quantized matrix value bit for bit and the
-// accumulation order matches mulBTPanelF64.
-func mulBTPanelI8(dst, a *Matrix, panel []int8, scales []float64, k, j0, w, r0, r1 int) {
-	for i := r0; i < r1; i++ {
-		arow := a.Data[i*k : i*k+k : i*k+k]
-		var acc [8]float64
-		for kk, av := range arow {
-			pb := panel[kk*w : kk*w+w : kk*w+w]
-			for c, q := range pb {
-				acc[c] += av * (float64(q) * scales[c])
 			}
 		}
 		copy(dst.Data[i*dst.Cols+j0:i*dst.Cols+j0+w], acc[:w])

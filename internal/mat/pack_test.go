@@ -52,7 +52,7 @@ func TestMulBTPackedMatchesReference(t *testing.T) {
 				a := randMatrix(s[0], s[1], rng)
 				b := randMatrix(s[2], s[1], rng)
 				want := refMulBT(a, b)
-				p := Pack(b, QuantF64)
+				p := Pack(b)
 				got := New(s[0], s[2])
 				got.Fill(math.NaN()) // catch unwritten elements
 				if err := MulBTPackedInto(got, a, p); err != nil {
@@ -81,7 +81,7 @@ func TestMulBTPackedForeignWidth(t *testing.T) {
 	want := refMulBT(a, b)
 
 	var p *Packed
-	withKernel(t, "avx2", func(t *testing.T) { p = Pack(b, QuantF64) })
+	withKernel(t, "avx2", func(t *testing.T) { p = Pack(b) })
 	if p.Width() != 8 {
 		t.Fatalf("avx2 pack width = %d, want 8", p.Width())
 	}
@@ -136,20 +136,16 @@ func TestPanelCacheInvalidate(t *testing.T) {
 	a := randMatrix(4, 12, rng)
 	b := randMatrix(8, 12, rng)
 	var c PanelCache
-	c.SetQuant(QuantI8)
 	dst := New(4, 8)
 	if err := MulBTCachedInto(dst, a, b, &c); err != nil {
 		t.Fatal(err)
 	}
-	if p := c.Cached(); p == nil || p.Quant() != QuantI8 {
-		t.Fatalf("cache after SetQuant(i8): %+v", c.Cached())
+	if c.Cached() == nil {
+		t.Fatal("cache empty after a cached product")
 	}
 	c.Invalidate()
 	if c.Cached() != nil {
 		t.Fatal("Invalidate left panels cached")
-	}
-	if c.Quant() != QuantF64 {
-		t.Fatalf("Invalidate left quant mode %v, want f64 (weight updates write full precision)", c.Quant())
 	}
 
 	// A weight update between calls must be observed after Invalidate.
@@ -203,71 +199,13 @@ func TestPackSnapshotsWeights(t *testing.T) {
 	a := randMatrix(3, 8, rng)
 	b := randMatrix(6, 8, rng)
 	want := refMulBT(a, b)
-	p := Pack(b, QuantF64)
+	p := Pack(b)
 	b.Fill(99) // later writes must not leak into the panels
 	got := New(3, 6)
 	if err := MulBTPackedInto(got, a, p); err != nil {
 		t.Fatal(err)
 	}
 	bitEqual(t, "packed snapshot", got, want)
-}
-
-func TestF16PanelBitExactOnRoundedWeights(t *testing.T) {
-	// Once weights are rounded to binary16 in place (what nn.QuantizeParams
-	// does), the f16 panel decodes every weight to the identical float64 —
-	// so the quantized product is bit-identical to the full-precision
-	// matrix product of the rounded weights.
-	rng := rand.New(rand.NewSource(17))
-	for _, s := range mulBTShapes {
-		a := randMatrix(s[0], s[1], rng)
-		b := randMatrix(s[2], s[1], rng)
-		for i, v := range b.Data {
-			b.Data[i] = QuantizeFP16(v)
-		}
-		want := refMulBT(a, b)
-		p := Pack(b, QuantF16)
-		got := New(s[0], s[2])
-		if err := MulBTPackedInto(got, a, p); err != nil {
-			t.Fatal(err)
-		}
-		bitEqual(t, "f16 panel", got, want)
-	}
-}
-
-func TestI8PanelBitExactOnQuantizedWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	for _, s := range mulBTShapes {
-		a := randMatrix(s[0], s[1], rng)
-		b := randMatrix(s[2], s[1], rng)
-		for r := 0; r < b.Rows; r++ {
-			row := b.Data[r*b.Cols : (r+1)*b.Cols]
-			scale := I8RowScale(row)
-			for i, v := range row {
-				row[i] = QuantizeI8(v, scale)
-			}
-		}
-		want := refMulBT(a, b)
-		p := Pack(b, QuantI8)
-		got := New(s[0], s[2])
-		if err := MulBTPackedInto(got, a, p); err != nil {
-			t.Fatal(err)
-		}
-		bitEqual(t, "i8 panel", got, want)
-
-		// Re-packing the already-quantized matrix must reproduce the same
-		// scales and codes (idempotence of the power-of-two scheme).
-		p2 := Pack(b, QuantI8)
-		for i := range p.scales {
-			if p.scales[i] != p2.scales[i] {
-				t.Fatalf("repack scale[%d] = %v, was %v", i, p2.scales[i], p.scales[i])
-			}
-		}
-		for i := range p.i8 {
-			if p.i8[i] != p2.i8[i] {
-				t.Fatalf("repack code[%d] = %d, was %d", i, p2.i8[i], p.i8[i])
-			}
-		}
-	}
 }
 
 func TestI8RowScale(t *testing.T) {
@@ -423,21 +361,5 @@ func TestFlushTiny(t *testing.T) {
 	}
 	if !math.IsNaN(FlushTiny(math.NaN())) {
 		t.Error("FlushTiny(NaN) lost the NaN")
-	}
-}
-
-func TestFloat16TableMatchesDecode(t *testing.T) {
-	tbl := float16Table()
-	for _, bits := range []uint16{0, 1, 0x3C00, 0x7BFF, 0x8000, 0xFBFF, 0x0400, 0x03FF} {
-		want := Float16From(bits)
-		if math.Float64bits(tbl[bits]) != math.Float64bits(want) {
-			t.Errorf("table[%#04x] = %v, want %v", bits, tbl[bits], want)
-		}
-	}
-	// Round-tripping an already-representable value is the identity.
-	for _, v := range []float64{0, 1, -1, 0.5, 65504, -65504, 6.103515625e-05} {
-		if QuantizeFP16(v) != v {
-			t.Errorf("QuantizeFP16(%v) = %v, want identity", v, QuantizeFP16(v))
-		}
 	}
 }

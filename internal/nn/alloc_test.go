@@ -12,7 +12,9 @@ import (
 // caller's BatchScratch and packed every weight matrix into its panel cache,
 // subsequent calls must not allocate — not in the kernels, not in the cache
 // lookup, not in the activation layers. This is the contract that lets the
-// serving plane run batched inference per-request without GC pressure.
+// serving plane run batched inference per-request without GC pressure. The
+// fp16 and int8 cases hold it for quantized models too: rounded weights run
+// through the same panels and kernels, not a path of their own.
 func TestInferBatchZeroAllocSteadyState(t *testing.T) {
 	for _, quant := range []struct {
 		name string

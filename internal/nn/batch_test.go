@@ -379,12 +379,12 @@ func TestDropoutBatchSemantics(t *testing.T) {
 func TestQuantizeFP16UnderBatchPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := testNet(t, rng)
-	worst := QuantizeParamsFP16(net.Params())
+	worst := QuantizeParams(net.Params(), QuantFP16)
 	if worst <= 0 || worst > 1e-2 {
 		t.Fatalf("unexpected worst-case FP16 rounding error %g", worst)
 	}
 	// Idempotence: quantising again must change nothing.
-	if again := QuantizeParamsFP16(net.Params()); again != 0 {
+	if again := QuantizeParams(net.Params(), QuantFP16); again != 0 {
 		t.Fatalf("second FP16 quantisation moved weights by %g, want 0", again)
 	}
 	x := randBatch(13, 12, rng)

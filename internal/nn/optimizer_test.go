@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mat"
 )
 
 // trainToy fits net to a fixed nonlinear mapping and returns initial and
@@ -221,20 +223,20 @@ func TestFloat16KnownValues(t *testing.T) {
 		{5.960464477539063e-08, 0x0001}, // smallest subnormal
 	}
 	for _, c := range cases {
-		if got := Float16Bits(c.f); got != c.bits {
+		if got := mat.Float16Bits(c.f); got != c.bits {
 			t.Errorf("Float16Bits(%g) = %#04x, want %#04x", c.f, got, c.bits)
 		}
-		if back := Float16From(c.bits); back != c.f {
+		if back := mat.Float16From(c.bits); back != c.f {
 			t.Errorf("Float16From(%#04x) = %g, want %g", c.bits, back, c.f)
 		}
 	}
-	if !math.IsNaN(Float16From(Float16Bits(math.NaN()))) {
+	if !math.IsNaN(mat.Float16From(mat.Float16Bits(math.NaN()))) {
 		t.Error("NaN must round-trip to NaN")
 	}
-	if Float16Bits(1e6) != 0x7C00 {
+	if mat.Float16Bits(1e6) != 0x7C00 {
 		t.Error("overflow must produce +inf")
 	}
-	if Float16Bits(1e-12) != 0 {
+	if mat.Float16Bits(1e-12) != 0 {
 		t.Error("deep underflow must produce +0")
 	}
 }
@@ -251,8 +253,8 @@ func TestQuickFP16Quantisation(t *testing.T) {
 		if math.Abs(v) < 1e-4 {
 			v += 1 // avoid the subnormal range for the relative-error claim
 		}
-		q := QuantizeFP16(v)
-		if QuantizeFP16(q) != q {
+		q := mat.QuantizeFP16(v)
+		if mat.QuantizeFP16(q) != q {
 			return false // idempotence
 		}
 		return math.Abs(q-v) <= math.Abs(v)/2048+1e-12
@@ -273,7 +275,7 @@ func TestQuantizeParamsFP16PreservesInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst := QuantizeParamsFP16(net.Params())
+	worst := QuantizeParams(net.Params(), QuantFP16)
 	if worst > 0.01 {
 		t.Fatalf("worst FP16 rounding error %g unexpectedly large", worst)
 	}

@@ -7,31 +7,26 @@ import (
 	"repro/internal/mat"
 )
 
-// Quantized inference tier. The paper compresses the IoT- and edge-deployed
-// models from FP32 to FP16 and observes no detection-performance decrease;
-// this file reproduces that step and extends it with an int8 tier:
+// Quantization is a storage and wire format; compute is float64. The paper
+// compresses the IoT- and edge-deployed models from FP32 to FP16 and
+// observes no detection-performance decrease; this file reproduces that
+// step and extends it with an int8 tier:
 //
 //   - QuantFP16 rounds every parameter through IEEE-754 binary16
-//     (round-to-nearest-even, overflow to ±Inf, gradual underflow). Packed
-//     inference then stores the weight panels as 16-bit codes (half the
-//     weight traffic of float64) and decodes through a lookup table;
-//     because the in-place weights were rounded to exactly representable
-//     values first, the quantized product is bit-identical to running the
-//     rounded model at full precision.
-//   - QuantInt8 quantizes each weight-matrix row to int8 codes with a
-//     per-row power-of-two scale (biases stay full precision — they are
-//     O(width) of the O(width²) weight traffic and control detection
-//     thresholds directly). Panels store 1 byte per weight; the
-//     power-of-two scale makes code·scale exact, so here too the packed
-//     product matches running the quantized model at full precision bit
-//     for bit. Worst-case relative weight error is 2⁻⁷ per row maximum
-//     (see mat.QuantI8); the Table II verdict-equivalence tests pin the
-//     end-to-end detection effect.
+//     (round-to-nearest-even, overflow to ±Inf, gradual underflow).
+//   - QuantInt8 rounds each weight-matrix row to the values of int8 codes
+//     at a per-row power-of-two scale (biases stay full precision — they
+//     are O(width) of the O(width²) weights and control detection
+//     thresholds directly). The power-of-two scale makes code·scale exact;
+//     worst-case relative weight error is 2⁻⁷ of the row maximum. The
+//     Table II verdict-equivalence tests pin the end-to-end detection
+//     effect.
 //
-// Quantization happens after training: it rewrites Value in place and
-// switches each weight's panel cache to the quantized storage mode. A later
-// optimiser step invalidates the caches back to full-precision mode, so
-// resumed training never silently re-quantizes fresh weights.
+// Quantization happens after training: it rewrites Value in place to
+// exactly representable values and invalidates the panel caches. Inference
+// then runs the rounded model through the same float64 kernels as any
+// other, and the model codec stores each tensor in the narrowest dtype that
+// represents it bit for bit.
 
 // QuantMode selects the deployed parameter precision.
 type QuantMode int
@@ -72,70 +67,36 @@ func ParseQuantMode(s string) (QuantMode, error) {
 	}
 }
 
-// Float16Bits converts a float64 to its nearest IEEE-754 binary16 bit
-// pattern. (Canonical implementation in mat; re-exported for nn callers.)
-func Float16Bits(f float64) uint16 { return mat.Float16Bits(f) }
-
-// Float16From converts a binary16 bit pattern back to float64 exactly.
-func Float16From(bits uint16) float64 { return mat.Float16From(bits) }
-
-// QuantizeFP16 rounds v through binary16 and back.
-func QuantizeFP16(v float64) float64 { return mat.QuantizeFP16(v) }
-
 // QuantizeParams quantizes params in place for deployment at the given mode
-// and switches their panel caches to the matching packed storage, returning
-// the largest absolute rounding error introduced so callers can assert it
-// is benign. QuantNone is the identity (caches reset to full precision).
+// and invalidates their panel caches, returning the largest absolute
+// rounding error introduced so callers can assert it is benign. QuantNone
+// is the identity.
 func QuantizeParams(params []Param, mode QuantMode) float64 {
 	var worst float64
-	switch mode {
-	case QuantFP16:
-		for _, p := range params {
-			for i, v := range p.Value.Data {
-				q := QuantizeFP16(v)
-				if e := math.Abs(q - v); e > worst {
-					worst = e
-				}
-				p.Value.Data[i] = q
+	round := func(data []float64, q func(float64) float64) {
+		for i, v := range data {
+			r := q(v)
+			if e := math.Abs(r - v); e > worst {
+				worst = e
 			}
-			if p.Cache != nil {
-				p.Cache.SetQuant(mat.QuantF16)
-			}
+			data[i] = r
 		}
-	case QuantInt8:
-		for _, p := range params {
-			if !p.WeightDecay {
-				// Biases (and other non-regularised parameters) stay full
-				// precision; only weight matrices carry int8 codes.
-				continue
-			}
+	}
+	for _, p := range params {
+		switch {
+		case mode == QuantFP16:
+			round(p.Value.Data, mat.QuantizeFP16)
+		case mode == QuantInt8 && p.WeightDecay:
+			// Biases (and other non-regularised parameters) stay full
+			// precision; only weight matrices carry int8 codes.
 			w := p.Value
 			for r := 0; r < w.Rows; r++ {
 				row := w.Data[r*w.Cols : (r+1)*w.Cols]
 				scale := mat.I8RowScale(row)
-				for i, v := range row {
-					q := mat.QuantizeI8(v, scale)
-					if e := math.Abs(q - v); e > worst {
-						worst = e
-					}
-					row[i] = q
-				}
-			}
-			if p.Cache != nil {
-				p.Cache.SetQuant(mat.QuantI8)
+				round(row, func(v float64) float64 { return mat.QuantizeI8(v, scale) })
 			}
 		}
-	default:
-		for _, p := range params {
-			p.invalidate()
-		}
+		p.invalidate()
 	}
 	return worst
-}
-
-// QuantizeParamsFP16 rounds every parameter value through binary16 in place,
-// reproducing the paper's deployment-time compression. Returns the largest
-// absolute rounding error introduced, so callers can assert it is benign.
-func QuantizeParamsFP16(params []Param) float64 {
-	return QuantizeParams(params, QuantFP16)
 }

@@ -3,6 +3,7 @@ package rnn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/mat"
 )
@@ -13,8 +14,10 @@ import (
 // products per step per sequence. Batching B windows turns each step into
 // two matrix-matrix products (X_t·Wxᵀ and H·Whᵀ) through the blocked
 // kernels, amortising both weight matrices over the whole batch. The
-// kernels accumulate in per-sample order, so a batched reconstruction is
-// bit-identical to B sequential Reconstruct calls.
+// kernels accumulate in per-sample order, so a row's result does not depend
+// on the batch around it. This is the only inference path: a single window
+// is a batch of one (Reconstruct, EncodedState); the scalar step and
+// ForwardSeq in lstm.go are the training forward.
 //
 // Everything here is stateless with respect to the model: the evolving
 // batch state lives in a caller-owned StepState, so any number of
@@ -82,97 +85,143 @@ func (l *LSTM) StepBatch(st *StepState, x *mat.Matrix) error {
 	return nil
 }
 
+// inferScratch is the per-call workspace of batched seq2seq inference,
+// leased from a pool so concurrent calls on a shared model stay free of
+// per-step allocations without sharing any mutable state.
+type inferScratch struct {
+	// st is the forward encoder's state and, once encodeBatch returns, the
+	// decoder's; bwd is the BiLSTM's reverse direction.
+	st, bwd StepState
+	// xt is the frame fed to the next step; yt receives the head's output.
+	xt, yt mat.Matrix
+}
+
+var inferScratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
+
+// encodeBatch runs the encoder over a batch of equal-length windows in
+// lockstep, one timestep of every window per batched step, and leaves the
+// decoder's initial states in sc.st. For the bidirectional encoder the two
+// directions' final states are summed, which keeps the decoder width equal
+// to the per-direction hidden size.
+func (m *Seq2Seq) encodeBatch(sc *inferScratch, windows [][][]float64) error {
+	B, T := len(windows), len(windows[0])
+	for w, xs := range windows {
+		if len(xs) != T {
+			return fmt.Errorf("%w: batch window %d has %d steps, want %d", mat.ErrShape, w, len(xs), T)
+		}
+		for t, f := range xs {
+			if len(f) != m.InSize {
+				return fmt.Errorf("%w: window %d step %d width %d, want %d", mat.ErrShape, w, t, len(f), m.InSize)
+			}
+		}
+	}
+	xt := sc.xt.Reshape(B, m.InSize)
+	run := func(l *LSTM, st *StepState, t int) error {
+		for w := range windows {
+			copy(xt.Row(w), windows[w][t])
+		}
+		if err := l.StepBatch(st, xt); err != nil {
+			return fmt.Errorf("seq2seq encode: %w", err)
+		}
+		return nil
+	}
+	fwd := m.Encoder
+	if m.BiEncoder != nil {
+		fwd = m.BiEncoder.Fwd
+	}
+	sc.st.Reset(B, m.HiddenSize)
+	for t := 0; t < T; t++ {
+		if err := run(fwd, &sc.st, t); err != nil {
+			return err
+		}
+	}
+	if m.BiEncoder == nil {
+		return nil
+	}
+	sc.bwd.Reset(B, m.HiddenSize)
+	for t := T - 1; t >= 0; t-- {
+		if err := run(m.BiEncoder.Bwd, &sc.bwd, t); err != nil {
+			return err
+		}
+	}
+	for i, v := range sc.bwd.H.Data {
+		sc.st.H.Data[i] += v
+	}
+	for i, v := range sc.bwd.C.Data {
+		sc.st.C.Data[i] += v
+	}
+	return nil
+}
+
+// EncodedState returns the encoder's final hidden state for xs — the
+// paper's contextual state for the multivariate policy network.
+func (m *Seq2Seq) EncodedState(xs [][]float64) ([]float64, error) {
+	sc := inferScratchPool.Get().(*inferScratch)
+	defer inferScratchPool.Put(sc)
+	if err := m.encodeBatch(sc, [][][]float64{xs}); err != nil {
+		return nil, err
+	}
+	return mat.CloneVec(sc.st.H.Row(0)), nil
+}
+
+// Reconstruct runs autoregressive inference on one window: ReconstructBatch
+// of one.
+func (m *Seq2Seq) Reconstruct(xs [][]float64) ([][]float64, error) {
+	out, err := m.ReconstructBatch([][][]float64{xs})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // ReconstructBatch runs autoregressive inference over a batch of equal-
 // length windows in lockstep: the encoder consumes one timestep of every
 // window per batched step, and the decoder regenerates all windows
-// together, each consuming its own previous reconstruction. It returns one
-// reconstructed sequence per window, bit-identical to per-window
-// Reconstruct calls, and is safe for concurrent use on a shared model.
+// together, each starting from a zero vector and consuming its own previous
+// reconstruction. It returns one reconstructed sequence per window — row r
+// is the same bits whatever else is in the batch — and is safe for
+// concurrent use on a shared model.
 func (m *Seq2Seq) ReconstructBatch(windows [][][]float64) ([][][]float64, error) {
 	B := len(windows)
 	if B == 0 {
 		return nil, nil
 	}
-	T := len(windows[0])
+	T, D := len(windows[0]), m.InSize
 	if T == 0 {
 		return nil, fmt.Errorf("rnn: Reconstruct of empty sequence")
 	}
-	for w, xs := range windows {
-		if len(xs) != T {
-			return nil, fmt.Errorf("%w: batch window %d has %d steps, want %d", mat.ErrShape, w, len(xs), T)
-		}
-		for t, f := range xs {
-			if len(f) != m.InSize {
-				return nil, fmt.Errorf("%w: window %d step %d width %d, want %d", mat.ErrShape, w, t, len(f), m.InSize)
-			}
-		}
+	sc := inferScratchPool.Get().(*inferScratch)
+	defer inferScratchPool.Put(sc)
+	if err := m.encodeBatch(sc, windows); err != nil {
+		return nil, err
 	}
 
-	H := m.HiddenSize
-	xt := mat.New(B, m.InSize)
-	fill := func(t int) {
-		for w := range windows {
-			copy(xt.Row(w), windows[w][t])
-		}
-	}
-
-	// Encode: the decoder starts from the encoder's final states (for the
-	// bidirectional encoder, the two directions' final states are summed,
-	// matching encode()'s per-sample AddVec merge).
-	var dec StepState
-	if m.BiEncoder != nil {
-		var fwd, bwd StepState
-		fwd.Reset(B, H)
-		bwd.Reset(B, H)
-		for t := 0; t < T; t++ {
-			fill(t)
-			if err := m.BiEncoder.Fwd.StepBatch(&fwd, xt); err != nil {
-				return nil, fmt.Errorf("seq2seq encode: %w", err)
-			}
-		}
-		for t := T - 1; t >= 0; t-- {
-			fill(t)
-			if err := m.BiEncoder.Bwd.StepBatch(&bwd, xt); err != nil {
-				return nil, fmt.Errorf("seq2seq encode: %w", err)
-			}
-		}
-		dec.Reset(B, H)
-		for i, v := range fwd.H.Data {
-			dec.H.Data[i] = v + bwd.H.Data[i]
-		}
-		for i, v := range fwd.C.Data {
-			dec.C.Data[i] = v + bwd.C.Data[i]
-		}
-	} else {
-		var enc StepState
-		enc.Reset(B, H)
-		for t := 0; t < T; t++ {
-			fill(t)
-			if err := m.Encoder.StepBatch(&enc, xt); err != nil {
-				return nil, fmt.Errorf("seq2seq encode: %w", err)
-			}
-		}
-		dec.H, dec.C = enc.H, enc.C
-	}
-
+	// The result is the caller's to keep, so it cannot come from the pool;
+	// one slab each for the values and the row headers keeps it at three
+	// allocations whatever B and T are.
+	vals := make([]float64, B*T*D)
+	rows := make([][]float64, B*T)
 	out := make([][][]float64, B)
 	for w := range out {
-		out[w] = make([][]float64, T)
+		out[w] = rows[w*T : (w+1)*T : (w+1)*T]
 	}
-	prev := mat.New(B, m.InSize) // zero start token
-	yt := mat.New(B, m.InSize)
+	prev := sc.xt.Reshape(B, D)
+	prev.Zero() // zero start token
+	yt := sc.yt.Reshape(B, D)
 	for t := 0; t < T; t++ {
-		if err := m.Decoder.StepBatch(&dec, prev); err != nil {
+		if err := m.Decoder.StepBatch(&sc.st, prev); err != nil {
 			return nil, fmt.Errorf("seq2seq decode step %d: %w", t, err)
 		}
-		if err := mat.MulBTCachedInto(yt, &dec.H, m.Wy, &m.cacheWy); err != nil {
+		if err := mat.MulBTCachedInto(yt, &sc.st.H, m.Wy, &m.cacheWy); err != nil {
 			return nil, err
 		}
 		if err := yt.AddRowWise(m.By); err != nil {
 			return nil, err
 		}
 		for w := range out {
-			out[w][t] = mat.CloneVec(yt.Row(w))
+			at := (w*T + t) * D
+			out[w][t] = vals[at : at+D : at+D]
+			copy(out[w][t], yt.Row(w))
 		}
 		prev, yt = yt, prev
 	}

@@ -1,10 +1,13 @@
 package rnn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/nn"
 )
 
 func randWindows(b, t, d int, rng *rand.Rand) [][][]float64 {
@@ -22,9 +25,52 @@ func randWindows(b, t, d int, rng *rand.Rand) [][][]float64 {
 	return out
 }
 
-// TestReconstructBatchMatchesPerWindow pins the batched recurrent inference
-// path to the per-window path for both encoder variants: bit-identical
-// reconstructions for every window in the batch.
+// refReconstruct is the scalar reference for autoregressive inference,
+// built from the training forward's kernels (encode, step, MulVec): what
+// the deleted per-window Reconstruct computed.
+func refReconstruct(t *testing.T, m *Seq2Seq, xs [][]float64) [][]float64 {
+	t.Helper()
+	h, c, err := m.encode(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]float64, len(xs))
+	prev := make([]float64, m.InSize) // zero start token
+	for s := range xs {
+		if h, c, _, _, err = m.Decoder.step(prev, h, c); err != nil {
+			t.Fatal(err)
+		}
+		y, err := m.Wy.MulVec(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range y {
+			y[i] += m.By[i]
+		}
+		out[s], prev = y, y
+	}
+	return out
+}
+
+func sameBits(t *testing.T, tag string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d steps, want %d", tag, len(got), len(want))
+	}
+	for s := range want {
+		for j := range want[s] {
+			if math.Float64bits(got[s][j]) != math.Float64bits(want[s][j]) {
+				t.Fatalf("%s step %d dim %d: %g vs %g", tag, s, j, got[s][j], want[s][j])
+			}
+		}
+	}
+}
+
+// TestReconstructBatchMatchesPerWindow pins batch-size invariance of the one
+// recurrent inference path, for both encoder variants and on full-precision,
+// fp16- and int8-rounded weights: row r of a batch of 16 is bit-identical to
+// the same window as a batch of 1 (Reconstruct), and both to the scalar
+// reference assembled from the training forward.
 func TestReconstructBatchMatchesPerWindow(t *testing.T) {
 	for _, bidi := range []bool{false, true} {
 		name := "lstm"
@@ -32,31 +78,63 @@ func TestReconstructBatchMatchesPerWindow(t *testing.T) {
 			name = "bilstm"
 		}
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1))
-			m, err := NewSeq2Seq(Config{InSize: 6, HiddenSize: 9, Bidirectional: bidi, DropRate: 0.3}, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			windows := randWindows(7, 11, 6, rng)
-			got, err := m.ReconstructBatch(windows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for w, xs := range windows {
-				want, err := m.Reconstruct(xs)
+			for _, mode := range []nn.QuantMode{nn.QuantNone, nn.QuantFP16, nn.QuantInt8} {
+				rng := rand.New(rand.NewSource(1))
+				m, err := NewSeq2Seq(Config{InSize: 6, HiddenSize: 9, Bidirectional: bidi, DropRate: 0.3}, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for s := range want {
-					for j := range want[s] {
-						if got[w][s][j] != want[s][j] {
-							t.Fatalf("window %d step %d dim %d: batch %g vs per-window %g",
-								w, s, j, got[w][s][j], want[s][j])
-						}
+				nn.QuantizeParams(m.Params(), mode)
+				if again := nn.QuantizeParams(m.Params(), mode); again != 0 {
+					t.Fatalf("%v: second quantization moved weights by %g", mode, again)
+				}
+				windows := randWindows(16, 11, 6, rng)
+				got, err := m.ReconstructBatch(windows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w, xs := range windows {
+					one, err := m.Reconstruct(xs)
+					if err != nil {
+						t.Fatal(err)
 					}
+					sameBits(t, fmt.Sprintf("%v window %d: batch of 16 vs batch of 1", mode, w), got[w], one)
+					sameBits(t, fmt.Sprintf("%v window %d: batch vs scalar reference", mode, w), got[w], refReconstruct(t, m, xs))
 				}
 			}
 		})
+	}
+}
+
+// TestEncodedStateIsBatchedEncode pins the policy's context pass to the
+// scalar training encoder bit for bit, and its steady-state allocation count
+// to the returned vector: the scalar walk it replaced cost six allocations
+// per timestep.
+func TestEncodedStateIsBatchedEncode(t *testing.T) {
+	for _, bidi := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(4))
+		m, err := NewSeq2Seq(Config{InSize: 18, HiddenSize: 16, Bidirectional: bidi}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := randWindows(1, 128, 18, rng)[0]
+		got, err := m.EncodedState(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := m.encode(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("bidirectional=%v", bidi), [][]float64{got}, [][]float64{want})
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := m.EncodedState(xs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("bidirectional=%v: EncodedState allocates %.0f objects/call in steady state, want ≤ 8", bidi, allocs)
+		}
 	}
 }
 
@@ -121,8 +199,8 @@ func TestReconstructBatchValidation(t *testing.T) {
 }
 
 // BenchmarkReconstructBatch16 and BenchmarkReconstructLoop16 compare one
-// batched reconstruction of 16 MHEALTH-shaped windows (128×18) against 16
-// per-window passes.
+// batch of 16 MHEALTH-shaped windows (128×18) against 16 batches of 1
+// through the same engine.
 func BenchmarkReconstructBatch16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m, err := NewSeq2Seq(Config{InSize: 18, HiddenSize: 16}, rng)

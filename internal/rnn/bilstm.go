@@ -31,13 +31,13 @@ func NewBiLSTM(inSize, hiddenSize int, rng *rand.Rand) *BiLSTM {
 // hidden states [h_fwd ‖ h_bwd] plus the final hidden and cell states of
 // each direction ("final" for the backward direction means its state after
 // consuming the whole reversed sequence, i.e. at original position 0).
-func (b *BiLSTM) ForwardSeq(xs [][]float64, train bool) (hs [][]float64, hFwd, cFwd, hBwd, cBwd []float64, err error) {
-	fh, hFwd, cFwd, err := b.Fwd.ForwardSeq(xs, nil, nil, train)
+func (b *BiLSTM) ForwardSeq(xs [][]float64) (hs [][]float64, hFwd, cFwd, hBwd, cBwd []float64, err error) {
+	fh, hFwd, cFwd, err := b.Fwd.ForwardSeq(xs, nil, nil)
 	if err != nil {
 		return nil, nil, nil, nil, nil, fmt.Errorf("bilstm forward dir: %w", err)
 	}
 	rev := reverseSeq(xs)
-	bh, hBwd, cBwd, err := b.Bwd.ForwardSeq(rev, nil, nil, train)
+	bh, hBwd, cBwd, err := b.Bwd.ForwardSeq(rev, nil, nil)
 	if err != nil {
 		return nil, nil, nil, nil, nil, fmt.Errorf("bilstm backward dir: %w", err)
 	}

@@ -43,8 +43,7 @@ type LSTM struct {
 	cacheWh mat.PanelCache
 }
 
-// lstmCache stores everything BackwardSeq needs from a training-mode
-// ForwardSeq: inputs, states (index 0 = initial state), post-activation
+// lstmCache stores everything BackwardSeq needs from a ForwardSeq: inputs, states (index 0 = initial state), post-activation
 // gates and tanh(c) per step.
 type lstmCache struct {
 	xs    [][]float64
@@ -114,11 +113,13 @@ func (l *LSTM) step(x, hPrev, cPrev []float64) (h, c, gates, tc []float64, err e
 	return h, c, gates, tc, nil
 }
 
-// ForwardSeq runs the LSTM over the sequence xs (T vectors of width InSize)
-// from initial state (h0, c0); nil initial states mean zeros. It returns the
-// hidden state at every step plus the final hidden and cell states. With
-// train=true the internals are cached for BackwardSeq.
-func (l *LSTM) ForwardSeq(xs [][]float64, h0, c0 []float64, train bool) (hs [][]float64, hT, cT []float64, err error) {
+// ForwardSeq is the training forward: it runs the LSTM over the sequence xs
+// (T vectors of width InSize) from initial state (h0, c0) — nil initial
+// states mean zeros — and caches the internals for one BackwardSeq. It
+// returns the hidden state at every step plus the final hidden and cell
+// states. Because it writes the cache it must not run concurrently on a
+// shared model; inference goes through StepBatch.
+func (l *LSTM) ForwardSeq(xs [][]float64, h0, c0 []float64) (hs [][]float64, hT, cT []float64, err error) {
 	H := l.HiddenSize
 	if h0 == nil {
 		h0 = make([]float64, H)
@@ -129,12 +130,9 @@ func (l *LSTM) ForwardSeq(xs [][]float64, h0, c0 []float64, train bool) (hs [][]
 	if len(h0) != H || len(c0) != H {
 		return nil, nil, nil, fmt.Errorf("%w: initial state widths %d/%d, want %d", mat.ErrShape, len(h0), len(c0), H)
 	}
-	var cache *lstmCache
-	if train {
-		cache = &lstmCache{
-			hs: [][]float64{mat.CloneVec(h0)},
-			cs: [][]float64{mat.CloneVec(c0)},
-		}
+	cache := &lstmCache{
+		hs: [][]float64{mat.CloneVec(h0)},
+		cs: [][]float64{mat.CloneVec(c0)},
 	}
 	h, c := h0, c0
 	hs = make([][]float64, len(xs))
@@ -148,17 +146,13 @@ func (l *LSTM) ForwardSeq(xs [][]float64, h0, c0 []float64, train bool) (hs [][]
 			return nil, nil, nil, err
 		}
 		hs[t] = h
-		if train {
-			cache.xs = append(cache.xs, mat.CloneVec(x))
-			cache.hs = append(cache.hs, h)
-			cache.cs = append(cache.cs, c)
-			cache.gates = append(cache.gates, gates)
-			cache.tanhC = append(cache.tanhC, tc)
-		}
+		cache.xs = append(cache.xs, mat.CloneVec(x))
+		cache.hs = append(cache.hs, h)
+		cache.cs = append(cache.cs, c)
+		cache.gates = append(cache.gates, gates)
+		cache.tanhC = append(cache.tanhC, tc)
 	}
-	if train {
-		l.cache = cache
-	}
+	l.cache = cache
 	return hs, h, c, nil
 }
 
@@ -170,7 +164,7 @@ func (l *LSTM) ForwardSeq(xs [][]float64, h0, c0 []float64, train bool) (hs [][]
 func (l *LSTM) BackwardSeq(dhs [][]float64, dhT, dcT []float64) (dxs [][]float64, dh0, dc0 []float64, err error) {
 	cache := l.cache
 	if cache == nil {
-		return nil, nil, nil, fmt.Errorf("rnn: BackwardSeq before ForwardSeq(train=true)")
+		return nil, nil, nil, fmt.Errorf("rnn: BackwardSeq before ForwardSeq")
 	}
 	l.cache = nil // a cache is valid for exactly one backward pass
 	T := len(cache.xs)

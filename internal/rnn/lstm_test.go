@@ -42,7 +42,7 @@ func TestLSTMForwardShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLSTM(3, 5, rng)
 	xs := randSeq(rng, 7, 3)
-	hs, hT, cT, err := l.ForwardSeq(xs, nil, nil, false)
+	hs, hT, cT, err := l.ForwardSeq(xs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestLSTMForwardShapes(t *testing.T) {
 func TestLSTMRejectsBadShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLSTM(3, 4, rng)
-	if _, _, _, err := l.ForwardSeq([][]float64{{1, 2}}, nil, nil, false); err == nil {
+	if _, _, _, err := l.ForwardSeq([][]float64{{1, 2}}, nil, nil); err == nil {
 		t.Fatal("wrong input width must error")
 	}
-	if _, _, _, err := l.ForwardSeq(randSeq(rng, 2, 3), []float64{1}, nil, false); err == nil {
+	if _, _, _, err := l.ForwardSeq(randSeq(rng, 2, 3), []float64{1}, nil); err == nil {
 		t.Fatal("wrong h0 width must error")
 	}
 	if _, _, _, err := l.BackwardSeq(nil, nil, nil); err == nil {
@@ -97,7 +97,7 @@ func TestLSTMGradientCheckParams(t *testing.T) {
 	xs := randSeq(rng, 4, 2)
 
 	lossAt := func() float64 {
-		hs, _, _, err := l.ForwardSeq(xs, nil, nil, false)
+		hs, _, _, err := l.ForwardSeq(xs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestLSTMGradientCheckParams(t *testing.T) {
 	}
 
 	// Analytic gradients.
-	hs, _, _, err := l.ForwardSeq(xs, nil, nil, true)
+	hs, _, _, err := l.ForwardSeq(xs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestLSTMGradientCheckInputs(t *testing.T) {
 	l := NewLSTM(3, 4, rng)
 	xs := randSeq(rng, 3, 3)
 
-	hs, _, _, err := l.ForwardSeq(xs, nil, nil, true)
+	hs, _, _, err := l.ForwardSeq(xs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,10 @@ func TestLSTMGradientCheckInputs(t *testing.T) {
 		for i := range xs[ti] {
 			orig := xs[ti][i]
 			xs[ti][i] = orig + eps
-			hp, _, _, _ := l.ForwardSeq(xs, nil, nil, false)
+			hp, _, _, _ := l.ForwardSeq(xs, nil, nil)
 			lp, _ := seqLoss(hp)
 			xs[ti][i] = orig - eps
-			hm, _, _, _ := l.ForwardSeq(xs, nil, nil, false)
+			hm, _, _, _ := l.ForwardSeq(xs, nil, nil)
 			lm, _ := seqLoss(hm)
 			xs[ti][i] = orig
 			num := (lp - lm) / (2 * eps)
@@ -180,7 +180,7 @@ func TestLSTMGradientCheckFinalState(t *testing.T) {
 	xs := randSeq(rng, 3, 2)
 
 	finalLoss := func() float64 {
-		_, hT, cT, err := l.ForwardSeq(xs, nil, nil, false)
+		_, hT, cT, err := l.ForwardSeq(xs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestLSTMGradientCheckFinalState(t *testing.T) {
 		return s
 	}
 
-	_, hT, cT, err := l.ForwardSeq(xs, nil, nil, true)
+	_, hT, cT, err := l.ForwardSeq(xs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestLSTMCacheSingleUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLSTM(2, 2, rng)
 	xs := randSeq(rng, 2, 2)
-	if _, _, _, err := l.ForwardSeq(xs, nil, nil, true); err != nil {
+	if _, _, _, err := l.ForwardSeq(xs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, err := l.BackwardSeq(nil, []float64{1, 1}, nil); err != nil {
@@ -250,7 +250,7 @@ func TestBiLSTMOutputLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := NewBiLSTM(2, 3, rng)
 	xs := randSeq(rng, 5, 2)
-	hs, hF, _, hB, _, err := b.ForwardSeq(xs, false)
+	hs, hF, _, hB, _, err := b.ForwardSeq(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestBiLSTMGradientCheck(t *testing.T) {
 	xs := randSeq(rng, 3, 2)
 
 	lossAt := func() float64 {
-		hs, _, _, _, _, err := b.ForwardSeq(xs, false)
+		hs, _, _, _, _, err := b.ForwardSeq(xs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestBiLSTMGradientCheck(t *testing.T) {
 		return l
 	}
 
-	hs, _, _, _, _, err := b.ForwardSeq(xs, true)
+	hs, _, _, _, _, err := b.ForwardSeq(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestLSTMTrainsSineReconstruction(t *testing.T) {
 	}
 
 	run := func(train bool) float64 {
-		hs, _, _, err := l.ForwardSeq(xs, nil, nil, train)
+		hs, _, _, err := l.ForwardSeq(xs, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

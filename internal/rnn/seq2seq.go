@@ -19,7 +19,8 @@ import (
 //
 // Training uses teacher forcing (the previous *ground-truth* frame as
 // decoder input), the standard seq2seq training regime of the paper's
-// reference [8]; inference is fully autoregressive.
+// reference [8], through the scalar forward in this file and lstm.go;
+// inference is fully autoregressive and lives in batch.go.
 type Seq2Seq struct {
 	InSize     int
 	HiddenSize int
@@ -87,12 +88,12 @@ func NewSeq2Seq(cfg Config, rng *rand.Rand) (*Seq2Seq, error) {
 	return m, nil
 }
 
-// encode runs the encoder and returns the decoder's initial states. For the
-// bidirectional encoder the two directions' final states are summed, which
-// keeps the decoder width equal to the per-direction hidden size.
-func (m *Seq2Seq) encode(xs [][]float64, train bool) (h0, c0 []float64, err error) {
+// encode runs the encoder's training forward (caching for BackwardSeq) and
+// returns the decoder's initial states. For the bidirectional encoder the
+// two directions' final states are summed, as encodeBatch does at inference.
+func (m *Seq2Seq) encode(xs [][]float64) (h0, c0 []float64, err error) {
 	if m.BiEncoder != nil {
-		_, hF, cF, hB, cB, err := m.BiEncoder.ForwardSeq(xs, train)
+		_, hF, cF, hB, cB, err := m.BiEncoder.ForwardSeq(xs)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -106,47 +107,8 @@ func (m *Seq2Seq) encode(xs [][]float64, train bool) (h0, c0 []float64, err erro
 		}
 		return h0, c0, nil
 	}
-	_, h0, c0, err = m.Encoder.ForwardSeq(xs, nil, nil, train)
+	_, h0, c0, err = m.Encoder.ForwardSeq(xs, nil, nil)
 	return h0, c0, err
-}
-
-// EncodedState returns the encoder's final hidden state for xs — the
-// paper's contextual state for the multivariate policy network.
-func (m *Seq2Seq) EncodedState(xs [][]float64) ([]float64, error) {
-	h0, _, err := m.encode(xs, false)
-	return h0, err
-}
-
-// Reconstruct runs autoregressive inference: the decoder starts from a zero
-// vector and consumes its own previous reconstruction each step. It returns
-// the reconstructed sequence, one vector per input step.
-func (m *Seq2Seq) Reconstruct(xs [][]float64) ([][]float64, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("rnn: Reconstruct of empty sequence")
-	}
-	h, c, err := m.encode(xs, false)
-	if err != nil {
-		return nil, fmt.Errorf("seq2seq encode: %w", err)
-	}
-	out := make([][]float64, len(xs))
-	prev := make([]float64, m.InSize) // zero start token
-	for t := range xs {
-		var hs [][]float64
-		hs, h, c, err = m.Decoder.ForwardSeq([][]float64{prev}, h, c, false)
-		if err != nil {
-			return nil, fmt.Errorf("seq2seq decode step %d: %w", t, err)
-		}
-		y, err := m.Wy.MulVec(hs[0])
-		if err != nil {
-			return nil, err
-		}
-		for i := range y {
-			y[i] += m.By[i]
-		}
-		out[t] = y
-		prev = y
-	}
-	return out, nil
 }
 
 // TrainStep performs one teacher-forced gradient step on the window xs and
@@ -194,7 +156,7 @@ func (m *Seq2Seq) accumulate(xs [][]float64) (float64, error) {
 	if T == 0 {
 		return 0, fmt.Errorf("rnn: empty training window")
 	}
-	h0, c0, err := m.encode(xs, true)
+	h0, c0, err := m.encode(xs)
 	if err != nil {
 		return 0, fmt.Errorf("seq2seq encode: %w", err)
 	}
@@ -204,7 +166,7 @@ func (m *Seq2Seq) accumulate(xs [][]float64) (float64, error) {
 	for t := 1; t < T; t++ {
 		decIn[t] = xs[t-1]
 	}
-	hs, _, _, err := m.Decoder.ForwardSeq(decIn, h0, c0, true)
+	hs, _, _, err := m.Decoder.ForwardSeq(decIn, h0, c0)
 	if err != nil {
 		return 0, fmt.Errorf("seq2seq decode: %w", err)
 	}

@@ -116,7 +116,7 @@ func TestSeq2SeqGradientCheck(t *testing.T) {
 			// Teacher-forced loss with no dropout, identical to accumulate's
 			// forward path.
 			lossAt := func() float64 {
-				h0, c0, err := m.encode(xs, false)
+				h0, c0, err := m.encode(xs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +125,7 @@ func TestSeq2SeqGradientCheck(t *testing.T) {
 				for i := 1; i < len(xs); i++ {
 					decIn[i] = xs[i-1]
 				}
-				hs, _, _, err := m.Decoder.ForwardSeq(decIn, h0, c0, false)
+				hs, _, _, err := m.Decoder.ForwardSeq(decIn, h0, c0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/anomaly"
+	"repro/internal/nn"
 )
 
 // fittedSuite trains one small model per tier on synthetic sinusoid windows.
@@ -41,33 +42,38 @@ func syntheticWindow(T, D int, rng *rand.Rand, spike float64) [][]float64 {
 	return w
 }
 
-// TestSeq2SeqDetectBatchMatchesDetect pins the batched multivariate
-// detection path — including the BiLSTM cloud encoder — to per-window
-// Detect, bit for bit, across a mix of normal and anomalous windows.
+// TestSeq2SeqDetectBatchMatchesDetect pins batch-size invariance of the one
+// multivariate inference path — including the BiLSTM cloud encoder — on
+// full-precision, fp16- and int8-rounded weights, across a mix of normal and
+// anomalous windows: the verdict for row r of a batch of 16 is bit-identical
+// to the same window as a batch of 1 (Detect).
 func TestSeq2SeqDetectBatchMatchesDetect(t *testing.T) {
 	for _, tier := range []Tier{TierIoT, TierCloud} {
 		t.Run(tier.String(), func(t *testing.T) {
-			m := fittedSeq2Seq(t, tier)
-			rng := rand.New(rand.NewSource(9))
-			windows := make([][][]float64, 6)
-			for i := range windows {
-				spike := 0.0
-				if i%2 == 1 {
-					spike = 5
+			for _, mode := range []nn.QuantMode{nn.QuantNone, nn.QuantFP16, nn.QuantInt8} {
+				m := fittedSeq2Seq(t, tier)
+				m.QuantizeMode(mode)
+				rng := rand.New(rand.NewSource(9))
+				windows := make([][][]float64, 16)
+				for i := range windows {
+					spike := 0.0
+					if i%2 == 1 {
+						spike = 5
+					}
+					windows[i] = syntheticWindow(16, 4, rng, spike)
 				}
-				windows[i] = syntheticWindow(16, 4, rng, spike)
-			}
-			got, err := m.DetectBatch(windows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range windows {
-				want, err := m.Detect(w)
+				got, err := m.DetectBatch(windows)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[i] != want {
-					t.Fatalf("window %d: batch %+v vs per-window %+v", i, got[i], want)
+				for i, w := range windows {
+					one, err := m.Detect(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != one {
+						t.Fatalf("%v window %d: batch of 16 %+v vs batch of 1 %+v", mode, i, got[i], one)
+					}
 				}
 			}
 		})
@@ -75,8 +81,8 @@ func TestSeq2SeqDetectBatchMatchesDetect(t *testing.T) {
 }
 
 // TestSeq2SeqDetectBatchMixedLengths checks the internal grouping: a batch
-// mixing window lengths must come back in input order, each verdict equal to
-// the per-window path.
+// mixing window lengths — runs of equal length and lone windows — must come
+// back in input order, each verdict bit-identical to the window judged alone.
 func TestSeq2SeqDetectBatchMixedLengths(t *testing.T) {
 	m := fittedSeq2Seq(t, TierIoT)
 	rng := rand.New(rand.NewSource(10))
@@ -84,6 +90,7 @@ func TestSeq2SeqDetectBatchMixedLengths(t *testing.T) {
 		syntheticWindow(16, 4, rng, 0),
 		syntheticWindow(8, 4, rng, 4),
 		syntheticWindow(16, 4, rng, 4),
+		syntheticWindow(16, 4, rng, 0),
 		syntheticWindow(8, 4, rng, 0),
 	}
 	got, err := m.DetectBatch(windows)
@@ -99,10 +106,43 @@ func TestSeq2SeqDetectBatchMixedLengths(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got[i] != want {
-			t.Fatalf("window %d (len %d): batch %+v vs per-window %+v", i, len(w), got[i], want)
+			t.Fatalf("window %d (len %d): mixed batch %+v vs alone %+v", i, len(w), got[i], want)
 		}
 	}
 	var _ anomaly.BatchDetector = m // the suite must plug into DetectAll
+}
+
+// TestSeq2SeqDetectSteadyStateAllocs keeps the per-window scalar path from
+// growing back, for the LSTM and the BiLSTM encoder on an MHEALTH-shaped
+// window (128×18): a warm Detect allocates its result slices, not the
+// thousands of per-step vectors the deleted path did.
+func TestSeq2SeqDetectSteadyStateAllocs(t *testing.T) {
+	for _, tier := range []Tier{TierIoT, TierCloud} {
+		rng := rand.New(rand.NewSource(12))
+		m, err := New(tier, DefaultSizing(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultTrainConfig()
+		cfg.Epochs = 1
+		train := [][][]float64{syntheticWindow(128, 18, rng, 0), syntheticWindow(128, 18, rng, 0)}
+		if _, err := m.Fit(train, cfg, rng); err != nil {
+			t.Fatal(err)
+		}
+		w := syntheticWindow(128, 18, rng, 0)
+		if _, err := m.Detect(w); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := m.Detect(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s Detect: %.0f allocations/call", m.ModelName, allocs)
+		if allocs > 32 {
+			t.Fatalf("%s: Detect allocates %.0f objects/call in steady state, want ≤ 32", m.ModelName, allocs)
+		}
+	}
 }
 
 func TestSeq2SeqDetectBatchValidation(t *testing.T) {

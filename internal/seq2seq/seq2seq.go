@@ -13,6 +13,7 @@ package seq2seq
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/anomaly"
 	"repro/internal/autoencoder"
@@ -151,14 +152,23 @@ func (m *Model) Fit(train [][][]float64, cfg TrainConfig, rng *rand.Rand) (float
 		last = total / float64(batches)
 	}
 
-	// Fit the scorer on per-step error vectors from the training windows.
-	var errs [][]float64
-	for _, w := range train {
-		e, err := m.stepErrors(w)
-		if err != nil {
+	// Fit the scorer on per-step error vectors from the training windows,
+	// reconstructed through the inference path fitBatch windows at a time
+	// (step order matches a window-by-window loop).
+	const fitBatch = 32
+	var (
+		errsM mat.Matrix
+		errs  [][]float64
+	)
+	for start := 0; start < len(train); {
+		end := min(lockstepRun(train, start), start+fitBatch)
+		if err := m.batchErrors(&errsM, train[start:end]); err != nil {
 			return 0, err
 		}
-		errs = append(errs, e...)
+		for r := 0; r < errsM.Rows; r++ {
+			errs = append(errs, mat.CloneVec(errsM.Row(r)))
+		}
+		start = end
 	}
 	scorer, err := anomaly.FitScorer(errs, cfg.ScorerReg)
 	if err != nil {
@@ -168,49 +178,60 @@ func (m *Model) Fit(train [][][]float64, cfg TrainConfig, rng *rand.Rand) (float
 	return last, nil
 }
 
-// stepErrors reconstructs the window and returns per-step D-dimensional
-// error vectors.
-func (m *Model) stepErrors(frames [][]float64) ([][]float64, error) {
-	rec, err := m.Net.Reconstruct(frames)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(frames))
-	for t := range frames {
-		e := make([]float64, len(frames[t]))
-		for j := range e {
-			e[j] = rec[t][j] - frames[t][j]
-		}
-		out[t] = e
-	}
-	return out, nil
-}
-
 // Name implements anomaly.Detector.
 func (m *Model) Name() string { return m.ModelName }
 
-// Detect implements anomaly.Detector for T×D multivariate windows.
+// Detect implements anomaly.Detector for T×D multivariate windows:
+// DetectBatch of one window.
 func (m *Model) Detect(frames [][]float64) (anomaly.Verdict, error) {
-	if m.Scorer == nil {
-		return anomaly.Verdict{}, fmt.Errorf("seq2seq: %s not fitted", m.ModelName)
-	}
-	errs, err := m.stepErrors(frames)
+	vs, err := m.DetectBatch([][][]float64{frames})
 	if err != nil {
 		return anomaly.Verdict{}, err
 	}
-	scores, err := m.Scorer.ScoreAll(errs)
-	if err != nil {
-		return anomaly.Verdict{}, err
-	}
-	return m.Scorer.Judge(scores, m.Conf), nil
+	return vs[0], nil
 }
 
-// DetectBatch implements anomaly.BatchDetector: windows of equal length are
-// reconstructed in lockstep through the batched LSTM kernels and their
-// per-step errors scored in one matrix pass. Windows of differing lengths
-// are grouped internally (the recurrent time loop must run in lockstep), so
-// callers may mix lengths freely. Verdicts are bit-identical to per-window
-// Detect calls; like Detect it is safe for concurrent use.
+// lockstepRun returns the end of the run of windows beginning at start that
+// share its length — what one ReconstructBatch call can take, since the
+// recurrent time loop runs in lockstep.
+func lockstepRun(windows [][][]float64, start int) int {
+	end := start + 1
+	for end < len(windows) && len(windows[end]) == len(windows[start]) {
+		end++
+	}
+	return end
+}
+
+// batchErrors reconstructs a batch of equal-length windows and writes their
+// per-step D-dimensional error vectors into errs, window after window.
+func (m *Model) batchErrors(errs *mat.Matrix, batch [][][]float64) error {
+	recs, err := m.Net.ReconstructBatch(batch)
+	if err != nil {
+		return err
+	}
+	T := len(batch[0])
+	errs.Reshape(len(batch)*T, m.Net.InSize)
+	for k, xs := range batch {
+		for t, x := range xs {
+			row := errs.Row(k*T + t)
+			for j := range row {
+				row[j] = recs[k][t][j] - x[j]
+			}
+		}
+	}
+	return nil
+}
+
+// errScratchPool leases DetectBatch its per-step error matrix, so steady-
+// state detection does not allocate one per call.
+var errScratchPool = sync.Pool{New: func() any { return new(mat.Matrix) }}
+
+// DetectBatch implements anomaly.BatchDetector: windows are reconstructed in
+// lockstep through the batched LSTM kernels and their per-step errors scored
+// in one matrix pass. Callers may mix lengths freely: each run of
+// consecutive equal-length windows is one lockstep batch. A window's
+// verdict does not depend on the batch around it, and the call is safe for
+// concurrent use.
 func (m *Model) DetectBatch(windows [][][]float64) ([]anomaly.Verdict, error) {
 	if m.Scorer == nil {
 		return nil, fmt.Errorf("seq2seq: %s not fitted", m.ModelName)
@@ -218,42 +239,23 @@ func (m *Model) DetectBatch(windows [][][]float64) ([]anomaly.Verdict, error) {
 	if len(windows) == 0 {
 		return nil, nil
 	}
+	errsM := errScratchPool.Get().(*mat.Matrix)
+	defer errScratchPool.Put(errsM)
 	out := make([]anomaly.Verdict, len(windows))
-	groups := make(map[int][]int)
-	var lens []int // first-seen order, so batching is deterministic
-	for i, w := range windows {
-		if _, ok := groups[len(w)]; !ok {
-			lens = append(lens, len(w))
-		}
-		groups[len(w)] = append(groups[len(w)], i)
-	}
-	for _, T := range lens {
-		idxs := groups[T]
-		batch := make([][][]float64, len(idxs))
-		for k, i := range idxs {
-			batch[k] = windows[i]
-		}
-		recs, err := m.Net.ReconstructBatch(batch)
-		if err != nil {
+	for start := 0; start < len(windows); {
+		end := lockstepRun(windows, start)
+		if err := m.batchErrors(errsM, windows[start:end]); err != nil {
 			return nil, err
-		}
-		errsM := mat.New(len(idxs)*T, m.Net.InSize)
-		for k := range batch {
-			for t := 0; t < T; t++ {
-				row := errsM.Row(k*T + t)
-				rec, x := recs[k][t], batch[k][t]
-				for j := range row {
-					row[j] = rec[j] - x[j]
-				}
-			}
 		}
 		scores, err := m.Scorer.ScoreMatrix(errsM)
 		if err != nil {
 			return nil, err
 		}
-		for k, i := range idxs {
-			out[i] = m.Scorer.Judge(scores[k*T:(k+1)*T], m.Conf)
+		T := len(windows[start])
+		for k := range windows[start:end] {
+			out[start+k] = m.Scorer.Judge(scores[k*T:(k+1)*T], m.Conf)
 		}
+		start = end
 	}
 	return out, nil
 }
@@ -278,9 +280,9 @@ func (m *Model) StateDim() int { return m.Net.HiddenSize }
 // worst-case rounding error.
 func (m *Model) Quantize() float64 { return m.QuantizeMode(nn.QuantFP16) }
 
-// QuantizeMode compresses the model weights at the given precision tier
-// (fp16 or int8) and switches inference onto the matching quantized packed
-// kernels. Returns the worst-case rounding error introduced.
+// QuantizeMode rounds the model weights in place to the given precision
+// tier's representable values (fp16 or int8). Returns the worst-case
+// rounding error introduced.
 func (m *Model) QuantizeMode(mode nn.QuantMode) float64 {
 	return nn.QuantizeParams(m.Net.Params(), mode)
 }

@@ -7,14 +7,14 @@ import (
 	"repro/internal/nn"
 )
 
-// TestQuantTierPreservesTableII is the quantized-inference-tier acceptance
-// pin: deploying the IoT and edge detectors through the FP16 and int8
-// packed kernels leaves every Table II verdict unchanged relative to the
-// unquantized FP64 build.
+// TestQuantTierPreservesTableII is the quantization acceptance pin:
+// deploying the IoT and edge detectors with FP16- or int8-rounded weights
+// leaves every Table II verdict unchanged relative to the unquantized FP64
+// build.
 //
 // The three builds share identical training (quantization is a post-
 // training deployment step), so any divergence would come from inference
-// through the quantized panels — which Precompute exercises end-to-end for
+// on the rounded weights — which Precompute exercises end-to-end for
 // every test and policy sample, and whose verdicts then feed REINFORCE
 // policy training. Equal SchemeRows therefore means equal detection
 // verdicts everywhere, not just equal headline metrics. FP16 keeps ~11
