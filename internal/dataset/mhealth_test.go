@@ -28,7 +28,7 @@ func TestGenerateMHealthShapes(t *testing.T) {
 			if len(f) != Channels {
 				t.Fatalf("frame width %d, want %d", len(f), Channels)
 			}
-			if !mat.IsFinite(f) {
+			if !allFinite(f) {
 				t.Fatal("non-finite frame")
 			}
 		}

@@ -21,8 +21,8 @@ import (
 // Determinism contract: element (i,j) of dst accumulates over the shared
 // dimension in ascending order, and every dst row is produced by exactly one
 // worker — so the result is bit-identical to the sequential kernels (and to
-// the per-sample MulVec/MulVecT/OuterAdd paths) for any worker count and any
-// block size.
+// the per-sample matrix-vector and OuterAdd loops) for any worker count and
+// any block size.
 
 const (
 	// mulParallelFlops is the MAC count above which a kernel fans row blocks
@@ -131,8 +131,8 @@ func mulRange(dst, a, b *Matrix, r0, r1 int) {
 // MulBTInto computes dst = a·bᵀ without allocating or materialising bᵀ.
 // dst must be a.Rows×b.Rows and must not alias a or b. Element (i,j) is the
 // dot product of row i of a and row j of b accumulated in ascending column
-// order — exactly the order of b.MulVec(a.Row(i)), which is what makes the
-// batch forward pass bit-identical to the per-sample path.
+// order — exactly the order of a per-sample product b·a.Row(i), which is
+// what makes the batch forward pass bit-identical to the per-sample path.
 func MulBTInto(dst, a, b *Matrix) error {
 	if a.Cols != b.Cols {
 		return fmt.Errorf("%w: MulBTInto %dx%d by (%dx%d)ᵀ", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)

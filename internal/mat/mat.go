@@ -162,41 +162,6 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: MulVec %dx%d by vector of length %d", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// MulVecT returns the vector-matrix product xᵀ·m as a vector (i.e. mᵀ·x).
-func (m *Matrix) MulVecT(x []float64) ([]float64, error) {
-	if m.Rows != len(x) {
-		return nil, fmt.Errorf("%w: MulVecT %dx%d by vector of length %d", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Cols)
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			out[j] += xv * v
-		}
-	}
-	return out, nil
-}
-
 // Add computes a += b element-wise.
 func (a *Matrix) Add(b *Matrix) error {
 	if a.Rows != b.Rows || a.Cols != b.Cols {

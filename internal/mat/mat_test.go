@@ -124,41 +124,44 @@ func TestMul(t *testing.T) {
 	}
 }
 
+// TestMulVec pins a matrix-vector product in the form the model stack
+// computes it: a batch of one row through MulBTInto.
 func TestMulVec(t *testing.T) {
 	m, _ := NewFromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	got, err := m.MulVec([]float64{1, 0, -1})
-	if err != nil {
+	x, _ := NewFromSlice(1, 3, []float64{1, 0, -1})
+	got := New(1, 2)
+	if err := MulBTInto(got, x, m); err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != -2 || got[1] != -2 {
-		t.Fatalf("MulVec = %v, want [-2 -2]", got)
+	if got.Data[0] != -2 || got.Data[1] != -2 {
+		t.Fatalf("m·x = %v, want [-2 -2]", got.Data)
 	}
-	if _, err := m.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("MulVec shape error = %v, want ErrShape", err)
+	if err := MulBTInto(got, New(1, 1), m); !errors.Is(err, ErrShape) {
+		t.Fatalf("m·x shape error = %v, want ErrShape", err)
 	}
 }
 
+// TestMulVecTMatchesTransposeMul pins a vector-matrix product xᵀ·m in the
+// form backpropagation computes it, a one-row MulInto, against multiplying
+// by the explicit transpose.
 func TestMulVecTMatchesTransposeMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := New(4, 6)
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
-	x := make([]float64, 4)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	x := New(1, 4)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
-	got, err := m.MulVecT(x)
-	if err != nil {
+	got := New(1, 6)
+	if err := MulInto(got, x, m); err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.T().MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("MulVecT[%d] = %g, want %g", i, got[i], want[i])
+	want := mulVec(m.T(), x.Data)
+	for i, v := range got.Data {
+		if math.Abs(v-want[i]) > 1e-12 {
+			t.Fatalf("xᵀ·m[%d] = %g, want %g", i, v, want[i])
 		}
 	}
 }

@@ -199,8 +199,8 @@ func MulBTPackedInto(dst, a *Matrix, p *Packed) error {
 // the panel's recorded width allow; every other combination (including
 // panels packed under a previous kernel) runs the generic Go consumer.
 // Panel consumers never skip zero operands: each output element is the
-// plain multiply-then-add chain over ascending kk, bit-identical to MulVec
-// and MulBTInto.
+// plain multiply-then-add chain over ascending kk, bit-identical to
+// MulBTInto.
 func mulBTPackedRange(dst, a *Matrix, p *Packed, r0, r1 int) {
 	switch kern := ActiveKernel(); {
 	case p.width == 8 && kern == KernelAVX2:

@@ -31,50 +31,6 @@ func AxpyVec(s float64, x, y []float64) error {
 	return nil
 }
 
-// AddVec returns a+b as a fresh slice.
-func AddVec(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: AddVec lengths %d and %d", ErrShape, len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v + b[i]
-	}
-	return out, nil
-}
-
-// SubVec returns a−b as a fresh slice.
-func SubVec(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: SubVec lengths %d and %d", ErrShape, len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v - b[i]
-	}
-	return out, nil
-}
-
-// HadamardVec returns the element-wise product a∘b as a fresh slice.
-func HadamardVec(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: HadamardVec lengths %d and %d", ErrShape, len(a), len(b))
-	}
-	out := make([]float64, len(a))
-	for i, v := range a {
-		out[i] = v * b[i]
-	}
-	return out, nil
-}
-
-// ScaleVec multiplies every element of x by s in place and returns x.
-func ScaleVec(s float64, x []float64) []float64 {
-	for i := range x {
-		x[i] *= s
-	}
-	return x
-}
-
 // CloneVec returns a copy of x. A nil input yields an empty, non-nil slice
 // so callers can mutate the result safely.
 func CloneVec(x []float64) []float64 {
@@ -133,15 +89,6 @@ func MinMaxVec(x []float64) (min, max float64) {
 	return min, max
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // ArgMax returns the index of the largest element, breaking ties toward the
 // lowest index. It panics on an empty slice.
 func ArgMax(x []float64) int {
@@ -175,14 +122,4 @@ func Softmax(x []float64) []float64 {
 		out[i] /= sum
 	}
 	return out
-}
-
-// IsFinite reports whether every element of x is finite (no NaN or ±Inf).
-func IsFinite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

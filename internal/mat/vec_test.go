@@ -25,18 +25,6 @@ func TestVectorArithmetic(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
 
-	sum, err := AddVec(a, b)
-	if err != nil || sum[0] != 4 || sum[1] != 7 {
-		t.Fatalf("AddVec = %v err=%v", sum, err)
-	}
-	diff, err := SubVec(b, a)
-	if err != nil || diff[0] != 2 || diff[1] != 3 {
-		t.Fatalf("SubVec = %v err=%v", diff, err)
-	}
-	had, err := HadamardVec(a, b)
-	if err != nil || had[0] != 3 || had[1] != 10 {
-		t.Fatalf("HadamardVec = %v err=%v", had, err)
-	}
 	y := CloneVec(a)
 	if err := AxpyVec(2, b, y); err != nil {
 		t.Fatal(err)
@@ -45,28 +33,8 @@ func TestVectorArithmetic(t *testing.T) {
 		t.Fatalf("AxpyVec = %v, want [7 12]", y)
 	}
 	// Mismatched lengths must error, not panic.
-	if _, err := AddVec(a, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Fatal("AddVec must reject mismatched lengths")
-	}
-	if _, err := SubVec(a, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Fatal("SubVec must reject mismatched lengths")
-	}
-	if _, err := HadamardVec(a, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Fatal("HadamardVec must reject mismatched lengths")
-	}
 	if err := AxpyVec(1, a, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Fatal("AxpyVec must reject mismatched lengths")
-	}
-}
-
-func TestScaleVecInPlace(t *testing.T) {
-	x := []float64{1, -2}
-	got := ScaleVec(3, x)
-	if &got[0] != &x[0] {
-		t.Fatal("ScaleVec must operate in place")
-	}
-	if x[0] != 3 || x[1] != -6 {
-		t.Fatalf("ScaleVec = %v, want [3 -6]", x)
 	}
 }
 
@@ -98,8 +66,9 @@ func TestStats(t *testing.T) {
 }
 
 func TestNorm2ArgMax(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Norm2 = %g, want 5", got)
+	v, _ := NewFromSlice(1, 2, []float64{3, 4})
+	if got := v.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
+		t.Fatalf("‖(3,4)‖ = %g, want 5", got)
 	}
 	if got := ArgMax([]float64{1, 3, 3, 2}); got != 1 {
 		t.Fatalf("ArgMax = %d, want 1 (ties break low)", got)
@@ -126,18 +95,6 @@ func TestSoftmaxBasics(t *testing.T) {
 	}
 	if Softmax(nil) != nil {
 		t.Fatal("Softmax(nil) should be nil")
-	}
-}
-
-func TestIsFinite(t *testing.T) {
-	if !IsFinite([]float64{1, -2, 0}) {
-		t.Fatal("finite slice reported non-finite")
-	}
-	if IsFinite([]float64{1, math.NaN()}) {
-		t.Fatal("NaN not detected")
-	}
-	if IsFinite([]float64{math.Inf(1)}) {
-		t.Fatal("Inf not detected")
 	}
 }
 
@@ -191,13 +148,14 @@ func TestQuickDotBilinear(t *testing.T) {
 			return false
 		}
 		s := rng.NormFloat64()
-		sa := CloneVec(a)
-		ScaleVec(s, sa)
+		sa := make([]float64, n)
+		_ = AxpyVec(s, a, sa)
 		sab, _ := Dot(sa, b)
 		if math.Abs(sab-s*ab) > 1e-6*(1+math.Abs(s*ab)) {
 			return false
 		}
-		apc, _ := AddVec(a, c)
+		apc := CloneVec(c)
+		_ = AxpyVec(1, a, apc)
 		lhs, _ := Dot(apc, b)
 		cb, _ := Dot(c, b)
 		return math.Abs(lhs-(ab+cb)) <= 1e-6*(1+math.Abs(ab+cb))

@@ -16,8 +16,8 @@ import (
 // kernels, amortising both weight matrices over the whole batch. The
 // kernels accumulate in per-sample order, so a row's result does not depend
 // on the batch around it. This is the only inference path: a single window
-// is a batch of one (Reconstruct, EncodedState); the scalar step and
-// ForwardSeq in lstm.go are the training forward.
+// is a batch of one (Reconstruct, EncodedState). Training (train.go) runs
+// the same kernels over its own model-owned scratch.
 //
 // Everything here is stateless with respect to the model: the evolving
 // batch state lives in a caller-owned StepState, so any number of
@@ -43,9 +43,9 @@ func (st *StepState) Reset(b, h int) {
 
 // StepBatch advances the LSTM one timestep for a whole batch: x holds one
 // input frame per row, st carries the previous states in and the new states
-// out. Row r evolves exactly as step() would evolve sequence r alone — the
-// gate pre-activations, activations and state updates are computed in the
-// same floating-point order.
+// out. Row r evolves exactly as sequence r would alone — the gate
+// pre-activations, activations and state updates are computed in the same
+// floating-point order as a per-sample step, and as the training forward.
 func (l *LSTM) StepBatch(st *StepState, x *mat.Matrix) error {
 	H := l.HiddenSize
 	if x.Cols != l.InSize {

@@ -26,24 +26,15 @@ func randWindows(b, t, d int, rng *rand.Rand) [][][]float64 {
 }
 
 // refReconstruct is the scalar reference for autoregressive inference,
-// built from the training forward's kernels (encode, step, MulVec): what
+// built from the scalar trainer's kernels (refEncode, refStep, mulVec): what
 // the deleted per-window Reconstruct computed.
-func refReconstruct(t *testing.T, m *Seq2Seq, xs [][]float64) [][]float64 {
-	t.Helper()
-	h, c, err := m.encode(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+func refReconstruct(m *Seq2Seq, xs [][]float64) [][]float64 {
+	h, c, _ := refEncode(m, xs)
 	out := make([][]float64, len(xs))
 	prev := make([]float64, m.InSize) // zero start token
 	for s := range xs {
-		if h, c, _, _, err = m.Decoder.step(prev, h, c); err != nil {
-			t.Fatal(err)
-		}
-		y, err := m.Wy.MulVec(h)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h, c, _, _ = refStep(m.Decoder, prev, h, c)
+		y := mulVec(m.Wy, h)
 		for i := range y {
 			y[i] += m.By[i]
 		}
@@ -70,7 +61,7 @@ func sameBits(t *testing.T, tag string, got, want [][]float64) {
 // recurrent inference path, for both encoder variants and on full-precision,
 // fp16- and int8-rounded weights: row r of a batch of 16 is bit-identical to
 // the same window as a batch of 1 (Reconstruct), and both to the scalar
-// reference assembled from the training forward.
+// reference assembled from the scalar trainer.
 func TestReconstructBatchMatchesPerWindow(t *testing.T) {
 	for _, bidi := range []bool{false, true} {
 		name := "lstm"
@@ -99,7 +90,7 @@ func TestReconstructBatchMatchesPerWindow(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameBits(t, fmt.Sprintf("%v window %d: batch of 16 vs batch of 1", mode, w), got[w], one)
-					sameBits(t, fmt.Sprintf("%v window %d: batch vs scalar reference", mode, w), got[w], refReconstruct(t, m, xs))
+					sameBits(t, fmt.Sprintf("%v window %d: batch vs scalar reference", mode, w), got[w], refReconstruct(m, xs))
 				}
 			}
 		})
@@ -107,7 +98,7 @@ func TestReconstructBatchMatchesPerWindow(t *testing.T) {
 }
 
 // TestEncodedStateIsBatchedEncode pins the policy's context pass to the
-// scalar training encoder bit for bit, and its steady-state allocation count
+// scalar reference encoder bit for bit, and its steady-state allocation count
 // to the returned vector: the scalar walk it replaced cost six allocations
 // per timestep.
 func TestEncodedStateIsBatchedEncode(t *testing.T) {
@@ -122,10 +113,7 @@ func TestEncodedStateIsBatchedEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := m.encode(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _, _ := refEncode(m, xs)
 		sameBits(t, fmt.Sprintf("bidirectional=%v", bidi), [][]float64{got}, [][]float64{want})
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := m.EncodedState(xs); err != nil {
@@ -138,8 +126,8 @@ func TestEncodedStateIsBatchedEncode(t *testing.T) {
 	}
 }
 
-// TestStepBatchMatchesStep pins one batched LSTM step to per-sample steps
-// from arbitrary (non-zero) states.
+// TestStepBatchMatchesStep pins one batched LSTM step to the scalar
+// reference step from arbitrary (non-zero) states.
 func TestStepBatchMatchesStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLSTM(4, 5, rng)
@@ -161,10 +149,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < B; r++ {
-		h, c, _, _, err := l.step(x[r], h0.Row(r), c0.Row(r))
-		if err != nil {
-			t.Fatal(err)
-		}
+		h, c, _, _ := refStep(l, x[r], h0.Row(r), c0.Row(r))
 		for i := range h {
 			if st.H.At(r, i) != h[i] || st.C.At(r, i) != c[i] {
 				t.Fatalf("row %d unit %d: batch (%g,%g) vs step (%g,%g)",

@@ -10,18 +10,14 @@ import (
 )
 
 // seqLoss is a deterministic scalar loss over all hidden states: the mean of
-// ½h² summed across steps, whose gradient w.r.t. h_t is h_t/(T·H).
-func seqLoss(hs [][]float64) (float64, [][]float64) {
-	n := float64(len(hs) * len(hs[0]))
+// ½h², whose gradient w.r.t. each element h is h/n.
+func seqLoss(hs *mat.Matrix) (float64, *mat.Matrix) {
+	n := float64(len(hs.Data))
 	var loss float64
-	grads := make([][]float64, len(hs))
-	for t, h := range hs {
-		g := make([]float64, len(h))
-		for i, v := range h {
-			loss += v * v / 2
-			g[i] = v / n
-		}
-		grads[t] = g
+	grads := mat.New(hs.Rows, hs.Cols)
+	for i, v := range hs.Data {
+		loss += v * v / 2
+		grads.Data[i] = v / n
 	}
 	return loss / n, grads
 }
@@ -38,41 +34,121 @@ func randSeq(rng *rand.Rand, T, d int) [][]float64 {
 	return xs
 }
 
-func TestLSTMForwardShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	l := NewLSTM(3, 5, rng)
-	xs := randSeq(rng, 7, 3)
-	hs, hT, cT, err := l.ForwardSeq(xs, nil, nil)
-	if err != nil {
+func allFinite(x []float64) bool {
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// runPass runs l's training forward over equal-length windows from zero
+// states — reversed in time when reverse is set, as a BiLSTM's backward
+// direction consumes them — and returns the pass with every step's hidden
+// state (row w·T + t).
+func runPass(t *testing.T, l *LSTM, windows [][][]float64, reverse bool) (*lstmPass, *mat.Matrix) {
+	t.Helper()
+	p := new(lstmPass)
+	p.load(l, windows, reverse)
+	hs := mat.New(p.B*p.T, l.HiddenSize)
+	if err := l.forward(p, hs); err != nil {
 		t.Fatal(err)
 	}
-	if len(hs) != 7 || len(hs[0]) != 5 || len(hT) != 5 || len(cT) != 5 {
-		t.Fatalf("shapes: hs %dx%d hT %d cT %d", len(hs), len(hs[0]), len(hT), len(cT))
+	return p, hs
+}
+
+// invalidate drops the packed panels of every parameter, as an optimiser
+// step does; gradient checks that poke weights directly must call it.
+func invalidate(params []nn.Param) {
+	for _, p := range params {
+		if p.Cache != nil {
+			p.Cache.Invalidate()
+		}
 	}
-	if !mat.IsFinite(hT) || !mat.IsFinite(cT) {
-		t.Fatal("non-finite states")
-	}
-	// Hidden states are tanh-bounded.
-	for _, h := range hs {
-		for _, v := range h {
-			if v < -1 || v > 1 {
-				t.Fatalf("hidden state %g outside (-1,1)", v)
+}
+
+// checkGrads compares analytic gradients against central differences of
+// loss, over every element of every parameter when sample is 0 and about
+// sample elements of each otherwise.
+func checkGrads(t *testing.T, params []nn.Param, analytic [][]float64, loss func() float64, sample int, tol float64) {
+	t.Helper()
+	const eps = 1e-6
+	for pi, p := range params {
+		stride := 1
+		if sample > 0 {
+			stride += len(p.Value.Data) / sample
+		}
+		for i := 0; i < len(p.Value.Data); i += stride {
+			orig := p.Value.Data[i]
+			p.Value.Data[i] = orig + eps
+			invalidate(params)
+			lp := loss()
+			p.Value.Data[i] = orig - eps
+			invalidate(params)
+			lm := loss()
+			p.Value.Data[i] = orig
+			invalidate(params)
+			num := (lp - lm) / (2 * eps)
+			if math.Abs(num-analytic[pi][i]) > tol*(1+math.Abs(num)) {
+				t.Fatalf("param %d (%s) elem %d: numeric %g vs analytic %g", pi, p.Name, i, num, analytic[pi][i])
 			}
 		}
 	}
 }
 
+// gradsOf snapshots and zeroes the parameters' accumulated gradients.
+func gradsOf(params []nn.Param) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = mat.CloneVec(p.Grad.Data)
+		p.Grad.Zero()
+	}
+	return out
+}
+
+func TestLSTMForwardShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	l := NewLSTM(3, 5, rng)
+	windows := [][][]float64{randSeq(rng, 7, 3), randSeq(rng, 7, 3)}
+	p, hs := runPass(t, l, windows, false)
+	if hs.Rows != 14 || hs.Cols != 5 || p.st.H.Rows != 2 || p.st.H.Cols != 5 || p.st.C.Cols != 5 {
+		t.Fatalf("shapes: hs %dx%d final h %dx%d c %dx%d", hs.Rows, hs.Cols, p.st.H.Rows, p.st.H.Cols, p.st.C.Rows, p.st.C.Cols)
+	}
+	if !allFinite(p.st.H.Data) || !allFinite(p.st.C.Data) {
+		t.Fatal("non-finite states")
+	}
+	// Hidden states are tanh-bounded, and the last step's is the final one.
+	for _, v := range hs.Data {
+		if v < -1 || v > 1 {
+			t.Fatalf("hidden state %g outside (-1,1)", v)
+		}
+	}
+	for w := 0; w < 2; w++ {
+		for i, v := range p.st.H.Row(w) {
+			if hs.At(w*7+6, i) != v {
+				t.Fatalf("window %d: last hidden state is not the final state", w)
+			}
+		}
+	}
+}
+
+// TestLSTMRejectsBadShapes: the batched step rejects inputs and states that
+// do not match the LSTM.
 func TestLSTMRejectsBadShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLSTM(3, 4, rng)
-	if _, _, _, err := l.ForwardSeq([][]float64{{1, 2}}, nil, nil); err == nil {
+	var st StepState
+	st.Reset(2, 4)
+	if err := l.StepBatch(&st, mat.New(2, 2)); err == nil {
 		t.Fatal("wrong input width must error")
 	}
-	if _, _, _, err := l.ForwardSeq(randSeq(rng, 2, 3), []float64{1}, nil); err == nil {
-		t.Fatal("wrong h0 width must error")
+	if err := l.StepBatch(&st, mat.New(3, 3)); err == nil {
+		t.Fatal("input rows not matching the state batch must error")
 	}
-	if _, _, _, err := l.BackwardSeq(nil, nil, nil); err == nil {
-		t.Fatal("BackwardSeq without cached forward must error")
+	st.Reset(2, 3)
+	if err := l.StepBatch(&st, mat.New(2, 3)); err == nil {
+		t.Fatal("wrong state width must error")
 	}
 }
 
@@ -89,87 +165,24 @@ func TestLSTMForgetBiasInit(t *testing.T) {
 	}
 }
 
-// TestLSTMGradientCheckParams verifies BPTT parameter gradients against
-// central differences on a small configuration.
+// TestLSTMGradientCheckParams verifies the batched BPTT parameter gradients
+// against central differences, over a batch of two windows.
 func TestLSTMGradientCheckParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	l := NewLSTM(2, 3, rng)
-	xs := randSeq(rng, 4, 2)
+	windows := [][][]float64{randSeq(rng, 4, 2), randSeq(rng, 4, 2)}
 
-	lossAt := func() float64 {
-		hs, _, _, err := l.ForwardSeq(xs, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	p, hs := runPass(t, l, windows, false)
+	_, dhs := seqLoss(hs)
+	if err := l.backward(p, dhs); err != nil {
+		t.Fatal(err)
+	}
+	analytic := gradsOf(l.Params())
+	checkGrads(t, l.Params(), analytic, func() float64 {
+		_, hs := runPass(t, l, windows, false)
 		loss, _ := seqLoss(hs)
 		return loss
-	}
-
-	// Analytic gradients.
-	hs, _, _, err := l.ForwardSeq(xs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, dhs := seqLoss(hs)
-	if _, _, _, err := l.BackwardSeq(dhs, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	analytic := make([][]float64, 0, 3)
-	for _, p := range l.Params() {
-		analytic = append(analytic, mat.CloneVec(p.Grad.Data))
-	}
-
-	// Numerical gradients.
-	const eps = 1e-6
-	for pi, p := range l.Params() {
-		for i := range p.Value.Data {
-			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + eps
-			lp := lossAt()
-			p.Value.Data[i] = orig - eps
-			lm := lossAt()
-			p.Value.Data[i] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-analytic[pi][i]) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("param %d elem %d: numeric %g vs analytic %g", pi, i, num, analytic[pi][i])
-			}
-		}
-	}
-}
-
-// TestLSTMGradientCheckInputs verifies ∂L/∂x_t against central differences.
-func TestLSTMGradientCheckInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	l := NewLSTM(3, 4, rng)
-	xs := randSeq(rng, 3, 3)
-
-	hs, _, _, err := l.ForwardSeq(xs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, dhs := seqLoss(hs)
-	dxs, _, _, err := l.BackwardSeq(dhs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const eps = 1e-6
-	for ti := range xs {
-		for i := range xs[ti] {
-			orig := xs[ti][i]
-			xs[ti][i] = orig + eps
-			hp, _, _, _ := l.ForwardSeq(xs, nil, nil)
-			lp, _ := seqLoss(hp)
-			xs[ti][i] = orig - eps
-			hm, _, _, _ := l.ForwardSeq(xs, nil, nil)
-			lm, _ := seqLoss(hm)
-			xs[ti][i] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-dxs[ti][i]) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("dx[%d][%d]: numeric %g vs analytic %g", ti, i, num, dxs[ti][i])
-			}
-		}
-	}
+	}, 0, 1e-5)
 }
 
 // TestLSTMGradientCheckFinalState verifies that gradients injected at the
@@ -177,61 +190,28 @@ func TestLSTMGradientCheckInputs(t *testing.T) {
 func TestLSTMGradientCheckFinalState(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := NewLSTM(2, 3, rng)
-	xs := randSeq(rng, 3, 2)
+	windows := [][][]float64{randSeq(rng, 3, 2)}
 
 	finalLoss := func() float64 {
-		_, hT, cT, err := l.ForwardSeq(xs, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, _ := runPass(t, l, windows, false)
 		var s float64
-		for _, v := range hT {
+		for _, v := range p.st.H.Data {
 			s += v * v / 2
 		}
-		for _, v := range cT {
+		for _, v := range p.st.C.Data {
 			s += v * v / 2
 		}
 		return s
 	}
 
-	_, hT, cT, err := l.ForwardSeq(xs, nil, nil)
-	if err != nil {
+	p, _ := runPass(t, l, windows, false)
+	copy(p.dh.Data, p.st.H.Data)
+	copy(p.dc.Data, p.st.C.Data)
+	if err := l.backward(p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := l.BackwardSeq(nil, mat.CloneVec(hT), mat.CloneVec(cT)); err != nil {
-		t.Fatal(err)
-	}
-	analytic := mat.CloneVec(l.Params()[0].Grad.Data)
-
-	const eps = 1e-6
-	p := l.Params()[0]
-	for i := 0; i < len(p.Value.Data); i += 5 { // sample every 5th weight
-		orig := p.Value.Data[i]
-		p.Value.Data[i] = orig + eps
-		lp := finalLoss()
-		p.Value.Data[i] = orig - eps
-		lm := finalLoss()
-		p.Value.Data[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if math.Abs(num-analytic[i]) > 1e-4*(1+math.Abs(num)) {
-			t.Fatalf("Wx[%d]: numeric %g vs analytic %g", i, num, analytic[i])
-		}
-	}
-}
-
-func TestLSTMCacheSingleUse(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	l := NewLSTM(2, 2, rng)
-	xs := randSeq(rng, 2, 2)
-	if _, _, _, err := l.ForwardSeq(xs, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := l.BackwardSeq(nil, []float64{1, 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := l.BackwardSeq(nil, []float64{1, 1}, nil); err == nil {
-		t.Fatal("second BackwardSeq on a consumed cache must error")
-	}
+	analytic := gradsOf(l.Params())
+	checkGrads(t, l.Params()[:1], analytic, finalLoss, 8, 1e-4) // sampled Wx weights
 }
 
 func TestLSTMNumParams(t *testing.T) {
@@ -246,70 +226,64 @@ func TestLSTMNumParams(t *testing.T) {
 	}
 }
 
+// TestBiLSTMOutputLayout pins the bidirectional training encoder's layout:
+// the forward direction ends after x_{T−1} and the backward one after x_0,
+// each exactly where the inference step evolves it.
 func TestBiLSTMOutputLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := NewBiLSTM(2, 3, rng)
 	xs := randSeq(rng, 5, 2)
-	hs, hF, _, hB, _, err := b.ForwardSeq(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hs) != 5 || len(hs[0]) != 6 {
-		t.Fatalf("output shape %dx%d, want 5x6", len(hs), len(hs[0]))
-	}
-	// At the last original step the forward half equals the forward final
-	// state; at the first step the backward half equals the backward final
-	// state.
-	for i := 0; i < 3; i++ {
-		if hs[4][i] != hF[i] {
-			t.Fatal("forward half misaligned")
+	for _, dir := range []struct {
+		l       *LSTM
+		reverse bool
+	}{{b.Fwd, false}, {b.Bwd, true}} {
+		p, _ := runPass(t, dir.l, [][][]float64{xs}, dir.reverse)
+		var st StepState
+		st.Reset(1, 3)
+		for s := range xs {
+			src := s
+			if dir.reverse {
+				src = len(xs) - 1 - s
+			}
+			x, _ := mat.NewFromRows([][]float64{xs[src]})
+			if err := dir.l.StepBatch(&st, x); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if hs[0][3+i] != hB[i] {
-			t.Fatal("backward half misaligned")
+		for i := range st.H.Data {
+			if p.st.H.Data[i] != st.H.Data[i] || p.st.C.Data[i] != st.C.Data[i] {
+				t.Fatalf("reverse=%v unit %d: training final state differs from inference", dir.reverse, i)
+			}
 		}
 	}
 }
 
-// TestBiLSTMGradientCheck verifies the bidirectional backward pass.
+// TestBiLSTMGradientCheck verifies the parameter gradients of both
+// directions under a loss over every hidden state of each.
 func TestBiLSTMGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	b := NewBiLSTM(2, 2, rng)
-	xs := randSeq(rng, 3, 2)
+	windows := [][][]float64{randSeq(rng, 3, 2)}
 
 	lossAt := func() float64 {
-		hs, _, _, _, _, err := b.ForwardSeq(xs)
-		if err != nil {
+		_, hf := runPass(t, b.Fwd, windows, false)
+		_, hb := runPass(t, b.Bwd, windows, true)
+		lf, _ := seqLoss(hf)
+		lb, _ := seqLoss(hb)
+		return lf + lb
+	}
+	for _, dir := range []struct {
+		l       *LSTM
+		reverse bool
+	}{{b.Fwd, false}, {b.Bwd, true}} {
+		p, hs := runPass(t, dir.l, windows, dir.reverse)
+		_, dhs := seqLoss(hs)
+		if err := dir.l.backward(p, dhs); err != nil {
 			t.Fatal(err)
 		}
-		l, _ := seqLoss(hs)
-		return l
 	}
-
-	hs, _, _, _, _, err := b.ForwardSeq(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, dhs := seqLoss(hs)
-	dxs, err := b.BackwardSeq(dhs, nil, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const eps = 1e-6
-	for ti := range xs {
-		for i := range xs[ti] {
-			orig := xs[ti][i]
-			xs[ti][i] = orig + eps
-			lp := lossAt()
-			xs[ti][i] = orig - eps
-			lm := lossAt()
-			xs[ti][i] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-dxs[ti][i]) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("dx[%d][%d]: numeric %g vs analytic %g", ti, i, num, dxs[ti][i])
-			}
-		}
-	}
+	analytic := gradsOf(b.Params())
+	checkGrads(t, b.Params(), analytic, lossAt, 0, 1e-5)
 }
 
 func TestBiLSTMNumParams(t *testing.T) {
@@ -344,35 +318,24 @@ func TestLSTMTrainsSineReconstruction(t *testing.T) {
 	}
 
 	run := func(train bool) float64 {
-		hs, _, _, err := l.ForwardSeq(xs, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p, hs := runPass(t, l, [][][]float64{xs}, false)
 		var loss float64
-		dhs := make([][]float64, T)
+		dhs := mat.New(T, 8)
 		for t2 := 0; t2 < T; t2++ {
-			y, err := wy.MulVec(hs[t2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			y[0] += by[0]
-			d := y[0] - targets[t2]
+			y := mulVec(wy, hs.Row(t2))[0] + by[0]
+			d := y - targets[t2]
 			loss += d * d
 			if train {
 				dy := []float64{2 * d / float64(T)}
-				if err := gy.OuterAdd(dy, hs[t2]); err != nil {
+				if err := gy.OuterAdd(dy, hs.Row(t2)); err != nil {
 					t.Fatal(err)
 				}
 				gby[0] += dy[0]
-				dh, err := wy.MulVecT(dy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dhs[t2] = dh
+				copy(dhs.Row(t2), mulVecT(wy, dy))
 			}
 		}
 		if train {
-			if _, _, _, err := l.BackwardSeq(dhs, nil, nil); err != nil {
+			if err := l.backward(p, dhs); err != nil {
 				t.Fatal(err)
 			}
 			if err := opt.Step(params); err != nil {

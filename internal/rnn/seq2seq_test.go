@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
@@ -60,7 +59,7 @@ func TestSeq2SeqReconstructShape(t *testing.T) {
 		t.Fatalf("reconstruction shape %dx%d, want 10x3", len(rec), len(rec[0]))
 	}
 	for _, r := range rec {
-		if !mat.IsFinite(r) {
+		if !allFinite(r) {
 			t.Fatal("non-finite reconstruction")
 		}
 	}
@@ -98,7 +97,8 @@ func TestSeq2SeqCapacityOrderingMatchesPaper(t *testing.T) {
 }
 
 // TestSeq2SeqGradientCheck verifies the full teacher-forced backward pass
-// (encoder BPTT + decoder BPTT + head) against central differences.
+// (encoder BPTT + decoder BPTT + head) against central differences, for a
+// batch of one window and a lockstep batch of three.
 func TestSeq2SeqGradientCheck(t *testing.T) {
 	for _, bi := range []bool{false, true} {
 		name := "uni"
@@ -106,73 +106,29 @@ func TestSeq2SeqGradientCheck(t *testing.T) {
 			name = "bi"
 		}
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(77))
-			m, err := NewSeq2Seq(Config{InSize: 2, HiddenSize: 3, Bidirectional: bi}, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			xs := sineWindow(4, 2, 0.5)
-
-			// Teacher-forced loss with no dropout, identical to accumulate's
-			// forward path.
-			lossAt := func() float64 {
-				h0, c0, err := m.encode(xs)
+			for _, B := range []int{1, 3} {
+				rng := rand.New(rand.NewSource(77))
+				m, err := NewSeq2Seq(Config{InSize: 2, HiddenSize: 3, Bidirectional: bi}, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				decIn := make([][]float64, len(xs))
-				decIn[0] = make([]float64, m.InSize)
-				for i := 1; i < len(xs); i++ {
-					decIn[i] = xs[i-1]
+				batch := make([][][]float64, B)
+				for w := range batch {
+					batch[w] = sineWindow(4, 2, 0.5+float64(w))
 				}
-				hs, _, _, err := m.Decoder.ForwardSeq(decIn, h0, c0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var total float64
-				for i, h := range hs {
-					y, err := m.Wy.MulVec(h)
+				// No dropout, so the loss is a deterministic function of
+				// the weights; backprop sums the windows' losses.
+				lossAt := func() float64 {
+					loss, err := m.backprop(batch)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for j := range y {
-						y[j] += m.By[j]
-					}
-					l, _, err := nn.MSELoss(y, xs[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					total += l
+					return loss
 				}
-				return total / float64(len(xs))
-			}
-
-			if _, err := m.accumulate(xs); err != nil {
-				t.Fatal(err)
-			}
-			params := m.Params()
-			analytic := make([][]float64, len(params))
-			for i, p := range params {
-				analytic[i] = mat.CloneVec(p.Grad.Data)
-				p.Grad.Zero()
-			}
-
-			const eps = 1e-6
-			for pi, p := range params {
-				stride := 1 + len(p.Value.Data)/8 // sample large tensors
-				for i := 0; i < len(p.Value.Data); i += stride {
-					orig := p.Value.Data[i]
-					p.Value.Data[i] = orig + eps
-					lp := lossAt()
-					p.Value.Data[i] = orig - eps
-					lm := lossAt()
-					p.Value.Data[i] = orig
-					num := (lp - lm) / (2 * eps)
-					if math.Abs(num-analytic[pi][i]) > 1e-4*(1+math.Abs(num)) {
-						t.Fatalf("param %d (%s) elem %d: numeric %g vs analytic %g",
-							pi, params[pi].Name, i, num, analytic[pi][i])
-					}
-				}
+				lossAt()
+				params := m.Params()
+				analytic := gradsOf(params)
+				checkGrads(t, params, analytic, lossAt, 8, 1e-4)
 			}
 		})
 	}
@@ -198,7 +154,7 @@ func TestSeq2SeqLearnsToReconstruct(t *testing.T) {
 	}
 	for epoch := 0; epoch < 60; epoch++ {
 		for _, w := range windows {
-			if _, err := m.TrainStep(w, opt); err != nil {
+			if _, err := m.TrainBatch([][][]float64{w}, opt); err != nil {
 				t.Fatal(err)
 			}
 		}

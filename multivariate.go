@@ -35,8 +35,8 @@ type MultivariateOptions struct {
 	// QuantMode selects the precision tier used when Quantize is on; the
 	// zero value (nn.QuantNone) means the paper's FP16.
 	QuantMode nn.QuantMode
-	// MaxTrainWindows caps the windows used per training epoch (0 = all);
-	// useful to bound pure-Go BPTT time.
+	// MaxTrainWindows caps the windows used per training epoch (0 = all),
+	// trading training data for build time.
 	MaxTrainWindows int
 	// Seed drives model initialisation and policy training.
 	Seed int64

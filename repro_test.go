@@ -1,10 +1,13 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/hec"
+	"repro/internal/transport"
 )
 
 // TestBuildUnivariateFast is the end-to-end integration test of the
@@ -75,15 +78,43 @@ func TestBuildUnivariateFast(t *testing.T) {
 	}
 }
 
+// fastMultiTierVersions are the HECM content addresses of the three tiers
+// that Build(Multivariate, WithFast(), WithSeed(1)) trains: a SHA-256 over
+// every weight and the scorer fitted on them, so any change to a trained bit
+// moves them. A deliberate change to training re-records them.
+var fastMultiTierVersions = [hec.NumLayers]string{
+	"794975148e4bf8a7d451d21f4d2dc2d52da37f50bc1668b95c409db78231ef08", // LSTM-seq2seq-IoT
+	"bad9ee06bb62aa03ac6781cb0ea516a8553b8e86ac9c00ea94b0608e35fc5436", // LSTM-seq2seq-Edge
+	"35ea3bdfe284eb4d5d45ad697839cb5864329813dcaf93d8ddf199f43e6275a1", // BiLSTM-seq2seq-Cloud
+}
+
 // TestBuildMultivariateFast is the multivariate pipeline's integration test
-// at reduced scale.
+// at reduced scale, and the pin on what training produces.
 func TestBuildMultivariateFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LSTM training is slow; skipped with -short")
 	}
-	sys, err := BuildMultivariate(FastMultivariateOptions())
+	sys, err := Build(Multivariate, WithFast(), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// math.Exp and math.Tanh are assembly on some architectures, so the
+	// trained bits are pinned on amd64 only.
+	if runtime.GOARCH == "amd64" {
+		for l, det := range sys.Deployment.Detectors {
+			layer := hec.Layer(l)
+			snap, err := cluster.SnapshotDetector(det, layer.String(), layer != hec.LayerCloud)
+			if err != nil {
+				t.Fatal(err)
+			}
+			man, err := transport.ManifestOf(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if man.Version != fastMultiTierVersions[l] {
+				t.Errorf("%s tier trained to version %s, want %s", layer, man.Version, fastMultiTierVersions[l])
+			}
+		}
 	}
 	models, err := sys.ModelRows()
 	if err != nil {
