@@ -38,8 +38,7 @@ var (
 func univariateSystem(b *testing.B) *System {
 	b.Helper()
 	uniOnce.Do(func() {
-		opt := DefaultUnivariateOptions()
-		uniSys, uniErr = BuildUnivariate(opt)
+		uniSys, uniErr = Build(Univariate)
 	})
 	if uniErr != nil {
 		b.Fatal(uniErr)
@@ -50,12 +49,12 @@ func univariateSystem(b *testing.B) *System {
 func multivariateSystem(b *testing.B) *System {
 	b.Helper()
 	multiOnce.Do(func() {
-		opt := DefaultMultivariateOptions()
 		// Bound BPTT cost: ~400 training windows keep the full multivariate
 		// build under a few minutes in pure Go while covering every subject.
-		opt.MaxTrainWindows = 400
-		opt.Train.Epochs = 6
-		multiSys, multiErr = BuildMultivariate(opt)
+		multiSys, multiErr = Build(Multivariate, WithMultivariate(func(o *MultivariateOptions) {
+			o.MaxTrainWindows = 400
+			o.Train.Epochs = 6
+		}))
 	})
 	if multiErr != nil {
 		b.Fatal(multiErr)

@@ -32,8 +32,7 @@ const (
 	// DefaultMultivariateOptions).
 	ProfileFull Profile = iota
 	// ProfileFast is the reduced scale used by tests and examples: smaller
-	// splits and fewer epochs, same structure (FastUnivariateOptions /
-	// FastMultivariateOptions).
+	// splits and fewer epochs, same structure.
 	ProfileFast
 )
 
@@ -122,8 +121,7 @@ func (e engineOptions) precompute() hec.PrecomputeOptions {
 // Build constructs a complete HEC anomaly-detection system of the given
 // kind: synthetic dataset, the three-tier detector suite, deployment over
 // the topology, REINFORCE policy training, and test-split precomputation.
-// It is the unified entry point replacing the BuildUnivariate /
-// BuildMultivariate pair:
+// It is the one entry point for both kinds:
 //
 //	sys, err := repro.Build(repro.Univariate, repro.WithFast(), repro.WithSeed(7))
 //
@@ -176,7 +174,7 @@ func BuildContext(ctx context.Context, kind Kind, opts ...Option) (*System, erro
 	case Univariate:
 		opt := DefaultUnivariateOptions()
 		if cfg.profile == ProfileFast {
-			opt = FastUnivariateOptions()
+			opt = fastUnivariateOptions()
 		}
 		cfg.override(&opt.Seed, &opt.Data.Seed, &opt.Topology, &opt.Quantize, &opt.QuantMode)
 		for _, fn := range cfg.uniMods {
@@ -186,7 +184,7 @@ func BuildContext(ctx context.Context, kind Kind, opts ...Option) (*System, erro
 	case Multivariate:
 		opt := DefaultMultivariateOptions()
 		if cfg.profile == ProfileFast {
-			opt = FastMultivariateOptions()
+			opt = fastMultivariateOptions()
 		}
 		cfg.override(&opt.Seed, &opt.Data.Seed, &opt.Topology, &opt.Quantize, &opt.QuantMode)
 		for _, fn := range cfg.multiMods {

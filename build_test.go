@@ -8,9 +8,8 @@ import (
 	"time"
 )
 
-// assertSystemsEquivalent pins the deprecated-wrapper contract: two builds
-// that claim equivalence must produce identical Table I and Table II
-// output, down to the bit.
+// assertSystemsEquivalent checks that two builds which claim equivalence
+// produce identical Table I and Table II output, down to the bit.
 func assertSystemsEquivalent(t *testing.T, a, b *System) {
 	t.Helper()
 	am, err := a.ModelRows()
@@ -37,52 +36,22 @@ func assertSystemsEquivalent(t *testing.T, a, b *System) {
 	}
 }
 
-// TestDeprecatedUnivariateWrapperEquivalence is the API-redesign
-// acceptance pin: BuildUnivariate and the unified Build must construct
-// seed-identical systems. The non-default seed also proves WithSeed wires
-// through to the dataset and the model streams (like the hecbench -seed
-// flag always did); the no-override path is the same assembly with the
-// profile's own seed, so it is covered by construction.
-func TestDeprecatedUnivariateWrapperEquivalence(t *testing.T) {
-	opt := FastUnivariateOptions()
-	opt.Seed = 5
-	opt.Data.Seed = 5
-	old, err := BuildUnivariate(opt)
+// TestWithSeedWiresDataAndModels pins WithSeed: it must drive both the
+// dataset and the model streams (like the hecbench -seed flag always did),
+// so it builds exactly what setting both seeds through WithUnivariate does.
+func TestWithSeedWiresDataAndModels(t *testing.T) {
+	viaSeed, err := Build(Univariate, WithFast(), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	unified, err := Build(Univariate, WithFast(), WithSeed(5))
+	viaOptions, err := Build(Univariate, WithFast(), WithUnivariate(func(o *UnivariateOptions) {
+		o.Seed = 5
+		o.Data.Seed = 5
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSystemsEquivalent(t, old, unified)
-}
-
-// TestDeprecatedMultivariateWrapperEquivalence pins the multivariate
-// wrapper the same way, on a deliberately tiny configuration (pure-Go
-// BPTT twice is the most expensive thing this package tests).
-func TestDeprecatedMultivariateWrapperEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("LSTM training is slow; skipped with -short")
-	}
-	tiny := func(opt *MultivariateOptions) {
-		opt.Data.Subjects = 1
-		opt.Data.WalkSeconds = 30
-		opt.Train.Epochs = 1
-		opt.Policy.Epochs = 2
-		opt.MaxTrainWindows = 20
-	}
-	opt := FastMultivariateOptions()
-	tiny(&opt)
-	old, err := BuildMultivariate(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := Build(Multivariate, WithFast(), WithMultivariate(tiny))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSystemsEquivalent(t, old, unified)
+	assertSystemsEquivalent(t, viaSeed, viaOptions)
 }
 
 // TestBuildInvalidDataConfig pins the taxonomy on configuration failures:

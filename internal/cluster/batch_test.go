@@ -144,7 +144,8 @@ func TestRunBatchAdaptiveGroupsByPolicyLayer(t *testing.T) {
 }
 
 // TestRunBatchFallsBackToPerWindowRemote checks a plain Remote (no batch
-// RPC) still works under RunBatch, with summed network time shared back.
+// RPC) still works under RunBatch: one call per window, each window paying
+// its own network time.
 func TestRunBatchFallsBackToPerWindowRemote(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
 	dev := testDevice(confident(false), edge, nil)
@@ -156,7 +157,7 @@ func TestRunBatchFallsBackToPerWindowRemote(t *testing.T) {
 		t.Fatalf("%d per-window calls, want 3", edge.calls.Load())
 	}
 	for i, out := range outs {
-		// Per-window net 7 summed to 21, shared back as 7 each.
+		// Each window's own round trip: net 7, delay 5 + 7.
 		if math.Abs(out.NetMs-7) > 1e-12 || math.Abs(out.DelayMs-12) > 1e-12 {
 			t.Fatalf("window %d accounting %+v", i, out)
 		}
@@ -235,6 +236,156 @@ func TestDeviceBatchOverLiveTransport(t *testing.T) {
 		}
 		if out.ExecMs != float64(len(window)) {
 			t.Fatalf("window %d exec %g, want %d", i, out.ExecMs, len(window))
+		}
+	}
+}
+
+// Stubs that allocate nothing themselves, so AllocsPerRun counts only the
+// dispatch code: every result is a slice of a preallocated array. Locally
+// every other window of a batch is confident (a lone window never is); the
+// edge and cloud are always confident.
+type (
+	quietLocal  struct{ stubDetector }
+	quietRemote struct{}
+	quietPolicy struct{}
+)
+
+var (
+	quietLocalVerdicts  [16]anomaly.Verdict
+	quietRemoteVerdicts [16]anomaly.Verdict
+	quietExec           [16]float64
+	quietProbs          = []float64{0.1, 0.7, 0.2}
+	quietContext        = []float64{1}
+)
+
+func init() {
+	for i := range quietRemoteVerdicts {
+		quietLocalVerdicts[i].Confident = i%2 == 0
+		quietRemoteVerdicts[i].Confident = true
+	}
+}
+
+func (quietLocal) DetectBatch(w [][][]float64) ([]anomaly.Verdict, error) {
+	return quietLocalVerdicts[:len(w)], nil
+}
+
+func (quietRemote) DetectContext(context.Context, [][]float64) (transport.DetectResult, error) {
+	return transport.DetectResult{Verdict: confident(false), ExecMs: 1, NetMs: 2}, nil
+}
+
+func (quietRemote) DetectBatchContext(_ context.Context, w [][][]float64) (transport.BatchResult, error) {
+	return transport.BatchResult{Verdicts: quietRemoteVerdicts[:len(w)], ExecMsEach: quietExec[:len(w)], NetMs: 2}, nil
+}
+
+func (quietPolicy) Probs([]float64) ([]float64, error)     { return quietProbs, nil }
+func (quietPolicy) Context([][]float64) ([]float64, error) { return quietContext, nil }
+func (quietPolicy) Dim() int                               { return 1 }
+
+// TestDeviceDispatchAllocs pins the dispatch code's own allocations per
+// call, per scheme: Run of one window and RunBatch of 16, with Successive
+// escalating half the batch to the edge. A scheme rule whose
+// one-window case starts building batches, or whose outcome escapes to the
+// heap, fails here.
+func TestDeviceDispatchAllocs(t *testing.T) {
+	dev := &Device{
+		Local:       quietLocal{},
+		LocalExecMs: func(int) float64 { return 3 },
+		Remotes:     [hec.NumLayers]Remote{nil, quietRemote{}, quietRemote{}},
+		Policy:      quietPolicy{},
+		Extractor:   quietPolicy{},
+	}
+	ctx := context.Background()
+	batch := windowsN(16)
+	for _, tc := range []struct {
+		scheme     Scheme
+		run, batch float64
+	}{
+		{SchemeIoT, 0, 3},
+		{SchemeEdge, 0, 3},
+		{SchemeCloud, 0, 3},
+		{SchemeSuccessive, 0, 5},
+		{SchemeAdaptive, 1, 26},
+		{SchemePathological, 1, 26},
+	} {
+		var err error
+		run := testing.AllocsPerRun(50, func() {
+			if _, e := dev.Run(ctx, tc.scheme, window); e != nil {
+				err = e
+			}
+		})
+		batched := testing.AllocsPerRun(50, func() {
+			if _, e := dev.RunBatch(ctx, tc.scheme, batch); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.scheme, err)
+		}
+		t.Logf("%v: Run %.0f, RunBatch(16) %.0f allocs", tc.scheme, run, batched)
+		if run > tc.run || batched > tc.batch {
+			t.Errorf("%v: Run %.0f allocs (max %.0f), RunBatch(16) %.0f (max %.0f)", tc.scheme, run, tc.run, batched, tc.batch)
+		}
+	}
+}
+
+// byValue judges a window by its first reading: confident when it is even.
+type byValue struct{ stubDetector }
+
+func (byValue) Detect(w [][]float64) (anomaly.Verdict, error) {
+	return anomaly.Verdict{Anomaly: w[0][0] > 2, Confident: int(w[0][0])%2 == 0}, nil
+}
+
+// byValuePolicy prefers layer (first reading mod 3) and least prefers the
+// next one up.
+type byValuePolicy struct{}
+
+func (byValuePolicy) Context(w [][]float64) ([]float64, error) { return w[0], nil }
+func (byValuePolicy) Dim() int                                 { return 1 }
+func (byValuePolicy) Probs(z []float64) ([]float64, error) {
+	probs := []float64{0.3, 0.3, 0.3}
+	probs[int(z[0])%3] = 0.6
+	probs[(int(z[0])+1)%3] = 0.1
+	return probs, nil
+}
+
+// TestRunBatchMatchesRun checks the batch path against the one-window path
+// on windows that split: some escalate while others stop, and the policy
+// sends them to different layers. Verdicts, layers and execution time must
+// match window for window.
+func TestRunBatchMatchesRun(t *testing.T) {
+	edge := &stubBatchRemote{stubRemote: stubRemote{verdict: unconfident(), execMs: 5, netMs: 8}}
+	cloud := &stubBatchRemote{stubRemote: stubRemote{verdict: confident(true), execMs: 1, netMs: 40}}
+	dev := &Device{
+		Local:       byValue{},
+		LocalExecMs: func(int) float64 { return 3 },
+		Remotes:     [hec.NumLayers]Remote{nil, edge, cloud},
+		Policy:      byValuePolicy{},
+		Extractor:   byValuePolicy{},
+	}
+	windows := make([][][]float64, 7)
+	for i := range windows {
+		windows[i] = [][]float64{{float64(i)}}
+	}
+	ctx := context.Background()
+	for _, s := range AllSchemes() {
+		outs, err := dev.RunBatch(ctx, s, windows)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		layers := map[hec.Layer]bool{}
+		for i, w := range windows {
+			one, err := dev.Run(ctx, s, w)
+			if err != nil {
+				t.Fatalf("%v window %d: %v", s, i, err)
+			}
+			got := outs[i]
+			if got.Verdict != one.Verdict || got.Layer != one.Layer || got.ExecMs != one.ExecMs {
+				t.Fatalf("%v window %d: batch %+v, one window %+v", s, i, got, one)
+			}
+			layers[got.Layer] = true
+		}
+		if (s == SchemeSuccessive || s == SchemeAdaptive || s == SchemePathological) && len(layers) < 2 {
+			t.Fatalf("%v: every window ended at one layer %v; the test lost its split", s, layers)
 		}
 	}
 }

@@ -78,7 +78,7 @@ func TestFixedDelayAccounting(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
 	dev := testDevice(confident(false), edge, nil)
 
-	out, err := dev.Fixed(context.Background(), hec.LayerIoT, window)
+	out, err := dev.Run(context.Background(), SchemeIoT, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFixedDelayAccounting(t *testing.T) {
 		t.Fatalf("local outcome = %+v, want exec-only 3 ms at IoT", out)
 	}
 
-	out, err = dev.Fixed(context.Background(), hec.LayerEdge, window)
+	out, err = dev.Run(context.Background(), SchemeEdge, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSuccessiveCloudPathCountsEveryLayer(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(unconfident(), edge, cloud)
 
-	out, err := dev.Successive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeSuccessive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSuccessiveStopsAtConfidentEdge(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(unconfident(), edge, cloud)
 
-	out, err := dev.Successive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeSuccessive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestSuccessiveStopsAtConfidentEdge(t *testing.T) {
 func TestSuccessiveConfidentLocalStaysLocal(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
 	dev := testDevice(confident(true), edge, nil)
-	out, err := dev.Successive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeSuccessive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestAdaptiveFollowsPolicy(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(confident(false), edge, cloud) // policy prefers edge (0.7)
 
-	out, err := dev.Adaptive(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemeAdaptive, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPathologicalPicksLeastPreferred(t *testing.T) {
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(confident(false), edge, cloud) // policy argmin is IoT (0.1)
 
-	out, err := dev.Pathological(context.Background(), window)
+	out, err := dev.Run(context.Background(), SchemePathological, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestPathologicalPicksLeastPreferred(t *testing.T) {
 
 	// Without a policy it degrades to always-cloud.
 	dev.Policy = nil
-	out, err = dev.Pathological(context.Background(), window)
+	out, err = dev.Run(context.Background(), SchemePathological, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +204,20 @@ func TestPathologicalPicksLeastPreferred(t *testing.T) {
 func TestPolicyActionOutOfRange(t *testing.T) {
 	dev := testDevice(confident(false), &stubRemote{}, &stubRemote{})
 	dev.Policy = stubPolicy{probs: []float64{0.1, 0.1, 0.1, 0.7}}
-	if _, err := dev.Adaptive(context.Background(), window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeAdaptive, window); err == nil {
 		t.Fatal("action beyond NumLayers must be rejected")
 	}
 }
 
 func TestDeviceMissingPieces(t *testing.T) {
 	dev := &Device{}
-	if _, err := dev.Fixed(context.Background(), hec.LayerIoT, window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeIoT, window); err == nil {
 		t.Fatal("missing local detector must error")
 	}
-	if _, err := dev.Fixed(context.Background(), hec.LayerEdge, window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeEdge, window); err == nil {
 		t.Fatal("missing remote must error")
 	}
-	if _, err := dev.Adaptive(context.Background(), window); err == nil {
+	if _, err := dev.Run(context.Background(), SchemeAdaptive, window); err == nil {
 		t.Fatal("missing policy must error")
 	}
 }

@@ -13,6 +13,11 @@
 // includes injected link delays), and a scheme's end-to-end delay is the sum
 // of both over every layer it tried. Simulated and wall-clock milliseconds
 // are never mixed within one term.
+//
+// A window is a batch of one: Run and RunBatch share one dispatch path, in
+// which each scheme's rule is written once over a "judge these windows at
+// layer l" step. A batch's measured network time is shared evenly across
+// its windows — what each one cost the link once it rode along.
 package cluster
 
 import (
@@ -34,6 +39,14 @@ import (
 // on the wire so overloaded tiers can shed expired work.
 type Remote interface {
 	DetectContext(ctx context.Context, frames [][]float64) (transport.DetectResult, error)
+}
+
+// BatchRemote is a Remote that can ship many windows per request.
+// *transport.Client, *transport.Pool and *routing.ReplicaSet all satisfy
+// it.
+type BatchRemote interface {
+	Remote
+	DetectBatchContext(ctx context.Context, windows [][][]float64) (transport.BatchResult, error)
 }
 
 // PolicySource yields the action distribution π(·|z) for a context; it is
@@ -187,74 +200,6 @@ type Outcome struct {
 	NetMs float64
 }
 
-// detectAt runs one detection at a single layer, returning the verdict with
-// the layer's simulated execution time and measured network time. ctx is
-// checked before local detection and handed to remotes, whose transport
-// honours it during delays and response waits.
-func (d *Device) detectAt(ctx context.Context, l hec.Layer, frames [][]float64) (anomaly.Verdict, float64, float64, error) {
-	if l == hec.LayerIoT {
-		local, execMs := d.localState()
-		if local == nil {
-			return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: device has no local detector")
-		}
-		if err := ctx.Err(); err != nil {
-			return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: local detection abandoned: %w", err)
-		}
-		v, err := local.Detect(frames)
-		if err != nil {
-			return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: local detection: %w", err)
-		}
-		var exec float64
-		if execMs != nil {
-			exec = execMs(len(frames))
-		}
-		return v, exec, 0, nil
-	}
-	if l < 0 || l >= hec.NumLayers {
-		return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: layer %d out of range", int(l))
-	}
-	r := d.Remotes[l]
-	if r == nil {
-		return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: no connection to layer %v", l)
-	}
-	res, err := r.DetectContext(ctx, frames)
-	if err != nil {
-		return anomaly.Verdict{}, 0, 0, fmt.Errorf("cluster: detection at %v: %w", l, err)
-	}
-	return res.Verdict, res.ExecMs, res.NetMs, nil
-}
-
-// Fixed detects at exactly one layer (the paper's IoT/Edge/Cloud baselines).
-func (d *Device) Fixed(ctx context.Context, l hec.Layer, frames [][]float64) (Outcome, error) {
-	v, exec, netMs, err := d.detectAt(ctx, l, frames)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Verdict: v, Layer: l, DelayMs: exec + netMs, ExecMs: exec, NetMs: netMs}, nil
-}
-
-// Successive runs the paper's escalation baseline live: detect locally,
-// then escalate to the edge and then the cloud until a confident verdict.
-// The delay accumulates the (simulated) execution time of every layer tried
-// plus the (measured) network time of every offload — in particular the
-// cloud path still pays for the edge attempt. A ctx cancelled mid-ladder
-// aborts before the next escalation.
-func (d *Device) Successive(ctx context.Context, frames [][]float64) (Outcome, error) {
-	var execSum, netSum float64
-	for l := hec.Layer(0); l < hec.NumLayers; l++ {
-		v, exec, netMs, err := d.detectAt(ctx, l, frames)
-		if err != nil {
-			return Outcome{}, err
-		}
-		execSum += exec
-		netSum += netMs
-		if v.Confident || l == hec.NumLayers-1 {
-			return Outcome{Verdict: v, Layer: l, DelayMs: execSum + netSum, ExecMs: execSum, NetMs: netSum}, nil
-		}
-	}
-	return Outcome{}, fmt.Errorf("cluster: successive scheme fell through")
-}
-
 // policyLayer runs the policy on the window's context and returns the
 // highest-probability layer (worst=false) or the lowest (worst=true).
 func (d *Device) policyLayer(frames [][]float64, worst bool) (hec.Layer, error) {
@@ -284,61 +229,267 @@ func (d *Device) policyLayer(frames [][]float64, worst bool) (hec.Layer, error) 
 	return hec.Layer(best), nil
 }
 
-// Adaptive is the paper's proposed scheme live: the trained policy picks the
-// layer, the device dispatches there, and the policy's own execution cost is
-// charged to the delay.
-func (d *Device) Adaptive(ctx context.Context, frames [][]float64) (Outcome, error) {
-	l, err := d.policyLayer(frames, false)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out, err := d.Fixed(ctx, l, frames)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out.DelayMs += d.PolicyOverheadMs
-	return out, nil
-}
-
-// Pathological is the adversarial validation mode: it pays the same policy
-// overhead as Adaptive but routes every window to the policy's least-
-// preferred layer (or always the cloud without a policy). A healthy live
-// metrics pipeline must show it losing to Adaptive on delay and reward.
-func (d *Device) Pathological(ctx context.Context, frames [][]float64) (Outcome, error) {
-	l := hec.LayerCloud
-	if d.Policy != nil && d.Extractor != nil {
-		var err error
-		l, err = d.policyLayer(frames, true)
-		if err != nil {
-			return Outcome{}, err
-		}
-	}
-	out, err := d.Fixed(ctx, l, frames)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out.DelayMs += d.PolicyOverheadMs
-	return out, nil
-}
-
 // Run dispatches one window under the given scheme. Cancelling ctx aborts
 // the dispatch (including remote waits and injected link delays) with an
 // error satisfying errors.Is(err, ctx.Err()).
 func (d *Device) Run(ctx context.Context, s Scheme, frames [][]float64) (Outcome, error) {
+	var one [1]Outcome
+	b := dispatch{d: d, ctx: ctx, frames: frames}
+	if err := b.run(s, one[:]); err != nil {
+		return Outcome{}, err
+	}
+	return one[0], nil
+}
+
+// RunBatch dispatches a batch of windows under the given scheme, returning
+// one outcome per window in input order: the verdicts and layer choices Run
+// would make, with network time amortised over each dispatched batch. ctx
+// follows Run's contract, covering every staged dispatch the batch
+// performs.
+func (d *Device) RunBatch(ctx context.Context, s Scheme, windows [][][]float64) ([]Outcome, error) {
+	if len(windows) == 0 {
+		return nil, nil
+	}
+	outs := make([]Outcome, len(windows))
+	b := dispatch{d: d, ctx: ctx, windows: windows}
+	if err := b.run(s, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// dispatch is one Run or RunBatch call. A set of windows is an index slice,
+// nil meaning all, so a set that stays whole builds no index. The outcomes
+// travel as a parameter, not a field: escape analysis is not field-
+// sensitive, and next to the windows (which leak into interface calls) Run's
+// stack array of one outcome would move to the heap.
+type dispatch struct {
+	d       *Device
+	ctx     context.Context
+	frames  [][]float64   // Run's window; windows is nil
+	windows [][][]float64 // RunBatch's windows
+	sub     [][][]float64 // scratch for an indexed sub-batch
+}
+
+// run applies scheme s's rule, then totals each window's delay.
+func (b *dispatch) run(s Scheme, outs []Outcome) error {
+	var err error
+	var overhead float64
 	switch s {
 	case SchemeIoT:
-		return d.Fixed(ctx, hec.LayerIoT, frames)
+		err = b.judge(hec.LayerIoT, nil, outs)
 	case SchemeEdge:
-		return d.Fixed(ctx, hec.LayerEdge, frames)
+		err = b.judge(hec.LayerEdge, nil, outs)
 	case SchemeCloud:
-		return d.Fixed(ctx, hec.LayerCloud, frames)
+		err = b.judge(hec.LayerCloud, nil, outs)
 	case SchemeSuccessive:
-		return d.Successive(ctx, frames)
-	case SchemeAdaptive:
-		return d.Adaptive(ctx, frames)
-	case SchemePathological:
-		return d.Pathological(ctx, frames)
+		err = b.escalate(outs)
+	case SchemeAdaptive, SchemePathological:
+		err = b.route(s == SchemePathological, outs)
+		overhead = b.d.PolicyOverheadMs
 	default:
-		return Outcome{}, fmt.Errorf("cluster: unknown scheme %d", int(s))
+		err = fmt.Errorf("cluster: unknown scheme %d", int(s))
 	}
+	if err != nil {
+		return err
+	}
+	for i := range outs {
+		o := &outs[i]
+		o.DelayMs = o.ExecMs + o.NetMs + overhead
+	}
+	return nil
+}
+
+// escalate is the paper's Successive baseline: judge every window locally,
+// then send the unconfident ones to the edge and the still-unconfident ones
+// to the cloud. Each window accumulates the execution time of every layer
+// it tried plus the network time of every offload it rode — in particular
+// the cloud path still pays for the edge attempt. A ctx cancelled mid-
+// ladder aborts before the next escalation.
+func (b *dispatch) escalate(outs []Outcome) error {
+	var idx, buf []int
+	for l := hec.LayerIoT; l < hec.NumLayers; l++ {
+		if err := b.judge(l, idx, outs); err != nil {
+			return err
+		}
+		var n int
+		if idx, n = subset(idx, len(outs), &buf, func(i int) bool { return !outs[i].Verdict.Confident }); n == 0 {
+			break
+		}
+	}
+	return nil
+}
+
+// route is the policy-driven rule: each window goes to the policy's most
+// preferred layer (the paper's method) or, when worst, its least preferred
+// (Pathological, which falls back to always-cloud without a policy). The
+// windows are then judged in one group per layer.
+func (b *dispatch) route(worst bool, outs []Outcome) error {
+	var one [1]hec.Layer
+	picks := one[:]
+	if len(outs) > 1 {
+		picks = make([]hec.Layer, len(outs))
+	}
+	fallback := worst && (b.d.Policy == nil || b.d.Extractor == nil)
+	for i := range picks {
+		picks[i] = hec.LayerCloud
+		if !fallback {
+			l, err := b.d.policyLayer(b.window(i), worst)
+			if err != nil {
+				return err
+			}
+			picks[i] = l
+		}
+	}
+	var buf []int
+	for l := hec.LayerIoT; l < hec.NumLayers; l++ {
+		group, n := subset(nil, len(picks), &buf, func(i int) bool { return picks[i] == l })
+		if n == 0 {
+			continue
+		}
+		if err := b.judge(l, group, outs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// subset returns the windows of idx (nil meaning all windows) that keep
+// accepts, and how many there are. All of them come back as idx itself, so
+// a set that stays whole never builds an index; a proper subset is written
+// into *buf, which may alias idx.
+func subset(idx []int, all int, buf *[]int, keep func(i int) bool) ([]int, int) {
+	n, kept := count(idx, all), 0
+	for k := 0; k < n; k++ {
+		if keep(at(idx, k)) {
+			kept++
+		}
+	}
+	if kept == n || kept == 0 {
+		return idx, kept
+	}
+	if *buf == nil {
+		*buf = make([]int, 0, all)
+	}
+	out := (*buf)[:0]
+	for k := 0; k < n; k++ {
+		if i := at(idx, k); keep(i) {
+			out = append(out, i)
+		}
+	}
+	*buf = out
+	return out, kept
+}
+
+// judge runs the windows at positions idx (every window when nil) at layer
+// l and folds the results into their outcomes: the verdict and layer, plus
+// the layer's simulated execution time and measured network time. A lone
+// window goes through Detect or DetectContext; a larger set is one
+// DetectBatch call locally and one batch request to a BatchRemote, whose
+// network time is shared evenly. A remote without the batch RPC judges
+// each window on its own. ctx is checked before local detection and handed
+// to remotes, whose transport honours it during delays and response waits.
+func (b *dispatch) judge(l hec.Layer, idx []int, outs []Outcome) error {
+	n := count(idx, len(outs))
+	if l == hec.LayerIoT {
+		local, execMs := b.d.localState()
+		if local == nil {
+			return fmt.Errorf("cluster: device has no local detector")
+		}
+		if err := b.ctx.Err(); err != nil {
+			return fmt.Errorf("cluster: local detection abandoned: %w", err)
+		}
+		if execMs == nil {
+			execMs = func(int) float64 { return 0 }
+		}
+		var one [1]anomaly.Verdict
+		vs, err := one[:], error(nil)
+		if n == 1 {
+			vs[0], err = local.Detect(b.window(at(idx, 0)))
+		} else {
+			vs, err = anomaly.DetectAll(local, b.batch(idx))
+		}
+		if err != nil {
+			return fmt.Errorf("cluster: local detection: %w", err)
+		}
+		for k, v := range vs {
+			i := at(idx, k)
+			fold(&outs[i], l, v, execMs(len(b.window(i))), 0)
+		}
+		return nil
+	}
+	if l < 0 || l >= hec.NumLayers {
+		return fmt.Errorf("cluster: layer %d out of range", int(l))
+	}
+	r := b.d.Remotes[l]
+	if r == nil {
+		return fmt.Errorf("cluster: no connection to layer %v", l)
+	}
+	if br, ok := r.(BatchRemote); ok && n > 1 {
+		res, err := br.DetectBatchContext(b.ctx, b.batch(idx))
+		if err != nil {
+			return fmt.Errorf("cluster: batch detection at %v: %w", l, err)
+		}
+		share := res.NetMs / float64(n)
+		for k, v := range res.Verdicts {
+			fold(&outs[at(idx, k)], l, v, res.ExecMsEach[k], share)
+		}
+		return nil
+	}
+	for k := 0; k < n; k++ {
+		i := at(idx, k)
+		res, err := r.DetectContext(b.ctx, b.window(i))
+		if err != nil {
+			return fmt.Errorf("cluster: detection at %v: %w", l, err)
+		}
+		fold(&outs[i], l, res.Verdict, res.ExecMs, res.NetMs)
+	}
+	return nil
+}
+
+// fold records a window's verdict at layer l and charges it the layer's
+// execution and network time.
+func fold(o *Outcome, l hec.Layer, v anomaly.Verdict, execMs, netMs float64) {
+	o.Verdict, o.Layer = v, l
+	o.ExecMs += execMs
+	o.NetMs += netMs
+}
+
+// count is the number of windows in idx, out of all.
+func count(idx []int, all int) int {
+	if idx == nil {
+		return all
+	}
+	return len(idx)
+}
+
+// at is the position of idx's k-th window.
+func at(idx []int, k int) int {
+	if idx == nil {
+		return k
+	}
+	return idx[k]
+}
+
+// window returns the frames of the window at position i.
+func (b *dispatch) window(i int) [][]float64 {
+	if b.windows == nil {
+		return b.frames
+	}
+	return b.windows[i]
+}
+
+// batch returns the windows at positions idx as one slice.
+func (b *dispatch) batch(idx []int) [][][]float64 {
+	if idx == nil {
+		return b.windows
+	}
+	if b.sub == nil {
+		b.sub = make([][][]float64, 0, len(b.windows))
+	}
+	b.sub = b.sub[:0]
+	for _, i := range idx {
+		b.sub = append(b.sub, b.windows[i])
+	}
+	return b.sub
 }

@@ -395,41 +395,13 @@ func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, p c
 		rng := rand.New(rand.NewSource(mixSeed(seed, int64(ci), int64(w))))
 		offset = rng.Intn(len(samples))
 	}
+	size := max(1, p.batch)
+	wins := make([][][]float64, 0, size)
+	labels := make([]bool, 0, size)
+	var one [1]Outcome
 	done := ctx.Done()
 	for r := 0; r < p.rounds; r++ {
-		if p.batch > 1 {
-			for k := 0; k < len(samples); k += p.batch {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-				if err := pace(ctx, p.pattern, base, start); err != nil {
-					return nil, err
-				}
-				end := k + p.batch
-				if end > len(samples) {
-					end = len(samples)
-				}
-				wins := make([][][]float64, end-k)
-				labels := make([]bool, end-k)
-				for j := range wins {
-					s := samples[(offset+k+j)%len(samples)]
-					wins[j] = s.Frames
-					labels[j] = s.Label
-				}
-				outs, err := dev.RunBatch(ctx, p.scheme, wins)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: cohort %q device %d batch at %d: %w", p.label, w, k, err)
-				}
-				for j, out := range outs {
-					ws.account(out, labels[j], p.alpha)
-					windows.Add(1)
-				}
-			}
-			continue
-		}
-		for k := range samples {
+		for k := 0; k < len(samples); k += size {
 			select {
 			case <-done:
 				return nil, ctx.Err()
@@ -438,13 +410,26 @@ func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, p c
 			if err := pace(ctx, p.pattern, base, start); err != nil {
 				return nil, err
 			}
-			s := samples[(offset+k)%len(samples)]
-			out, err := dev.Run(ctx, p.scheme, s.Frames)
+			wins, labels = wins[:0], labels[:0]
+			for j := k; j < min(k+size, len(samples)); j++ {
+				s := samples[(offset+j)%len(samples)]
+				wins = append(wins, s.Frames)
+				labels = append(labels, s.Label)
+			}
+			outs := one[:]
+			var err error
+			if len(wins) == 1 {
+				one[0], err = dev.Run(ctx, p.scheme, wins[0])
+			} else {
+				outs, err = dev.RunBatch(ctx, p.scheme, wins)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("cluster: cohort %q device %d window %d: %w", p.label, w, k, err)
 			}
-			ws.account(out, s.Label, p.alpha)
-			windows.Add(1)
+			for j, out := range outs {
+				ws.account(out, labels[j], p.alpha)
+				windows.Add(1)
+			}
 		}
 	}
 	return ws, nil

@@ -17,7 +17,7 @@ import (
 // anomalyDetector is a local alias keeping builder signatures readable.
 type anomalyDetector = anomaly.Detector
 
-// MultivariateOptions configures BuildMultivariate.
+// MultivariateOptions configures a multivariate build (see WithMultivariate).
 type MultivariateOptions struct {
 	// Data parameterises the synthetic MHEALTH dataset.
 	Data dataset.MHealthConfig
@@ -57,13 +57,10 @@ func DefaultMultivariateOptions() MultivariateOptions {
 	}
 }
 
-// FastMultivariateOptions returns a reduced configuration for tests and
-// examples: fewer subjects, shorter recordings, smaller models and fewer
-// epochs, same structure.
-//
-// Deprecated: use Build(Multivariate, WithFast()) — or WithMultivariate for
-// finer control. The struct remains as the escape-hatch configuration type.
-func FastMultivariateOptions() MultivariateOptions {
+// fastMultivariateOptions is ProfileFast's multivariate configuration:
+// fewer subjects, shorter recordings, smaller models and fewer epochs, same
+// structure.
+func fastMultivariateOptions() MultivariateOptions {
 	opt := DefaultMultivariateOptions()
 	opt.Data.Subjects = 2
 	opt.Data.WalkSeconds = 40
@@ -75,20 +72,11 @@ func FastMultivariateOptions() MultivariateOptions {
 	return opt
 }
 
-// BuildMultivariate generates the MHEALTH-like dataset, trains the three
-// seq2seq detectors, deploys them across the HEC topology, trains the
-// adaptive policy, and precomputes test-split detections. The returned
-// System regenerates Table I/II (multivariate) and the Fig. 3b series.
-//
-// Deprecated: use Build(Multivariate, opts...) — BuildMultivariate(opt) is
-// exactly Build(Multivariate, WithMultivariate(func(o *MultivariateOptions)
-// { *o = opt })) and produces bit-identical systems (pinned by test).
-func BuildMultivariate(opt MultivariateOptions) (*System, error) {
-	return buildMultivariate(context.Background(), opt, engineOptions{})
-}
-
-// buildMultivariate is the unified builder's multivariate backend; see
-// buildUnivariate for the ctx and engine-option contract.
+// buildMultivariate is the unified builder's multivariate backend: it
+// generates the MHEALTH-like dataset, trains the three seq2seq detectors,
+// deploys them across the HEC topology, trains the adaptive policy, and
+// precomputes test-split detections; see buildUnivariate for the ctx and
+// engine-option contract.
 func buildMultivariate(ctx context.Context, opt MultivariateOptions, eng engineOptions) (*System, error) {
 	ds, err := dataset.GenerateMHealth(opt.Data)
 	if err != nil {

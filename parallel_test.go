@@ -40,9 +40,8 @@ func assertParallelPrecomputeMatches(t *testing.T, sys *System) {
 // Precompute is byte-identical to sequential on the trained autoencoder
 // deployment.
 func TestPrecomputeParallelMatchesSequentialUnivariate(t *testing.T) {
-	opt := FastUnivariateOptions()
-	opt.Train.Epochs = 4 // detector quality is irrelevant to determinism
-	sys, err := BuildUnivariate(opt)
+	// Detector quality is irrelevant to determinism.
+	sys, err := Build(Univariate, WithFast(), WithUnivariate(func(o *UnivariateOptions) { o.Train.Epochs = 4 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +55,10 @@ func TestPrecomputeParallelMatchesSequentialMultivariate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LSTM training is slow; skipped with -short")
 	}
-	opt := FastMultivariateOptions()
-	opt.Train.Epochs = 1
-	opt.Policy.Epochs = 2
-	sys, err := BuildMultivariate(opt)
+	sys, err := Build(Multivariate, WithFast(), WithMultivariate(func(o *MultivariateOptions) {
+		o.Train.Epochs = 1
+		o.Policy.Epochs = 2
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +70,12 @@ func TestPrecomputeParallelMatchesSequentialMultivariate(t *testing.T) {
 // precomputed test outcomes even though the three detectors trained on
 // separate goroutines.
 func TestBuildUnivariateDeterministicAcrossRuns(t *testing.T) {
-	opt := FastUnivariateOptions()
-	opt.Train.Epochs = 4
-	a, err := BuildUnivariate(opt)
+	short := WithUnivariate(func(o *UnivariateOptions) { o.Train.Epochs = 4 })
+	a, err := Build(Univariate, WithFast(), short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildUnivariate(opt)
+	b, err := Build(Univariate, WithFast(), short)
 	if err != nil {
 		t.Fatal(err)
 	}

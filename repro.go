@@ -43,6 +43,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/hec"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/seq2seq"
 )
@@ -138,10 +139,9 @@ func (s *System) ModelRows() ([]ModelRow, error) {
 	rows := make([]ModelRow, 0, hec.NumLayers)
 	for l := hec.Layer(0); l < hec.NumLayers; l++ {
 		det := s.Deployment.Detectors[l]
-		var conf confusionLite
+		var conf metrics.Confusion
 		for i, sample := range s.TestSamples {
-			v := s.testPC.Outcomes[i][l].Verdict
-			conf.add(v.Anomaly, sample.Label)
+			conf.Add(s.testPC.Outcomes[i][l].Verdict.Anomaly, sample.Label)
 		}
 		var exec float64
 		if len(s.TestSamples) > 0 {
@@ -151,8 +151,8 @@ func (s *System) ModelRows() ([]ModelRow, error) {
 			Layer:     l,
 			Name:      det.Name(),
 			NumParams: det.NumParams(),
-			Accuracy:  conf.accuracy(),
-			F1:        conf.f1(),
+			Accuracy:  conf.Accuracy(),
+			F1:        conf.F1(),
 			ExecMs:    exec,
 		})
 	}
@@ -195,40 +195,6 @@ func (s *System) SchemeRowsContext(ctx context.Context) ([]SchemeRow, error) {
 // the data behind the demo's streaming result panel (Fig. 3b).
 func (s *System) ResultPanel(scheme hec.Scheme) (*hec.Result, error) {
 	return hec.Evaluate(context.Background(), scheme, s.testPC, s.Alpha)
-}
-
-// confusionLite is a minimal inline confusion matrix (avoids importing
-// metrics into the public surface twice).
-type confusionLite struct{ tp, fp, tn, fn int }
-
-func (c *confusionLite) add(pred, actual bool) {
-	switch {
-	case pred && actual:
-		c.tp++
-	case pred && !actual:
-		c.fp++
-	case !pred && !actual:
-		c.tn++
-	default:
-		c.fn++
-	}
-}
-
-func (c *confusionLite) accuracy() float64 {
-	t := c.tp + c.fp + c.tn + c.fn
-	if t == 0 {
-		return 0
-	}
-	return float64(c.tp+c.tn) / float64(t)
-}
-
-func (c *confusionLite) f1() float64 {
-	if c.tp == 0 {
-		return 0
-	}
-	p := float64(c.tp) / float64(c.tp+c.fp)
-	r := float64(c.tp) / float64(c.tp+c.fn)
-	return 2 * p * r / (p + r)
 }
 
 // UniSampleFrames converts a weekly univariate sample into the T×1 frame

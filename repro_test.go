@@ -14,7 +14,7 @@ import (
 // univariate pipeline at reduced scale: data generation, three AE models,
 // FP16 compression, policy training, and Table I/II regeneration.
 func TestBuildUnivariateFast(t *testing.T) {
-	sys, err := BuildUnivariate(FastUnivariateOptions())
+	sys, err := Build(Univariate, WithFast())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBuildMultivariateFast(t *testing.T) {
 
 // TestResultPanelSeries exercises the Fig. 3b data product.
 func TestResultPanelSeries(t *testing.T) {
-	sys, err := BuildUnivariate(FastUnivariateOptions())
+	sys, err := Build(Univariate, WithFast())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,39 +27,31 @@ const (
 
 // Scheme selects how a Session routes windows across the hierarchy — the
 // paper's five evaluation schemes plus the deliberately bad Pathological
-// router used to validate metrics pipelines.
-type Scheme int
+// router used to validate metrics pipelines. It re-exports the cluster
+// runtime's scheme, which Session dispatches through.
+type Scheme = cluster.Scheme
 
-// The six live schemes.
+// The six live schemes: always the IoT, edge or cloud tier; Successive,
+// escalating IoT → edge → cloud until a confident verdict; Adaptive, the
+// trained contextual-bandit policy (the paper's method); and Pathological,
+// the policy's least-preferred layer, an intentionally bad router.
 const (
-	// SchemeIoT always detects on the local (IoT-tier) model.
-	SchemeIoT Scheme = iota
-	// SchemeEdge always uses the edge tier.
-	SchemeEdge
-	// SchemeCloud always uses the cloud tier.
-	SchemeCloud
-	// SchemeSuccessive escalates IoT → edge → cloud until a confident
-	// verdict.
-	SchemeSuccessive
-	// SchemeAdaptive follows the trained contextual-bandit policy — the
-	// paper's proposed method.
-	SchemeAdaptive
-	// SchemePathological follows the policy's least-preferred layer, an
-	// intentionally bad router for metrics validation.
-	SchemePathological
+	SchemeIoT          = cluster.SchemeIoT
+	SchemeEdge         = cluster.SchemeEdge
+	SchemeCloud        = cluster.SchemeCloud
+	SchemeSuccessive   = cluster.SchemeSuccessive
+	SchemeAdaptive     = cluster.SchemeAdaptive
+	SchemePathological = cluster.SchemePathological
 )
-
-// String implements fmt.Stringer.
-func (s Scheme) String() string { return cluster.Scheme(s).String() }
 
 // ParseScheme maps a CLI-style name (iot|edge|cloud|successive|adaptive|
 // pathological) to a Scheme.
 func ParseScheme(name string) (Scheme, error) {
-	cs, err := cluster.ParseScheme(name)
+	s, err := cluster.ParseScheme(name)
 	if err != nil {
 		return 0, badInput("parse scheme", "%v", err)
 	}
-	return Scheme(cs), nil
+	return s, nil
 }
 
 // Remote is a connection to a remote tier's detection service, as accepted
@@ -572,7 +564,7 @@ func (s *Session) Detect(ctx context.Context, frames [][]float64) (Detection, er
 	if len(frames) == 0 {
 		return Detection{}, badInput("detect", "empty window")
 	}
-	out, err := s.dev.Run(ctx, cluster.Scheme(s.scheme), frames)
+	out, err := s.dev.Run(ctx, s.scheme, frames)
 	if err != nil {
 		return Detection{}, wrapErr("detect", err)
 	}
@@ -592,7 +584,7 @@ func (s *Session) DetectBatch(ctx context.Context, windows [][][]float64) ([]Det
 	if len(windows) == 0 {
 		return nil, badInput("detect batch", "empty batch")
 	}
-	outs, err := s.dev.RunBatch(ctx, cluster.Scheme(s.scheme), windows)
+	outs, err := s.dev.RunBatch(ctx, s.scheme, windows)
 	if err != nil {
 		return nil, wrapErr("detect batch", err)
 	}
@@ -711,9 +703,11 @@ func fromOutcome(out cluster.Outcome) Detection {
 // localRemote serves a tier in-process for sessions opened without a wire
 // remote: the deployed detector judges the window, execution time comes
 // from the calibrated topology model, and network time is the simulated
-// round trip — exactly the accounting Precompute uses, so a default
-// session's delays agree with the batch reports. Batch dispatches charge
-// the round trip once per batch, mirroring the wire batch RPC.
+// round trip, as in Precompute. Delays agree with the batch reports except
+// Successive's: the live ladder pays the round trip of every offload it
+// tried, the replay only the stopping layer's (see ARCHITECTURE.md §5).
+// Batch dispatches charge the round trip once per batch, mirroring the wire
+// batch RPC.
 type localRemote struct {
 	dep   *hec.Deployment
 	layer hec.Layer
@@ -760,10 +754,6 @@ func (r localRemote) DetectBatchContext(ctx context.Context, windows [][][]float
 	}
 	return transport.BatchResult{Verdicts: vs, ExecMsEach: execEach, NetMs: rtt}, nil
 }
-
-// The public scheme constants are pinned to the cluster runtime's ordinals
-// (Session converts by integer cast); a unit test asserts the mapping.
-var _ = [1]struct{}{}[int(SchemePathological)-int(cluster.SchemePathological)]
 
 // A replica set must keep satisfying the cluster runtime's batch-capable
 // remote shape, or multi-replica tiers would silently lose the one-RPC-

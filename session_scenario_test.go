@@ -22,7 +22,7 @@ func fastMultiSystem(t *testing.T) *System {
 		t.Skip("LSTM training is slow; skipped with -short")
 	}
 	fastMultiOnce.Do(func() {
-		fastMultiSys, fastMultiErr = BuildMultivariate(FastMultivariateOptions())
+		fastMultiSys, fastMultiErr = Build(Multivariate, WithFast())
 	})
 	if fastMultiErr != nil {
 		t.Fatalf("building shared fast multivariate system: %v", fastMultiErr)

@@ -3,12 +3,12 @@ package repro
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/hec"
 	"repro/internal/transport"
 )
@@ -33,25 +33,9 @@ func fastUniSystem(t *testing.T) *System {
 	return fastUniSys
 }
 
-// TestSchemeOrdinalsMatchCluster pins the public Scheme constants to the
-// cluster runtime's (Session converts by integer cast).
-func TestSchemeOrdinalsMatchCluster(t *testing.T) {
-	pairs := []struct {
-		pub Scheme
-		liv cluster.Scheme
-	}{
-		{SchemeIoT, cluster.SchemeIoT},
-		{SchemeEdge, cluster.SchemeEdge},
-		{SchemeCloud, cluster.SchemeCloud},
-		{SchemeSuccessive, cluster.SchemeSuccessive},
-		{SchemeAdaptive, cluster.SchemeAdaptive},
-		{SchemePathological, cluster.SchemePathological},
-	}
-	for _, p := range pairs {
-		if int(p.pub) != int(p.liv) || p.pub.String() != p.liv.String() {
-			t.Fatalf("scheme %v (%d) does not match cluster %v (%d)", p.pub, p.pub, p.liv, p.liv)
-		}
-	}
+// TestParseSchemeBadInput checks the public parser accepts every CLI name
+// and reports an unknown one as bad input.
+func TestParseSchemeBadInput(t *testing.T) {
 	for _, name := range []string{"iot", "edge", "cloud", "successive", "adaptive", "pathological"} {
 		if _, err := ParseScheme(name); err != nil {
 			t.Errorf("ParseScheme(%q): %v", name, err)
@@ -122,6 +106,45 @@ func TestSessionAdaptiveMatchesResultPanel(t *testing.T) {
 		}
 		if det.DelayMs != res.DelaysMs[i] {
 			t.Fatalf("sample %d: delay %g, want %g", i, det.DelayMs, res.DelaysMs[i])
+		}
+	}
+}
+
+// TestSessionSuccessiveMatchesResultPanel pins how the live Successive
+// scheme relates to the simulator's replay. Verdicts and stopping layers
+// agree window for window; delays do not, by design. The live path charges
+// the round trip of every offload it tried, the replay only the stopping
+// layer's, so live = replay + the round trips of the offload layers tried
+// below the final one.
+func TestSessionSuccessiveMatchesResultPanel(t *testing.T) {
+	sys := fastUniSystem(t)
+	pc := sys.Precomputed()
+	res, err := sys.ResultPanel(hec.Successive{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sys.Open(SchemeSuccessive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	for i, sample := range sys.TestSamples {
+		det, err := sess.Detect(ctx, sample.Frames)
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		if det.Anomaly != res.Predictions[i] || det.Layer != res.Layers[i] {
+			t.Fatalf("sample %d: session (%v, %v) vs panel (%v, %v)",
+				i, det.Anomaly, det.Layer, res.Predictions[i], res.Layers[i])
+		}
+		var extra float64
+		for l := LayerEdge; l < det.Layer; l++ {
+			extra += pc.RTTs[l]
+		}
+		if want := res.DelaysMs[i] + extra; math.Abs(det.DelayMs-want) > 1e-9 {
+			t.Fatalf("sample %d at %v: live delay %g, want replay %g + %g of earlier offloads",
+				i, det.Layer, det.DelayMs, res.DelaysMs[i], extra)
 		}
 	}
 }

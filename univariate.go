@@ -13,7 +13,7 @@ import (
 	"repro/internal/policy"
 )
 
-// UnivariateOptions configures BuildUnivariate.
+// UnivariateOptions configures a univariate build (see WithUnivariate).
 type UnivariateOptions struct {
 	// Data parameterises the synthetic power-demand dataset.
 	Data dataset.PowerConfig
@@ -48,12 +48,9 @@ func DefaultUnivariateOptions() UnivariateOptions {
 	}
 }
 
-// FastUnivariateOptions returns a reduced configuration for tests and the
-// quickstart example: smaller splits and fewer epochs, same structure.
-//
-// Deprecated: use Build(Univariate, WithFast()) — or WithUnivariate for
-// finer control. The struct remains as the escape-hatch configuration type.
-func FastUnivariateOptions() UnivariateOptions {
+// fastUnivariateOptions is ProfileFast's univariate configuration: smaller
+// splits and fewer epochs, same structure.
+func fastUnivariateOptions() UnivariateOptions {
 	opt := DefaultUnivariateOptions()
 	opt.Data.TrainWeeks = 30
 	opt.Data.TestWeeks = 26
@@ -63,23 +60,12 @@ func FastUnivariateOptions() UnivariateOptions {
 	return opt
 }
 
-// BuildUnivariate generates the power-demand dataset, trains the three
-// autoencoder detectors, deploys them across the HEC topology, trains the
-// adaptive policy on the policy split, and precomputes test-split
-// detections. The returned System regenerates Table I/II (univariate) and
-// the Fig. 3b series.
-//
-// Deprecated: use Build(Univariate, opts...) — BuildUnivariate(opt) is
-// exactly Build(Univariate, WithUnivariate(func(o *UnivariateOptions) {
-// *o = opt })) and produces bit-identical systems (pinned by test).
-func BuildUnivariate(opt UnivariateOptions) (*System, error) {
-	return buildUnivariate(context.Background(), opt, engineOptions{})
-}
-
-// buildUnivariate is the unified builder's univariate backend. eng carries
-// the engine knobs (precompute workers / batch size) that are not part of
-// the model configuration; its zero value reproduces the historical
-// BuildUnivariate behaviour exactly. Cancelling ctx aborts the build at the
+// buildUnivariate is the unified builder's univariate backend: it
+// generates the power-demand dataset, trains the three autoencoder
+// detectors, deploys them across the HEC topology, trains the adaptive
+// policy on the policy split, and precomputes test-split detections. eng
+// carries the engine knobs (precompute workers / batch size) that are not
+// part of the model configuration. Cancelling ctx aborts the build at the
 // next stage boundary (between tier trainings, or inside either precompute
 // pass) with an error satisfying errors.Is(err, ctx.Err()).
 func buildUnivariate(ctx context.Context, opt UnivariateOptions, eng engineOptions) (*System, error) {
