@@ -32,8 +32,8 @@ const benchSchema = "hec-bench/1"
 // BenchResult is one baseline-vs-variant measurement. The classic results
 // compare per-sample ("sequential") against batched execution; the
 // serving-plane results reuse the same two slots with explicit Baseline /
-// Variant labels (gob vs binary codec, always-busiest vs least-in-flight
-// routing).
+// Variant labels (always-busiest vs least-in-flight routing, closed-loop
+// vs patterned fleets).
 type BenchResult struct {
 	// Name identifies the workload (e.g. "autoencoder-train-epoch").
 	Name string `json:"name"`
@@ -236,54 +236,6 @@ func benchReconstruct(reps, windows int) (BenchResult, error) {
 	}, nil
 }
 
-// benchCodec measures the OpDetectBatch encode+decode cycle — request and
-// response, both directions — under gob and under the binary codec, on the
-// canonical transport.BenchBatch workload (the same bytes the package's Go
-// benchmarks measure). This is the serving-plane acceptance number: the
-// binary codec must beat gob ≥ 2× at batch 16.
-func benchCodec(reps, iters, batch int) (BenchResult, error) {
-	req, resp := transport.BenchBatch(batch)
-	cycle := func(c transport.FrameCodec) func() error {
-		var reqBuf, respBuf []byte
-		return func() error {
-			for i := 0; i < iters; i++ {
-				var err error
-				if reqBuf, err = c.AppendRequest(reqBuf[:0], req); err != nil {
-					return err
-				}
-				if err := c.DecodeRequest(reqBuf, new(transport.DetectRequest)); err != nil {
-					return err
-				}
-				if respBuf, err = c.AppendResponse(respBuf[:0], resp); err != nil {
-					return err
-				}
-				if err := c.DecodeResponse(respBuf, new(transport.DetectResponse)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	gobMs, err := timeIt(reps, cycle(transport.GobCodec))
-	if err != nil {
-		return BenchResult{}, err
-	}
-	binMs, err := timeIt(reps, cycle(transport.BinaryCodec))
-	if err != nil {
-		return BenchResult{}, err
-	}
-	return BenchResult{
-		Name:         "codec-detectbatch-roundtrip",
-		Detail:       fmt.Sprintf("OpDetectBatch encode+decode both directions, %d windows of 672×1, %d cycles", batch, iters),
-		BatchSize:    batch,
-		Baseline:     "gob",
-		Variant:      "binary",
-		SequentialMs: gobMs,
-		BatchedMs:    binMs,
-		Speedup:      gobMs / binMs,
-	}, nil
-}
-
 // sleepDetector is the routing benchmark's stand-in model: a fixed
 // per-request service time behind a mutex, so each replica behaves like a
 // single-core inference server — requests routed to a busy replica queue
@@ -450,11 +402,11 @@ func benchWorkload(reps, devices, rounds int) (BenchResult, error) {
 // stdout). fast shrinks the workloads for CI smoke runs.
 func runBenchJSON(path string, fast bool) error {
 	reps, weeks, samples, windows := 3, 104, 156, 16
-	codecIters, routeReqs := 400, 256
+	routeReqs := 256
 	fleetDevices, fleetRounds := 64, 40
 	if fast {
 		reps, weeks, samples, windows = 1, 32, 48, 8
-		codecIters, routeReqs = 60, 64
+		routeReqs = 64
 		fleetRounds = 10
 	}
 	const batch = 32
@@ -469,7 +421,6 @@ func runBenchJSON(path string, fast bool) error {
 		func() (BenchResult, error) { return benchTrain(reps, weeks, batch) },
 		func() (BenchResult, error) { return benchPrecompute(reps, samples, batch) },
 		func() (BenchResult, error) { return benchReconstruct(reps, windows) },
-		func() (BenchResult, error) { return benchCodec(reps, codecIters, 16) },
 		func() (BenchResult, error) { return benchRouting(reps, routeReqs) },
 		func() (BenchResult, error) { return benchWorkload(reps, fleetDevices, fleetRounds) },
 	} {

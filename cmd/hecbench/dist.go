@@ -1,15 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/anomaly"
 	"repro/internal/autoencoder"
@@ -19,12 +16,12 @@ import (
 )
 
 // distSchema identifies the model-distribution snapshot layout.
-const distSchema = "hec-dist/1"
+const distSchema = "hec-dist/2"
 
 // DistSnapshot is the machine-readable model-distribution comparison
-// (BENCH_10.json): the legacy gob snapshot transfer against the canonical
-// binary tensor codec, full fetches against one-tensor deltas, measured on
-// a real loopback server with the int8-quantized AE-Cloud the fleet ships.
+// (BENCH_10.json): full fetches of the canonical binary tensor payload
+// against one-tensor deltas, measured on a real loopback server with the
+// int8-quantized AE-Cloud the fleet ships.
 type DistSnapshot struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
@@ -39,29 +36,22 @@ type DistSnapshot struct {
 	Quantized  bool   `json:"quantized"`
 	ChunkBytes int    `json:"chunk_bytes"`
 
-	// Bytes on the wire. FullGobBytes is the legacy whole-snapshot gob
-	// payload; FullBinaryBytes the canonical tensor layout for the same
-	// model; DeltaBinaryBytes a one-tensor delta (header + the single
-	// changed tensor) against the previous version.
-	FullGobBytes     int `json:"full_gob_bytes"`
+	// Bytes on the wire. FullBinaryBytes is the canonical tensor layout of
+	// the whole model; DeltaBinaryBytes a one-tensor delta (header + the
+	// single changed tensor) against the previous version.
 	FullBinaryBytes  int `json:"full_binary_bytes"`
 	DeltaBinaryBytes int `json:"delta_binary_bytes"`
 	DeltaTensors     int `json:"delta_tensors"`
 
-	// Loopback latencies (best of several reps): the legacy gob fetch, the
-	// chunked binary fetch, and a version-probe + delta refresh.
-	LegacyFetchMs   float64 `json:"legacy_fetch_ms"`
+	// Loopback latencies (best of several reps): the chunked fetch, and a
+	// version-probe + delta refresh.
 	ChunkedFetchMs  float64 `json:"chunked_fetch_ms"`
 	DeltaRefreshMs  float64 `json:"delta_refresh_ms"`
 	ProbeUpToDateMs float64 `json:"probe_up_to_date_ms"`
 
-	// FullFetchReduction is gob bytes over binary bytes for the whole
-	// snapshot — gated >= 3 in CI (the int8 panels gob ships as ~3.3-byte
-	// floats travel as ~1 byte each in the canonical layout).
 	// DeltaReduction is the full binary fetch over the one-tensor delta —
 	// gated >= 10 in CI: rolling one tensor must not cost a model.
-	FullFetchReduction float64 `json:"full_fetch_reduction"`
-	DeltaReduction     float64 `json:"delta_reduction"`
+	DeltaReduction float64 `json:"delta_reduction"`
 }
 
 // distModel builds the detector the distribution bench ships: an AE-Cloud
@@ -87,24 +77,6 @@ func distModel(inputDim int) (*autoencoder.Model, error) {
 	return m, nil
 }
 
-// timeBest runs fn reps times and returns the best wall-clock in ms — the
-// usual bench convention for loopback RPC, where the floor is the signal
-// and the tail is scheduler noise.
-func timeBest(reps int, fn func() error) (float64, error) {
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		ms := float64(time.Since(start)) / float64(time.Millisecond)
-		if i == 0 || ms < best {
-			best = ms
-		}
-	}
-	return best, nil
-}
-
 // runDistBench measures the model-distribution path end to end and writes
 // the snapshot ('-' = stdout). Byte counts are deterministic (fixed seed,
 // canonical layout); latencies are loopback best-of-N.
@@ -122,12 +94,8 @@ func runDistBench(path string, fast bool) error {
 		return fmt.Errorf("dist bench: %w", err)
 	}
 
-	// Byte counts: the legacy path gob-encodes the whole snapshot; the
-	// distribution path ships the canonical tensor layout, chunked.
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(snap); err != nil {
-		return fmt.Errorf("dist bench: gob: %w", err)
-	}
+	// Byte counts: the distribution path ships the canonical tensor
+	// layout, chunked.
 	payload, err := transport.EncodeModel(snap, nil)
 	if err != nil {
 		return fmt.Errorf("dist bench: %w", err)
@@ -165,15 +133,13 @@ func runDistBench(path string, fast bool) error {
 		InputDim: snap.InputDim, Params: m.NumParams(),
 		Tensors: len(snap.Weights.Values), Quantized: snap.Quantized,
 		ChunkBytes:       transport.DefaultModelChunkBytes,
-		FullGobBytes:     gobBuf.Len(),
 		FullBinaryBytes:  len(payload),
 		DeltaBinaryBytes: len(delta),
 		DeltaTensors:     len(want),
 	}
-	out.FullFetchReduction = float64(out.FullGobBytes) / float64(out.FullBinaryBytes)
 	out.DeltaReduction = float64(out.FullBinaryBytes) / float64(out.DeltaBinaryBytes)
 
-	// Loopback latencies against a real server, old wire format vs new.
+	// Loopback latencies against a real server.
 	srv, err := transport.ServeWith("127.0.0.1:0", m, transport.ServerOptions{Model: snap})
 	if err != nil {
 		return fmt.Errorf("dist bench: %w", err)
@@ -188,19 +154,13 @@ func runDistBench(path string, fast bool) error {
 
 	fmt.Fprintf(os.Stderr, "hecbench: model distribution on %s (%d params, int8), %d reps per path...\n",
 		m.Name(), m.NumParams(), reps)
-	if out.LegacyFetchMs, err = timeBest(reps, func() error {
-		_, err := cli.FetchModelFullContext(ctx)
-		return err
-	}); err != nil {
-		return fmt.Errorf("dist bench: legacy fetch: %w", err)
-	}
-	if out.ChunkedFetchMs, err = timeBest(reps, func() error {
+	if out.ChunkedFetchMs, err = timeIt(reps, func() error {
 		_, err := cli.FetchModelContext(ctx)
 		return err
 	}); err != nil {
 		return fmt.Errorf("dist bench: chunked fetch: %w", err)
 	}
-	if out.ProbeUpToDateMs, err = timeBest(reps, func() error {
+	if out.ProbeUpToDateMs, err = timeIt(reps, func() error {
 		_, upToDate, err := cli.RefreshModelContext(ctx, snap)
 		if err == nil && !upToDate {
 			return fmt.Errorf("steady-state refresh was not a version match")
@@ -212,7 +172,7 @@ func runDistBench(path string, fast bool) error {
 	if err := srv.UpdateModel(m, nil, next); err != nil {
 		return fmt.Errorf("dist bench: %w", err)
 	}
-	if out.DeltaRefreshMs, err = timeBest(reps, func() error {
+	if out.DeltaRefreshMs, err = timeIt(reps, func() error {
 		got, upToDate, err := cli.RefreshModelContext(ctx, snap)
 		if err != nil {
 			return err
@@ -225,11 +185,10 @@ func runDistBench(path string, fast bool) error {
 		return fmt.Errorf("dist bench: delta refresh: %w", err)
 	}
 
-	fmt.Fprintf(os.Stderr, "  full: gob %d B vs binary %d B (%.2fx)  delta: %d B over %d tensor(s) (%.1fx vs full)\n",
-		out.FullGobBytes, out.FullBinaryBytes, out.FullFetchReduction,
-		out.DeltaBinaryBytes, out.DeltaTensors, out.DeltaReduction)
-	fmt.Fprintf(os.Stderr, "  latency: legacy %.2fms  chunked %.2fms  delta %.2fms  probe %.3fms\n",
-		out.LegacyFetchMs, out.ChunkedFetchMs, out.DeltaRefreshMs, out.ProbeUpToDateMs)
+	fmt.Fprintf(os.Stderr, "  full: %d B  delta: %d B over %d tensor(s) (%.1fx vs full)\n",
+		out.FullBinaryBytes, out.DeltaBinaryBytes, out.DeltaTensors, out.DeltaReduction)
+	fmt.Fprintf(os.Stderr, "  latency: chunked %.2fms  delta %.2fms  probe %.3fms\n",
+		out.ChunkedFetchMs, out.DeltaRefreshMs, out.ProbeUpToDateMs)
 
 	enc, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

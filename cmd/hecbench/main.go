@@ -18,9 +18,9 @@
 //	hecbench -sched BENCH.json                # scheduler queue disciplines on
 //	                                          # the deadline-overload burst
 //	                                          # (EDF vs FIFO vs pathological)
-//	hecbench -dist BENCH.json                 # model distribution: binary
-//	                                          # tensor codec vs legacy gob,
-//	                                          # one-tensor deltas vs full
+//	hecbench -dist BENCH.json                 # model distribution: chunked
+//	                                          # full fetches vs one-tensor
+//	                                          # deltas
 package main
 
 import (
@@ -45,7 +45,7 @@ func main() {
 		bench   = flag.String("bench-json", "", "write a seq-vs-batched perf snapshot (BENCH_N.json style) to this path ('-' = stdout) and exit")
 		roof    = flag.String("roofline", "", "write a kernel roofline snapshot (BENCH_N.json style) to this path ('-' = stdout) and exit")
 		schedJ  = flag.String("sched", "", "write a scheduler queue-discipline comparison (deadline-overload burst, BENCH_N.json style) to this path ('-' = stdout) and exit")
-		distJ   = flag.String("dist", "", "write a model-distribution comparison (binary codec vs gob, delta vs full, BENCH_N.json style) to this path ('-' = stdout) and exit")
+		distJ   = flag.String("dist", "", "write a model-distribution comparison (delta vs full fetch, BENCH_N.json style) to this path ('-' = stdout) and exit")
 	)
 	flag.Parse()
 

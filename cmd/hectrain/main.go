@@ -1,12 +1,12 @@
-// Command hectrain trains one model of the univariate suite and writes its
-// weights as a gob snapshot, reproducing the paper's offline training +
-// freeze step. Snapshots restore into a freshly built architecture of the
-// same tier (see internal/nn.Snapshot), which is how hecnode-style services
-// would ship weights instead of retraining.
+// Command hectrain trains one model of the univariate suite and writes it —
+// weights, fitted scorer and confidence rule — as a canonical HECM model
+// artifact, reproducing the paper's offline training + freeze step. The
+// artifact is what `hecnode -load` serves without retraining.
 //
 // Usage:
 //
-//	hectrain -tier cloud -epochs 40 -o ae-cloud.gob
+//	hectrain -tier cloud -epochs 40 -o ae-cloud.hecm
+//	hecnode -layer cloud -load ae-cloud.hecm
 package main
 
 import (
@@ -17,8 +17,8 @@ import (
 	"strings"
 
 	"repro/internal/autoencoder"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/nn"
 )
 
 func main() {
@@ -27,7 +27,7 @@ func main() {
 		epochs   = flag.Int("epochs", 25, "training epochs")
 		weeks    = flag.Int("weeks", 104, "training weeks of synthetic power data")
 		seed     = flag.Int64("seed", 1, "training seed")
-		out      = flag.String("o", "", "output snapshot path (default ae-<tier>.gob)")
+		out      = flag.String("o", "", "output model artifact path (default ae-<tier>.hecm)")
 		quantize = flag.Bool("fp16", false, "FP16-compress before saving (paper's IoT/edge deployment step)")
 	)
 	flag.Parse()
@@ -38,19 +38,22 @@ func main() {
 }
 
 func run(tierName string, epochs, weeks int, seed int64, out string, quantize bool) error {
-	var tier autoencoder.Tier
+	var (
+		tier     autoencoder.Tier
+		snapTier string
+	)
 	switch strings.ToLower(tierName) {
 	case "iot":
-		tier = autoencoder.TierIoT
+		tier, snapTier = autoencoder.TierIoT, "IoT"
 	case "edge":
-		tier = autoencoder.TierEdge
+		tier, snapTier = autoencoder.TierEdge, "Edge"
 	case "cloud":
-		tier = autoencoder.TierCloud
+		tier, snapTier = autoencoder.TierCloud, "Cloud"
 	default:
 		return fmt.Errorf("unknown -tier %q", tierName)
 	}
 	if out == "" {
-		out = fmt.Sprintf("ae-%s.gob", strings.ToLower(tierName))
+		out = fmt.Sprintf("ae-%s.hecm", strings.ToLower(tierName))
 	}
 
 	cfg := dataset.DefaultPowerConfig()
@@ -83,13 +86,11 @@ func run(tierName string, epochs, weeks int, seed int64, out string, quantize bo
 		fmt.Printf("FP16-compressed (worst rounding error %.2g)\n", worst)
 	}
 
-	f, err := os.Create(out)
+	snap, err := cluster.SnapshotDetector(m, snapTier, quantize)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	snap := nn.TakeSnapshot(m.Net.Params())
-	if err := snap.Encode(f); err != nil {
+	if err := cluster.SaveModel(out, snap); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d parameters)\n", out, m.NumParams())

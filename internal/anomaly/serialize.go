@@ -7,8 +7,8 @@ import (
 )
 
 // ScorerState is the portable form of a fitted Scorer: the error Gaussian's
-// moments plus the detection threshold. It is plain data (gob-friendly), so
-// a scorer fitted on one node can ship to peers alongside model weights —
+// moments plus the detection threshold. It is plain data, so a scorer
+// fitted on one node can ship to peers alongside model weights —
 // without it a restored model could reconstruct windows but not judge them.
 type ScorerState struct {
 	// Mean is the error Gaussian's µ.

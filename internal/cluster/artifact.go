@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -16,7 +15,8 @@ import (
 // Model-shipping artifacts: a trained detector is captured as a
 // transport.ModelSnapshot (nn.Snapshot weights + scorer state + metadata),
 // which can be written to disk (-save/-load on hecnode), served to peers
-// over the OpFetchModel RPC, and rebuilt into a working detector with
+// over the chunked model-distribution RPCs, and rebuilt into a working
+// detector with
 // RestoreDetector. The snapshot carries values only; architecture always
 // comes from the package builders, so a restore fails loudly on any shape
 // mismatch rather than silently loading a different model.
@@ -116,28 +116,40 @@ func RestoreDetector(snap *transport.ModelSnapshot) (anomaly.Detector, bool, err
 	}
 }
 
-// SaveModel writes a snapshot to path in the same gob format the wire uses.
+// SaveModel writes a snapshot to path as its canonical HECM payload — the
+// same bytes the distribution RPCs ship, so a saved file hashes to the
+// model version a serving node advertises.
 func SaveModel(path string, snap *transport.ModelSnapshot) error {
+	payload, err := transport.EncodeModel(snap, nil)
+	if err != nil {
+		return fmt.Errorf("cluster: encoding model for %s: %w", path, err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("cluster: creating model file: %w", err)
 	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(snap); err != nil {
-		return fmt.Errorf("cluster: encoding model to %s: %w", path, err)
+	_, err = f.Write(payload)
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: writing model to %s: %w", path, err)
+	}
+	return nil
 }
 
-// LoadModel reads a snapshot previously written with SaveModel.
+// LoadModel reads a snapshot previously written with SaveModel. A
+// truncated or foreign file fails to decode with an error.
 func LoadModel(path string) (*transport.ModelSnapshot, error) {
-	f, err := os.Open(path)
+	payload, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening model file: %w", err)
 	}
-	defer f.Close()
-	snap := new(transport.ModelSnapshot)
-	if err := gob.NewDecoder(f).Decode(snap); err != nil {
+	snap, err := transport.DecodeModel(payload)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: decoding model from %s: %w", path, err)
 	}
 	return snap, nil

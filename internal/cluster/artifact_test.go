@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -179,5 +180,36 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 	if _, err := LoadModel(filepath.Join(t.TempDir(), "missing.model")); err == nil {
 		t.Fatal("loading a missing file must fail")
+	}
+}
+
+// TestLoadModelRejectsDamagedFiles: a truncated artifact and a file that
+// was never one must each fail with an error, not a panic or a half-built
+// snapshot.
+func TestLoadModelRejectsDamagedFiles(t *testing.T) {
+	snap, err := SnapshotDetector(trainTinyAE(t, autoencoder.TierIoT), "IoT", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "iot.hecm")
+	if err := SaveModel(good, snap); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{
+		"truncated.hecm": payload[:len(payload)/2],
+		"foreign.hecm":   []byte("{\"kind\": \"autoencoder\", \"tier\": \"IoT\"}\n"),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadModel(path); err == nil {
+			t.Errorf("%s loaded as %+v, want an error", name, got)
+		}
 	}
 }

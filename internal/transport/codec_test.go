@@ -1,22 +1,25 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/anomaly"
+	"repro/internal/nn"
 )
 
 // randFrames builds an irregular window: ragged rows, and values drawn
 // from a pool that deliberately includes the shapes float64 encoding is
-// touchiest about — exact zeros (gob encodes them in one byte;
-// transport_test.go's size test documents the quirk), negative zero,
-// infinities, NaN, denormals and ordinary irregular values.
+// touchiest about — exact zeros, negative zero, infinities, NaN, denormals
+// and ordinary irregular values.
 func randFrames(rng *rand.Rand, maxRows, maxCols int) [][]float64 {
 	special := []float64{
 		0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
@@ -49,29 +52,36 @@ func randVerdict(rng *rand.Rand) anomaly.Verdict {
 	}
 }
 
-// roundTripRequest runs req through the given codec and returns the decode.
-func roundTripRequest(t *testing.T, c FrameCodec, req *DetectRequest) *DetectRequest {
+// roundTripRequest encodes and decodes req, and checks the decode
+// re-encodes to the same bytes.
+func roundTripRequest(t *testing.T, req *DetectRequest) *DetectRequest {
 	t.Helper()
-	payload, err := c.AppendRequest(nil, req)
+	payload, err := BinaryCodec.AppendRequest(nil, req)
 	if err != nil {
-		t.Fatalf("%s AppendRequest: %v", c.Name(), err)
+		t.Fatalf("AppendRequest: %v", err)
 	}
 	out := new(DetectRequest)
-	if err := c.DecodeRequest(payload, out); err != nil {
-		t.Fatalf("%s DecodeRequest: %v", c.Name(), err)
+	if err := BinaryCodec.DecodeRequest(payload, out); err != nil {
+		t.Fatalf("DecodeRequest: %v", err)
+	}
+	if again, _ := BinaryCodec.AppendRequest(nil, out); !bytes.Equal(again, payload) {
+		t.Fatalf("decoded request re-encodes to different bytes")
 	}
 	return out
 }
 
-func roundTripResponse(t *testing.T, c FrameCodec, resp *DetectResponse) *DetectResponse {
+func roundTripResponse(t *testing.T, resp *DetectResponse) *DetectResponse {
 	t.Helper()
-	payload, err := c.AppendResponse(nil, resp)
+	payload, err := BinaryCodec.AppendResponse(nil, resp)
 	if err != nil {
-		t.Fatalf("%s AppendResponse: %v", c.Name(), err)
+		t.Fatalf("AppendResponse: %v", err)
 	}
 	out := new(DetectResponse)
-	if err := c.DecodeResponse(payload, out); err != nil {
-		t.Fatalf("%s DecodeResponse: %v", c.Name(), err)
+	if err := BinaryCodec.DecodeResponse(payload, out); err != nil {
+		t.Fatalf("DecodeResponse: %v", err)
+	}
+	if again, _ := BinaryCodec.AppendResponse(nil, out); !bytes.Equal(again, payload) {
+		t.Fatalf("decoded response re-encodes to different bytes")
 	}
 	return out
 }
@@ -106,10 +116,9 @@ func sameVerdict(t *testing.T, what string, a, b anomaly.Verdict) {
 	}
 }
 
-// TestCodecEquivalenceRequests is the property-style equivalence test: for
-// randomized irregular payloads, the binary codec's round trip must agree
-// with gob's round trip field by field, bit by bit — including the all-zero
-// float windows gob encodes specially.
+// TestCodecEquivalenceRequests is the property-style round-trip test: for
+// randomized irregular payloads — ragged frames, -0, NaN, infinities — the
+// decoded request must equal the one encoded field by field, bit by bit.
 func TestCodecEquivalenceRequests(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -126,29 +135,23 @@ func TestCodecEquivalenceRequests(t *testing.T) {
 			for i := range req.Windows {
 				req.Windows[i] = randFrames(rng, 6, 8)
 			}
-			if len(req.Windows) == 0 {
-				req.Windows = nil
-			}
 		}
-		bin := roundTripRequest(t, BinaryCodec, req)
-		gob := roundTripRequest(t, GobCodec, req)
-		if bin.ID != gob.ID || bin.Op != gob.Op || bin.DeadlineUnixMicro != gob.DeadlineUnixMicro {
-			t.Fatalf("trial %d header: binary %+v vs gob %+v", trial, bin, gob)
+		got := roundTripRequest(t, req)
+		if got.ID != req.ID || got.Op != req.Op || got.DeadlineUnixMicro != req.DeadlineUnixMicro {
+			t.Fatalf("trial %d header: got %+v, sent %+v", trial, got, req)
 		}
-		sameFrames(t, "Frames", bin.Frames, gob.Frames)
-		if len(bin.Windows) != len(gob.Windows) {
-			t.Fatalf("trial %d: %d windows vs %d", trial, len(bin.Windows), len(gob.Windows))
+		sameFrames(t, "Frames", got.Frames, req.Frames)
+		if len(got.Windows) != len(req.Windows) {
+			t.Fatalf("trial %d: %d windows, sent %d", trial, len(got.Windows), len(req.Windows))
 		}
-		for i := range bin.Windows {
-			sameFrames(t, "Windows", bin.Windows[i], gob.Windows[i])
+		for i := range got.Windows {
+			sameFrames(t, "Windows", got.Windows[i], req.Windows[i])
 		}
 	}
 }
 
-// TestCodecEquivalenceResponses does the same for DetectResponse, covering
-// the explicit zero-float case from transport_test.go's size-limit test:
-// gob encodes zero floats in one byte, and the binary codec must decode to
-// the identical zeros.
+// TestCodecEquivalenceResponses does the same for DetectResponse, including
+// error replies and the all-zero shape.
 func TestCodecEquivalenceResponses(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 200; trial++ {
@@ -172,42 +175,104 @@ func TestCodecEquivalenceResponses(t *testing.T) {
 			for i := range resp.ExecMsEach {
 				resp.ExecMsEach[i] = rng.Float64() * 50
 			}
+			resp.ExecMsEach[0] = math.Copysign(0, -1)
+			resp.Verdicts[n-1].MinLogPD = math.NaN()
 		case 3:
-			// The all-zeros shape gob compresses hardest: zero verdict, zero
-			// times, zero batch entries.
 			*resp = DetectResponse{ID: resp.ID, Verdicts: make([]anomaly.Verdict, 3), ExecMsEach: make([]float64, 3)}
 		}
-		bin := roundTripResponse(t, BinaryCodec, resp)
-		gob := roundTripResponse(t, GobCodec, resp)
-		if bin.ID != gob.ID || bin.Err != gob.Err || bin.Code != gob.Code {
-			t.Fatalf("trial %d header: binary %+v vs gob %+v", trial, bin, gob)
+		got := roundTripResponse(t, resp)
+		if got.ID != resp.ID || got.Err != resp.Err || got.Code != resp.Code {
+			t.Fatalf("trial %d header: got %+v, sent %+v", trial, got, resp)
 		}
-		sameVerdict(t, "Verdict", bin.Verdict, gob.Verdict)
-		if !sameF64(bin.ExecMs, gob.ExecMs) || !sameF64(bin.ProcMs, gob.ProcMs) {
-			t.Fatalf("trial %d times differ: %+v vs %+v", trial, bin, gob)
+		sameVerdict(t, "Verdict", got.Verdict, resp.Verdict)
+		if !sameF64(got.ExecMs, resp.ExecMs) || !sameF64(got.ProcMs, resp.ProcMs) {
+			t.Fatalf("trial %d times differ: %+v vs %+v", trial, got, resp)
 		}
-		if len(bin.Verdicts) != len(gob.Verdicts) || len(bin.ExecMsEach) != len(gob.ExecMsEach) {
+		if len(got.Verdicts) != len(resp.Verdicts) || len(got.ExecMsEach) != len(resp.ExecMsEach) {
 			t.Fatalf("trial %d batch lengths differ", trial)
 		}
-		for i := range bin.Verdicts {
-			sameVerdict(t, "Verdicts", bin.Verdicts[i], gob.Verdicts[i])
+		for i := range got.Verdicts {
+			sameVerdict(t, "Verdicts", got.Verdicts[i], resp.Verdicts[i])
 		}
-		for i := range bin.ExecMsEach {
-			if !sameF64(bin.ExecMsEach[i], gob.ExecMsEach[i]) {
+		for i := range got.ExecMsEach {
+			if !sameF64(got.ExecMsEach[i], resp.ExecMsEach[i]) {
 				t.Fatalf("trial %d ExecMsEach[%d] differs", trial, i)
 			}
 		}
 	}
 }
 
-// TestBinaryCodecRefusesModelTraffic pins the codec split: model frames
-// are gob's job.
-func TestBinaryCodecRefusesModelTraffic(t *testing.T) {
-	if _, err := BinaryCodec.AppendRequest(nil, &DetectRequest{Op: OpFetchModel}); err == nil {
-		t.Fatal("binary codec must refuse OpFetchModel requests")
+// opRequests holds one request per op, every field its op carries set.
+func opRequests() []*DetectRequest {
+	return []*DetectRequest{
+		{ID: 1, Op: OpDetect, DeadlineUnixMicro: 5, Frames: [][]float64{{1, 2}, {3}}},
+		{ID: 2, Op: OpDetectBatch, Windows: [][][]float64{{{1}}, {{2}, {}}}},
+		{ID: 3, Op: OpHello, DeadlineUnixMicro: 9, Version: protocolVersion},
+		{ID: 4, Op: OpCancel, TargetID: 3},
+		{ID: 5, Op: OpModelVersion},
+		{ID: 6, Op: OpModelChunk, ChunkOffset: 1 << 20, ChunkSize: 4096},
+		{ID: 7, Op: OpModelChunk, ChunkOffset: 12, WantDelta: true, WantTensors: []string{"W@0", "b@1"}},
+		{ID: 8, Op: OpModelChunk, WantDelta: true, WantTensors: []string{}},
 	}
-	if _, err := BinaryCodec.AppendResponse(nil, &DetectResponse{Model: &ModelSnapshot{}}); err == nil {
-		t.Fatal("binary codec must refuse model responses")
+}
+
+// opResponses holds one response per layout, every field it carries set.
+func opResponses() []*DetectResponse {
+	return []*DetectResponse{
+		{ID: 1, Verdict: anomaly.Verdict{Anomaly: true, MinLogPD: -4}, ExecMs: 2, ProcMs: 0.5},
+		{ID: 2, ProcMs: 1, Verdicts: []anomaly.Verdict{{Confident: true}, {}}, ExecMsEach: []float64{1, 2}},
+		{ID: 3, Err: "no model snapshot available on this node"},
+		{ID: 4, layout: layoutHello, Version: protocolVersion},
+		{ID: 5, layout: layoutHello, Version: protocolVersion, ModelVersion: "ab12",
+			Sched: &SchedInfo{QueueDepth: 3, Busy: 1, Expired: 2, Canceled: 4}},
+		{ID: 6, layout: layoutManifest, Manifest: &ModelManifest{Version: "ab12",
+			Tensors: []TensorDigest{{Name: "W@0", Digest: "cd34", Bytes: 4096}, {Name: "b@1", Digest: "ef56", Bytes: 40}}}},
+		{ID: 7, layout: layoutChunk, ModelVersion: "ab12", ChunkOffset: 64, ChunkTotal: 128,
+			Chunk: []byte("payload bytes"), ChunkCRC: 0xdeadbeef},
+	}
+}
+
+// TestEveryOpRoundTrips checks each op's request and each response layout
+// decode to exactly what was encoded.
+func TestEveryOpRoundTrips(t *testing.T) {
+	for _, req := range opRequests() {
+		if got := roundTripRequest(t, req); !reflect.DeepEqual(got, req) {
+			t.Errorf("op %d: decoded %+v, sent %+v", req.Op, got, req)
+		}
+	}
+	// A header-only delta keeps its empty want-list: nil would read as a
+	// full fetch.
+	if got := roundTripRequest(t, opRequests()[7]); got.WantTensors == nil {
+		t.Error("empty want-list decoded as nil")
+	}
+	for _, resp := range opResponses() {
+		if got := roundTripResponse(t, resp); !reflect.DeepEqual(got, resp) {
+			t.Errorf("layout %d: decoded %+v, sent %+v", resp.layout, got, resp)
+		}
+	}
+}
+
+// TestBinaryCodecRefusesUnknownOps: the retired op 1 and ops past the last
+// one are refused in both directions, as are unknown response layouts.
+func TestBinaryCodecRefusesUnknownOps(t *testing.T) {
+	for _, op := range []Op{1, OpModelChunk + 1, 255} {
+		if _, err := BinaryCodec.AppendRequest(nil, &DetectRequest{Op: op}); err == nil {
+			t.Errorf("op %d encoded", op)
+		}
+		payload, err := BinaryCodec.AppendRequest(nil, &DetectRequest{Op: OpModelVersion})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload[9] = byte(op) // the op byte follows the layout byte and the ID
+		if err := BinaryCodec.DecodeRequest(payload, new(DetectRequest)); err == nil {
+			t.Errorf("op %d decoded", op)
+		}
+	}
+	if _, err := BinaryCodec.AppendResponse(nil, &DetectResponse{layout: 9}); err == nil {
+		t.Error("unknown response layout encoded")
+	}
+	if err := BinaryCodec.DecodeResponse([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0}, new(DetectResponse)); err == nil {
+		t.Error("unknown response layout decoded")
 	}
 }
 
@@ -237,64 +302,12 @@ func TestBinaryCodecRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
-// TestCodecNegotiationMatrix pins the four peer pairings of the
-// compatibility matrix in docs/PROTOCOL.md: the binary fast path is used
-// exactly when both ends speak it, and verdicts agree either way.
-func TestCodecNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name       string
-		serverMax  uint8 // 0 = default (binary)
-		clientMode CodecMode
-		wantBinary bool
-	}{
-		{"new client, new server", 0, CodecAuto, true},
-		{"new client, old server", CodecVersionGob, CodecAuto, false},
-		{"old client, new server", 0, CodecGobOnly, false},
-		{"old client, old server", CodecVersionGob, CodecGobOnly, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := startServerWith(t, ServerOptions{MaxCodecVersion: tc.serverMax})
-			cli, err := DialWith(srv.Addr(), DialOptions{Codec: tc.clientMode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
-			if cli.Binary() != tc.wantBinary {
-				t.Fatalf("negotiated binary = %v, want %v", cli.Binary(), tc.wantBinary)
-			}
-			res, err := cli.Detect([][]float64{{2}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Verdict.Anomaly {
-				t.Fatalf("verdict = %+v, want anomaly", res.Verdict)
-			}
-			batch, err := cli.DetectBatch([][][]float64{{{2}}, {{0.5}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !batch.Verdicts[0].Anomaly || batch.Verdicts[1].Anomaly {
-				t.Fatalf("batch verdicts = %+v", batch.Verdicts)
-			}
-		})
-	}
-}
-
-// TestBinaryConnectionStillShipsModels checks the per-frame codec split on
-// one live connection: after negotiating binary, Detect rides the fast
-// path while FetchModel still round-trips the gob-only snapshot.
+// TestBinaryConnectionStillShipsModels checks one live connection carries
+// both kinds of traffic: Detect, then a chunked FetchModel.
 func TestBinaryConnectionStillShipsModels(t *testing.T) {
-	snap := &ModelSnapshot{Kind: "autoencoder", Tier: "Edge", InputDim: 4}
+	snap := &ModelSnapshot{Kind: "autoencoder", Tier: "Edge", InputDim: 4, Weights: &nn.Snapshot{}}
 	srv := startServerWith(t, ServerOptions{Model: snap})
-	cli, err := DialWith(srv.Addr(), DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if !cli.Binary() {
-		t.Fatal("expected binary negotiation against a default server")
-	}
+	cli := dialT(t, srv.Addr(), 0)
 	if _, err := cli.Detect([][]float64{{2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +318,72 @@ func TestBinaryConnectionStillShipsModels(t *testing.T) {
 	if got.Kind != snap.Kind || got.Tier != snap.Tier || got.InputDim != snap.InputDim {
 		t.Fatalf("model snapshot mangled: %+v", got)
 	}
+}
+
+// TestHelloRejectsOtherProtocols pins the one-version rule in both
+// directions: a server answering with another version, or in gob, fails
+// the dial as a connection failure, and a gob-era client's hello gets its
+// connection dropped by a server of this build.
+func TestHelloRejectsOtherProtocols(t *testing.T) {
+	// fakeServer accepts one connection and hands it to answer.
+	fakeServer := func(t *testing.T, answer func(net.Conn)) string {
+		t.Helper()
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lis.Close() })
+		go func() {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			answer(conn)
+			_, _ = io.Copy(io.Discard, conn) // hold the line until the client hangs up
+		}()
+		return lis.Addr().String()
+	}
+	for _, tc := range []struct {
+		name   string
+		answer func(net.Conn)
+	}{
+		{"other version", func(conn net.Conn) { _ = answerHello(conn, protocolVersion+1) }},
+		{"gob server", func(conn net.Conn) {
+			if _, err := readFrame(conn, nil); err == nil {
+				_ = writeFrame(conn, gobEraHello)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakeServer(t, tc.answer)
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			cli, err := DialContext(ctx, addr, DialOptions{})
+			if err == nil {
+				cli.Close()
+				t.Fatal("dial succeeded against a peer of another protocol")
+			}
+			if !errors.Is(err, ErrConn) || !errors.Is(err, ErrRemote) {
+				t.Fatalf("err = %v, want ErrConn within ErrRemote", err)
+			}
+		})
+	}
+	t.Run("gob client", func(t *testing.T) {
+		srv := startServer(t)
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, gobEraHello); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("server answered a gob hello (read %d bytes, err %v); want the connection closed", n, err)
+		}
+	})
 }
 
 // silentListener accepts TCP connections and never answers — the
@@ -342,10 +421,10 @@ func TestNegotiationFailureTaxonomy(t *testing.T) {
 		start := time.Now()
 		_, err := DialContext(ctx, lis.Addr().String(), DialOptions{})
 		if err == nil {
-			t.Fatal("dialing a silent peer must fail negotiation")
+			t.Fatal("dialing a silent peer must fail the hello")
 		}
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("negotiation failure took %v despite a 200ms ctx", elapsed)
+			t.Fatalf("hello failure took %v despite a 200ms ctx", elapsed)
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want the caller's DeadlineExceeded preserved", err)
@@ -359,10 +438,10 @@ func TestNegotiationFailureTaxonomy(t *testing.T) {
 		start := time.Now()
 		_, err := DialWith(lis.Addr().String(), DialOptions{})
 		if err == nil {
-			t.Fatal("dialing a silent peer must fail negotiation")
+			t.Fatal("dialing a silent peer must fail the hello")
 		}
 		if elapsed := time.Since(start); elapsed > 8*time.Second {
-			t.Fatalf("negotiation failure took %v despite the 5s budget", elapsed)
+			t.Fatalf("hello failure took %v despite the 5s budget", elapsed)
 		}
 		if !errors.Is(err, ErrConn) || !errors.Is(err, ErrRemote) {
 			t.Fatalf("err = %v, want ErrConn within ErrRemote", err)
@@ -371,18 +450,4 @@ func TestNegotiationFailureTaxonomy(t *testing.T) {
 			t.Fatalf("handshake budget leaked as the caller's deadline: %v", err)
 		}
 	})
-}
-
-// TestPingAcceptsOldServers pins Ping's contract: an "unknown op" reply
-// from a pre-OpHello peer is still proof of life.
-func TestPingAcceptsOldServers(t *testing.T) {
-	srv := startServerWith(t, ServerOptions{MaxCodecVersion: CodecVersionGob})
-	cli, err := DialWith(srv.Addr(), DialOptions{Codec: CodecGobOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if err := cli.Ping(context.Background()); err != nil {
-		t.Fatalf("ping against an old-codec server: %v", err)
-	}
 }

@@ -103,14 +103,9 @@ func TestServerShedsExpiredWork(t *testing.T) {
 		Frames:            [][]float64{{2}},
 		DeadlineUnixMicro: time.Now().Add(-time.Second).UnixMicro(),
 	}
-	if err := writeMsg(conn, req); err != nil {
-		t.Fatal(err)
-	}
+	writeRequest(t, conn, req)
 	start := time.Now()
-	resp := new(DetectResponse)
-	if err := readMsg(conn, resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := readResponse(t, conn)
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("shed response took %v — the 200 ms detector ran anyway", elapsed)
 	}
@@ -125,13 +120,8 @@ func TestServerShedsExpiredWork(t *testing.T) {
 		Frames:            [][]float64{{2}},
 		DeadlineUnixMicro: time.Now().Add(time.Minute).UnixMicro(),
 	}
-	if err := writeMsg(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	resp = new(DetectResponse)
-	if err := readMsg(conn, resp); err != nil {
-		t.Fatal(err)
-	}
+	writeRequest(t, conn, req)
+	resp = readResponse(t, conn)
 	if resp.Code != "" || !resp.Verdict.Anomaly {
 		t.Fatalf("live-deadline response = %+v, want an anomalous verdict", resp)
 	}

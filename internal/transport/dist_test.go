@@ -466,47 +466,8 @@ func TestModelSwapMidTransfer(t *testing.T) {
 	sameSnapshot(t, got, next)
 }
 
-// TestDistributionCompatFallback is the negotiation matrix for the model
-// distribution ops: a peer that predates them (gob-only or binary-codec
-// vintage) answers the version probe with "unknown op", and the client
-// degrades to the legacy whole-snapshot gob fetch — same snapshot, no
-// error, connection still usable.
-func TestDistributionCompatFallback(t *testing.T) {
-	snap := distSnapshot()
-	for _, tc := range []struct {
-		name string
-		max  uint8
-	}{
-		{"gob-only peer", CodecVersionGob},
-		{"binary-codec peer", CodecVersionBinary},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := startServerWith(t, ServerOptions{Model: snap, MaxCodecVersion: tc.max})
-			cli := dialT(t, srv.Addr(), 0)
-			ctx := context.Background()
-
-			if _, err := cli.ModelManifestContext(ctx); !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("version probe against old peer: err = %v, want ErrUnsupported", err)
-			}
-			got, upToDate, err := cli.RefreshModelContext(ctx, snap)
-			if err != nil || upToDate {
-				t.Fatalf("refresh against old peer: upToDate=%v err=%v", upToDate, err)
-			}
-			sameSnapshot(t, got, snap)
-			if got2, err := cli.FetchModelContext(ctx); err != nil {
-				t.Fatal(err)
-			} else {
-				sameSnapshot(t, got2, snap)
-			}
-			if _, err := cli.Detect([][]float64{{0.5}}); err != nil {
-				t.Fatalf("connection unusable after degraded fetch: %v", err)
-			}
-		})
-	}
-}
-
 // TestUpdateModelRejectsBadSnapshot: a snapshot the canonical codec cannot
-// encode must not replace the serving state.
+// encode must not replace the serving state, nor start a server.
 func TestUpdateModelRejectsBadSnapshot(t *testing.T) {
 	snap := distSnapshot()
 	srv := startServerWith(t, ServerOptions{Model: snap})
@@ -519,5 +480,70 @@ func TestUpdateModelRejectsBadSnapshot(t *testing.T) {
 	}
 	if srv.ModelVersion() != was {
 		t.Fatal("rejected snapshot still replaced the serving version")
+	}
+	if srv, err := ServeWith("127.0.0.1:0", thresholdDetector{}, ServerOptions{Model: bad}); err == nil {
+		srv.Close()
+		t.Fatal("ServeWith accepted a snapshot it cannot ship")
+	}
+}
+
+// modelWithTensors builds a payload with a minimal header and the given raw
+// tensor records (name, dims, dtype byte and value bytes already encoded).
+func modelWithTensors(quantized byte, records ...[]byte) []byte {
+	b := append([]byte(modelMagic), modelLayoutVersion)
+	b = appendStr(b, "autoencoder")
+	b = appendStr(b, "IoT")
+	b = appendU32(b, 4)
+	b = append(b, quantized, 0) // quantized flag; no scorer
+	b = appendF64(b, 1)
+	b = appendF64(b, 0.5)
+	b = appendU32(b, uint32(len(records)))
+	for _, r := range records {
+		b = append(b, r...)
+	}
+	return b
+}
+
+func tensorRecord(name string, rows, cols int, dt byte, values ...byte) []byte {
+	b := appendStr(nil, name)
+	b = appendU32(b, uint32(rows))
+	b = appendU32(b, uint32(cols))
+	return append(append(b, dt), values...)
+}
+
+// i8Row encodes one int8 row: its scale, then the codes.
+func i8Row(scale float64, codes ...int8) []byte {
+	b := appendF64(nil, scale)
+	for _, c := range codes {
+		b = append(b, byte(c))
+	}
+	return b
+}
+
+// TestDecodeModelRejectsNonCanonicalPayloads: bytes that decode to a model
+// but are not how the encoder writes it would hash to a version the model
+// does not have, so the decoder refuses them.
+func TestDecodeModelRejectsNonCanonicalPayloads(t *testing.T) {
+	codes := []int8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 64}
+	canonical := modelWithTensors(0, tensorRecord("w", 1, 16, dtypeI8, i8Row(1.0/64, codes...)...))
+	if _, err := DecodeModel(canonical); err != nil {
+		t.Fatalf("canonical int8 payload rejected: %v", err)
+	}
+	bad := map[string][]byte{
+		"flag byte 2": modelWithTensors(2, tensorRecord("w", 1, 16, dtypeI8, i8Row(1.0/64, codes...)...)),
+		"duplicate names": modelWithTensors(0,
+			tensorRecord("w", 1, 1, dtypeFP16, 0x00, 0x3c), tensorRecord("w", 1, 1, dtypeFP16, 0x00, 0x3c)),
+		"int8 code -128":       modelWithTensors(0, tensorRecord("w", 1, 16, dtypeI8, i8Row(1.0/128, append(codes[:15:15], -128)...)...)),
+		"codes under scale 0":  modelWithTensors(0, tensorRecord("w", 1, 16, dtypeI8, i8Row(0, codes...)...)),
+		"non-power-of-2 scale": modelWithTensors(0, tensorRecord("w", 1, 16, dtypeI8, i8Row(0.3, codes...)...)),
+		// Codes up to 15 fix the scale at 1/512, not 1/64.
+		"oversized int8 scale": modelWithTensors(0, tensorRecord("w", 1, 15, dtypeI8, i8Row(1.0/64, codes[:15]...)...)),
+		"fp16 NaN payload":     modelWithTensors(0, tensorRecord("w", 1, 1, dtypeFP16, 0x01, 0x7e)),
+		"f64 that fits fp16":   modelWithTensors(0, tensorRecord("w", 1, 1, dtypeF64, appendF64(nil, 1)...)),
+	}
+	for name, p := range bad {
+		if _, err := DecodeModel(p); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }

@@ -85,8 +85,7 @@ type TensorDigest struct {
 // (hex SHA-256 over the full canonical payload) plus one digest per tensor,
 // in snapshot order. Two manifests with equal Version hold bit-identical
 // models; the per-tensor digests drive delta updates (ship only tensors
-// whose digest changed). It travels gob-encoded on OpModelVersion
-// responses, so every field is exported and additive.
+// whose digest changed). It travels on OpModelVersion responses.
 type ModelManifest struct {
 	Version string
 	Tensors []TensorDigest
@@ -309,46 +308,70 @@ func appendTensorValues(b []byte, rows, cols int, vals []float64) []byte {
 	return b
 }
 
-// pickDtype selects the smallest exact encoding. int8 rows cost
-// 8+cols bytes each, fp16 costs 2 bytes per value — so wide quantized
-// matrices go int8 while short rows (biases) may prefer fp16 even when
-// int8-representable.
+// pickDtype selects the smallest exact encoding, trying smaller ones
+// first so a larger one's exactness scan runs only when they fail.
 func pickDtype(rows, cols int, vals []float64) int {
-	i8OK := true
-	for r := 0; r < rows && i8OK; r++ {
-		row := vals[r*cols : (r+1)*cols]
-		scale := mat.I8RowScale(row)
-		for _, v := range row {
-			if math.Float64bits(mat.QuantizeI8(v, scale)) != math.Float64bits(v) {
-				i8OK = false
-				break
+	for _, dt := range dtypesBySize(rows, cols) {
+		if exactIn(dt, rows, cols, vals) {
+			return dt
+		}
+	}
+	return dtypeF64
+}
+
+// isPicked reports whether pickDtype would choose dt for vals, given that
+// vals survive dt exactly: no smaller encoding may be exact.
+func isPicked(dt, rows, cols int, vals []float64) bool {
+	for _, smaller := range dtypesBySize(rows, cols) {
+		if smaller == dt || exactIn(smaller, rows, cols, vals) {
+			return smaller == dt
+		}
+	}
+	return false
+}
+
+// dtypesBySize orders the encodings of a rows×cols tensor by size: int8
+// costs 8+cols bytes a row, fp16 2 bytes a value — so wide quantized
+// matrices go int8 while short rows (biases) may prefer fp16.
+func dtypesBySize(rows, cols int) [3]int {
+	if rows*(8+cols) <= 2*rows*cols {
+		return [3]int{dtypeI8, dtypeFP16, dtypeF64}
+	}
+	return [3]int{dtypeFP16, dtypeI8, dtypeF64}
+}
+
+// exactIn reports whether every value survives encoding dt bit-exactly.
+func exactIn(dt, rows, cols int, vals []float64) bool {
+	switch dt {
+	case dtypeI8:
+		for r := 0; r < rows; r++ {
+			row := vals[r*cols : (r+1)*cols]
+			scale := mat.I8RowScale(row)
+			for _, v := range row {
+				if math.Float64bits(mat.QuantizeI8(v, scale)) != math.Float64bits(v) {
+					return false
+				}
+			}
+		}
+	case dtypeFP16:
+		for _, v := range vals {
+			if math.Float64bits(mat.QuantizeFP16(v)) != math.Float64bits(v) {
+				return false
 			}
 		}
 	}
-	fp16OK := true
-	for _, v := range vals {
-		if math.Float64bits(mat.Float16From(mat.Float16Bits(v))) != math.Float64bits(v) {
-			fp16OK = false
-			break
-		}
-	}
-	i8Bytes := rows * (8 + cols)
-	fp16Bytes := 2 * rows * cols
-	switch {
-	case i8OK && (!fp16OK || i8Bytes <= fp16Bytes):
-		return dtypeI8
-	case fp16OK:
-		return dtypeFP16
-	default:
-		return dtypeF64
-	}
+	return true
 }
 
 // DecodeModel parses a canonical payload back into a snapshot. A delta
 // payload decodes into a snapshot holding only the shipped tensors — merge
 // it over the previous version with MergeModel. Corrupt, truncated or
-// trailing bytes fail without panicking; the returned snapshot shares no
-// storage with the payload.
+// trailing bytes fail without panicking, and so does any payload that is
+// not the canonical encoding of what it decodes to (a non-0/1 flag byte, a
+// duplicate tensor name, a tensor not in its smallest exact dtype): every
+// accepted payload re-encodes to the same bytes, so its SHA-256 is the
+// decoded model's version. The returned snapshot shares no storage with
+// the payload.
 func DecodeModel(payload []byte) (*ModelSnapshot, error) {
 	cur := &cursor{b: payload}
 	if !cur.need(len(modelMagic) + 1) {
@@ -365,8 +388,8 @@ func DecodeModel(payload []byte) (*ModelSnapshot, error) {
 	snap.Kind = cur.str()
 	snap.Tier = cur.str()
 	snap.InputDim = int(cur.u32())
-	snap.Quantized = cur.u8() != 0
-	if cur.u8() != 0 {
+	snap.Quantized = cur.flag()
+	if cur.flag() {
 		st := &anomaly.ScorerState{}
 		st.Mean = readF64s(cur, cur.cnt())
 		st.Cov = readF64s(cur, cur.cnt())
@@ -380,17 +403,26 @@ func DecodeModel(payload []byte) (*ModelSnapshot, error) {
 
 	count := cur.cnt()
 	w := &nn.Snapshot{}
+	seen := make(map[string]bool)
 	for t := 0; t < count && cur.err == nil; t++ {
 		name := cur.str()
-		rows := int(cur.u32())
-		cols := int(cur.u32())
-		if rows < 0 || cols < 0 || (cols > 0 && rows > maxMessageBytes/cols) {
+		if seen[name] {
+			cur.fail("duplicate tensor name %q", name)
+			break
+		}
+		seen[name] = true
+		rows := cur.cnt()
+		cols := cur.cnt()
+		if cols > 0 && rows > maxMessageBytes/cols {
 			cur.fail("tensor %q dimensions %dx%d out of range", name, rows, cols)
 			break
 		}
+		// Each case also checks its bytes are the ones the encoder would
+		// write for the values they decode to.
 		n := rows * cols
 		var vals []float64
-		switch dt := cur.u8(); dt {
+		dt := int(cur.u8())
+		switch dt {
 		case dtypeF64:
 			vals = readF64s(cur, n)
 		case dtypeFP16:
@@ -400,22 +432,44 @@ func DecodeModel(payload []byte) (*ModelSnapshot, error) {
 					code := uint16(cur.b[cur.i]) | uint16(cur.b[cur.i+1])<<8
 					cur.i += 2
 					vals[i] = mat.Float16From(code)
+					if mat.Float16Bits(vals[i]) != code {
+						cur.fail("tensor %q holds non-canonical fp16 code %#04x", name, code)
+						break
+					}
 				}
 			}
 		case dtypeI8:
 			if cur.need(rows * (8 + cols)) {
 				vals = make([]float64, 0, n)
-				for r := 0; r < rows; r++ {
+				for r := 0; r < rows && cur.err == nil; r++ {
 					scale := cur.f64()
+					maxCode := 0
 					for k := 0; k < cols; k++ {
 						code := int8(cur.b[cur.i])
 						cur.i++
 						vals = append(vals, float64(code)*scale)
+						if a := int(code); a > maxCode {
+							maxCode = a
+						} else if -a > maxCode {
+							maxCode = -a
+						}
+					}
+					// The encoder clamps codes to ±127, writes all-zero codes
+					// under a zero scale, and otherwise derives the scale from
+					// the row's largest magnitude — maxCode·scale, since a
+					// power-of-two scale multiplies exactly. Codes·scale then
+					// re-quantize to the same codes.
+					if maxCode > 127 || (scale == 0 && maxCode != 0) ||
+						math.Float64bits(mat.I8RowScale([]float64{float64(maxCode) * scale})) != math.Float64bits(scale) {
+						cur.fail("tensor %q row %d is not canonical int8 (scale %g, largest code %d)", name, r, scale, maxCode)
 					}
 				}
 			}
 		default:
 			cur.fail("tensor %q has unknown dtype %d", name, dt)
+		}
+		if cur.err == nil && !isPicked(dt, rows, cols, vals) {
+			cur.fail("tensor %q is stored as dtype %d, not its smallest exact encoding", name, dt)
 		}
 		if cur.err == nil {
 			w.Names = append(w.Names, name)

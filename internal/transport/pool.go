@@ -88,7 +88,7 @@ func (p *Pool) Evicted() uint64 {
 
 // pick returns a usable client, starting at the round-robin cursor and
 // scanning forward: broken clients are evicted and their slots redialed in
-// place. The dial itself (TCP connect + codec negotiation, seconds in the
+// place. The dial itself (TCP connect + hello, seconds in the
 // worst case) runs outside the pool lock — bounded by the requesting
 // caller's ctx — so other callers keep flowing through the healthy slots;
 // a per-slot flag keeps racing callers from stampeding the server with
@@ -242,28 +242,13 @@ func (p *Pool) FetchModel() (*ModelSnapshot, error) {
 
 // FetchModelContext is FetchModel with cancellation. The fetch prefers the
 // idlest pooled connection — provisioning must not queue behind a deep
-// detect pipeline — and rides the chunked distribution path when the
-// server speaks it (see Client.FetchModelContext).
+// detect pipeline (see Client.FetchModelContext).
 func (p *Pool) FetchModelContext(ctx context.Context) (*ModelSnapshot, error) {
 	c, err := p.pickIdle(ctx)
 	if err != nil {
 		return nil, err
 	}
 	snap, err := c.FetchModelContext(ctx)
-	if err != nil {
-		p.evictOnErr(c, err)
-	}
-	return snap, err
-}
-
-// FetchModelFullContext is the legacy whole-snapshot gob fetch over the
-// idlest pooled connection (see Client.FetchModelFullContext).
-func (p *Pool) FetchModelFullContext(ctx context.Context) (*ModelSnapshot, error) {
-	c, err := p.pickIdle(ctx)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := c.FetchModelFullContext(ctx)
 	if err != nil {
 		p.evictOnErr(c, err)
 	}

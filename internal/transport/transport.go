@@ -9,17 +9,14 @@
 // model-shipping RPC so a node that trained a detector can hand its weights
 // to peers.
 //
-// Frames are encoded by a pluggable codec (codec.go): gob for everything —
-// the negotiated fallback old peers speak — plus a hand-rolled binary fast
-// path for the hot detection RPCs, negotiated per connection with OpHello.
-// The wire format is documented in docs/PROTOCOL.md.
+// Every frame is encoded by one binary codec (codec.go); the OpHello
+// exchange at dial time checks that both ends speak the same protocol
+// version. The wire format is documented in docs/PROTOCOL.md.
 package transport
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -59,25 +56,10 @@ var ErrConn = errors.New("transport: connection failure")
 // ErrBusy wraps ErrRemote but never ErrConn.
 var ErrBusy = errors.New("transport: server busy")
 
-// ErrUnsupported marks the subset of ErrRemote failures where the peer
-// answered an operation with "unknown op" — the protocol's standing
-// compatibility mechanism: the peer is alive and well, it just predates
-// the op. Callers degrade (a model-version probe falls back to a full gob
-// fetch) instead of failing over. ErrUnsupported wraps ErrRemote but never
-// ErrConn.
-var ErrUnsupported = errors.New("transport: operation not supported by peer")
-
 // maxMessageBytes bounds a single message; a 128×18 float64 window is
 // ~18 KB and the largest model snapshot (AE-Cloud) ~4.3 MB, so 16 MB leaves
 // ample room while preventing hostile allocations.
 const maxMessageBytes = 16 << 20
-
-// binaryFrameFlag is the high bit of the length prefix, flagging a frame
-// whose payload was encoded with BinaryCodec instead of gob. Legal lengths
-// never reach it (the 16 MiB cap is far below 2^31), and peers only emit
-// flagged frames after OpHello negotiation proved the other side decodes
-// them — so a pre-negotiation peer never sees the bit set.
-const binaryFrameFlag = 1 << 31
 
 // maxInFlightPerConn bounds the requests a server handles concurrently on
 // one connection. When a peer pipelines faster than the detector drains,
@@ -93,34 +75,30 @@ type Op uint8
 const (
 	// OpDetect asks the server to judge one window.
 	OpDetect Op = iota
-	// OpFetchModel asks the server for its detector's shipped weights.
-	OpFetchModel
+	// Op 1 is retired: it fetched the whole model snapshot in one gob frame,
+	// which OpModelVersion and OpModelChunk replaced.
+	_
 	// OpDetectBatch asks the server to judge many windows in one request —
 	// the batch-inference RPC: one wire round trip and one vectorised
 	// detection pass amortise framing, codec work and link latency over the
 	// whole batch.
 	OpDetectBatch
-	// OpHello negotiates the wire codec (and doubles as the liveness ping):
-	// the client announces the highest codec version it speaks, the server
-	// answers with the version the connection will use for hot RPCs. Peers
-	// that predate OpHello answer "unknown op" — a well-formed response, so
-	// the client simply stays on gob and the ping still counts as alive.
+	// OpHello checks the protocol version at dial time and doubles as the
+	// liveness ping: the client announces its version, the server answers
+	// with its own plus its scheduling backlog and model version.
 	OpHello
 	// OpCancel withdraws an earlier request on the same connection,
 	// identified by TargetID: a scheduling server frees the queued or
 	// running capacity immediately instead of waiting for the deadline
 	// header to catch it. The frame is one-way — the server never responds
 	// to it (the canceled request itself gets no response either; the
-	// client already left). Peers that predate OpCancel answer "unknown
-	// op" with the cancel frame's own ID, which matches no pending call
-	// and is silently dropped — so cancel needs no negotiation.
+	// client already left).
 	OpCancel
 	// OpModelVersion asks for the server's model content address: the
 	// SHA-256 version of its canonical tensor payload plus the per-tensor
 	// digest manifest. An up-to-date client compares versions and skips the
 	// download; a stale one diffs the manifests and delta-fetches only the
-	// changed tensors. Old peers answer "unknown op" and the client falls
-	// back to the full gob fetch — no negotiation required.
+	// changed tensors.
 	OpModelVersion
 	// OpModelChunk fetches one bounded slice of the canonical model payload
 	// (full or delta-restricted via WantTensors), identified by byte offset
@@ -145,27 +123,22 @@ type DetectRequest struct {
 	// dequeues the request after this instant sheds the work instead of
 	// running the detector — the verdict could no longer reach the caller in
 	// time, so computing it would only burn the tier's capacity. Assumes
-	// loosely synchronised clocks; see docs/PROTOCOL.md for the
-	// compatibility and skew notes.
+	// loosely synchronised clocks; see docs/PROTOCOL.md for the skew notes.
 	DeadlineUnixMicro int64
-	// CodecVersion is the highest codec version the sender speaks
-	// (OpHello only; zero elsewhere).
-	CodecVersion uint8
+	// Version is the protocol version the sender speaks (OpHello only).
+	Version uint8
 	// TargetID is the ID of the request an OpCancel frame withdraws
-	// (OpCancel only; zero elsewhere). Gob-additive: old peers ignore it.
+	// (OpCancel only).
 	TargetID uint64
 	// ChunkOffset and ChunkSize select the slice of the canonical model
 	// payload an OpModelChunk request wants: ChunkSize 0 asks for the
-	// server's default (DefaultModelChunkBytes). Gob-additive, zero outside
-	// OpModelChunk.
+	// server's default (DefaultModelChunkBytes).
 	ChunkOffset int
 	ChunkSize   int
 	// WantDelta marks an OpModelChunk request as a delta fetch: the payload
 	// is restricted to the tensors named in WantTensors (possibly none —
 	// a header-only delta still refreshes the scorer and threshold). When
-	// false the full payload is served and WantTensors is ignored; the
-	// explicit flag exists because gob cannot distinguish an empty slice
-	// from an absent one.
+	// false the full payload is served and WantTensors is not sent.
 	WantDelta   bool
 	WantTensors []string
 }
@@ -199,27 +172,22 @@ type DetectResponse struct {
 	// Code classifies machine-actionable failures (see CodeExpired); empty
 	// for success and for generic errors.
 	Code string
-	// Model is set only for OpFetchModel responses.
-	Model *ModelSnapshot
 	// Verdicts and ExecMsEach are set only for OpDetectBatch responses, one
 	// entry per requested window (ExecMsEach mirrors ExecMs per window).
 	Verdicts   []anomaly.Verdict
 	ExecMsEach []float64
-	// CodecVersion is the codec the server chose for this connection's hot
-	// RPCs (OpHello responses only; zero elsewhere).
-	CodecVersion uint8
+	// Version is the protocol version the server speaks (OpHello only).
+	Version uint8
 	// Sched is the server's scheduling backlog, piggybacked on OpHello
-	// responses from servers running a scheduler (nil from everyone else —
-	// including every pre-scheduler peer, since the field is gob-additive
-	// and hello frames always travel as gob).
+	// responses from servers running a scheduler (nil otherwise).
 	Sched *SchedInfo
 	// ModelVersion is the content address (hex SHA-256 of the canonical
 	// tensor payload) of the model the server currently serves. Carried on
-	// OpHello, OpModelVersion and OpModelChunk responses; empty when the
-	// server holds no distributable model or predates the field
-	// (gob-additive).
+	// OpHello and OpModelChunk responses; empty when the server holds no
+	// distributable model.
 	ModelVersion string
-	// Manifest is the per-tensor digest manifest (OpModelVersion only).
+	// Manifest is the model's content address and per-tensor digests
+	// (OpModelVersion only).
 	Manifest *ModelManifest
 	// ChunkOffset/ChunkTotal/Chunk/ChunkCRC carry one slice of the
 	// canonical model payload on OpModelChunk responses: the echoed byte
@@ -230,6 +198,11 @@ type DetectResponse struct {
 	ChunkTotal  int
 	Chunk       []byte
 	ChunkCRC    uint32
+
+	// layout is the response's wire shape (see codec.go). The zero value is
+	// the detection layout, which also carries every error reply; only the
+	// hello, manifest and chunk answers set it.
+	layout byte
 }
 
 // SchedInfo is a scheduling server's backlog snapshot as carried on
@@ -251,7 +224,8 @@ type SchedInfo struct {
 // ModelSnapshot is a detector shipped over the wire: the nn.Snapshot of its
 // network plus the fitted anomaly scorer and enough metadata to rebuild the
 // identical architecture (builders stay the single source of truth for model
-// structure; the snapshot carries values only).
+// structure; the snapshot carries values only). It travels, and is stored,
+// as the canonical payload of modelcodec.go.
 type ModelSnapshot struct {
 	// Kind is the model family: "autoencoder" or "seq2seq".
 	Kind string
@@ -270,69 +244,15 @@ type ModelSnapshot struct {
 	Conf anomaly.Confidence
 }
 
-// appendGob appends v's gob encoding to dst (one encoder state per message,
-// so frames stay self-contained) and returns the extended slice.
-func appendGob(dst []byte, v any) ([]byte, error) {
-	pb := payloadBuffer{buf: dst}
-	if err := gob.NewEncoder(&pb).Encode(v); err != nil {
-		return dst, fmt.Errorf("transport: encoding message: %w", err)
-	}
-	return pb.buf, nil
-}
-
-// decodeGob decodes one gob payload into v.
-func decodeGob(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decoding message: %w", err)
-	}
-	return nil
-}
-
-// writeMsg writes v as one gob frame — the legacy wire form. Kept for
-// tests that play a pre-negotiation peer speaking raw gob.
-func writeMsg(w io.Writer, v any) error {
-	payload, err := appendGob(nil, v)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, payload, false)
-}
-
-// readMsg reads one frame and decodes it as gob — the legacy wire form.
-func readMsg(r io.Reader, v any) error {
-	payload, binaryPayload, err := readFrame(r, nil)
-	if err != nil {
-		return err
-	}
-	if binaryPayload {
-		return fmt.Errorf("transport: unexpected binary frame on a gob-only read")
-	}
-	return decodeGob(payload, v)
-}
-
-// payloadBuffer is a minimal growable write buffer (bytes.Buffer without
-// the unused API surface).
-type payloadBuffer struct{ buf []byte }
-
-func (b *payloadBuffer) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-
-// writeFrame writes one frame: the 4-byte big-endian length prefix (with
-// the codec flag in the high bit) followed by the payload. Oversized
-// payloads are rejected before anything hits the wire, leaving the
-// connection usable.
-func writeFrame(w io.Writer, payload []byte, binaryPayload bool) error {
+// writeFrame writes one frame: the 4-byte big-endian payload length
+// followed by the payload. Oversized payloads are rejected before anything
+// hits the wire, leaving the connection usable.
+func writeFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxMessageBytes {
 		return fmt.Errorf("transport: message of %d bytes exceeds limit", len(payload))
 	}
-	prefix := uint32(len(payload))
-	if binaryPayload {
-		prefix |= binaryFrameFlag
-	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], prefix)
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("transport: writing length prefix: %w", err)
 	}
@@ -342,28 +262,26 @@ func writeFrame(w io.Writer, payload []byte, binaryPayload bool) error {
 	return nil
 }
 
-// readFrame reads one frame, reusing buf's storage when it is big enough,
-// and reports which codec the flag bit announced. The returned payload is
-// only valid until the next readFrame on the same buf.
-func readFrame(r io.Reader, buf []byte) (payload []byte, binaryPayload bool, err error) {
+// readFrame reads one frame, reusing buf's storage when it is big enough.
+// The returned payload is only valid until the next readFrame on the same
+// buf.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, false, err // io.EOF passes through for clean shutdown detection
+		return nil, err // io.EOF passes through for clean shutdown detection
 	}
-	prefix := binary.BigEndian.Uint32(hdr[:])
-	binaryPayload = prefix&binaryFrameFlag != 0
-	n := prefix &^ binaryFrameFlag
+	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxMessageBytes {
-		return nil, false, fmt.Errorf("transport: incoming message of %d bytes exceeds limit", n)
+		return nil, fmt.Errorf("transport: incoming message of %d bytes exceeds limit", n)
 	}
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
-	payload = buf[:n]
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, false, fmt.Errorf("transport: reading payload: %w", err)
+		return nil, fmt.Errorf("transport: reading payload: %w", err)
 	}
-	return payload, binaryPayload, nil
+	return payload, nil
 }
 
 // ServerOptions configures ServeWith.
@@ -371,15 +289,10 @@ type ServerOptions struct {
 	// ExecMs, if non-nil, supplies the simulated execution time reported per
 	// request (window length → ms); nil reports wall-clock time.
 	ExecMs func(frames int) float64
-	// Model, if non-nil, is served to peers on OpFetchModel.
+	// Model, if non-nil, is distributed to peers through OpModelVersion and
+	// OpModelChunk. ServeWith refuses a snapshot the canonical model codec
+	// cannot encode.
 	Model *ModelSnapshot
-	// MaxCodecVersion caps what the server concedes during OpHello
-	// negotiation; 0 means CodecVersionTensor (the newest). Setting
-	// CodecVersionGob makes the server behave like a pre-binary build, and
-	// CodecVersionBinary like a pre-distribution build (which also answers
-	// the model-distribution ops with "unknown op") — which is how the
-	// compatibility matrix is tested without old binaries.
-	MaxCodecVersion uint8
 	// Sched, if non-nil, puts the node's detection work under a server-side
 	// scheduler: a global concurrency limit with a bounded, policy-ordered
 	// admission queue (busy responses when full, expired entries shed at
@@ -399,8 +312,7 @@ type Server struct {
 	// behind one atomic pointer, so UpdateModel can hot-swap a refreshed
 	// model with zero restarts: requests in flight finish on the detector
 	// they loaded, new requests see the new one, and nothing locks.
-	serving  atomic.Pointer[serving]
-	maxCodec uint8
+	serving atomic.Pointer[serving]
 
 	// sched, when non-nil, gates every detection request through the
 	// per-node scheduler; connSeq numbers accepted connections so cancel
@@ -431,13 +343,12 @@ func ServeWith(addr string, det anomaly.Detector, opt ServerOptions) (*Server, e
 	if det == nil {
 		return nil, errors.New("transport: Serve requires a detector")
 	}
-	maxCodec := opt.MaxCodecVersion
-	if maxCodec == 0 {
-		maxCodec = CodecVersionTensor
+	sv, err := newServing(det, opt.ExecMs, opt.Model)
+	if err != nil {
+		return nil, err
 	}
 	var schd *sched.Scheduler
 	if opt.Sched != nil {
-		var err error
 		if schd, err = sched.New(*opt.Sched); err != nil {
 			return nil, fmt.Errorf("transport: %w", err)
 		}
@@ -446,11 +357,8 @@ func ServeWith(addr string, det anomaly.Detector, opt ServerOptions) (*Server, e
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &Server{
-		maxCodec: maxCodec,
-		sched:    schd, lis: lis, conns: make(map[net.Conn]struct{}),
-	}
-	s.serving.Store(newServing(det, opt.ExecMs, opt.Model))
+	s := &Server{sched: schd, lis: lis, conns: make(map[net.Conn]struct{})}
+	s.serving.Store(sv)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -461,16 +369,15 @@ func ServeWith(addr string, det anomaly.Detector, opt ServerOptions) (*Server, e
 type serving struct {
 	detector anomaly.Detector
 	execMs   func(frames int) float64
-	model    *ModelSnapshot
-	// dist is the distribution view of model: the canonical payload, its
-	// content address and per-tensor manifest, plus a memo of delta
-	// payloads already cut for popular want-lists. Nil when the snapshot
-	// cannot be canonically encoded (or there is none) — the legacy gob
-	// fetch still works, the distribution ops report no model.
+	// dist is the distributable model, nil when the server has none.
 	dist *distState
 }
 
+// distState is a snapshot's distribution view: its canonical payload,
+// content address and per-tensor manifest, plus a memo of delta payloads
+// already cut for popular want-lists.
 type distState struct {
+	snap     *ModelSnapshot
 	payload  []byte
 	manifest *ModelManifest
 
@@ -479,28 +386,31 @@ type distState struct {
 }
 
 // newServing builds the serving state, canonically encoding the snapshot
-// once so version probes and chunk requests serve cached bytes.
-func newServing(det anomaly.Detector, execMs func(int) float64, snap *ModelSnapshot) *serving {
-	sv := &serving{detector: det, execMs: execMs, model: snap}
+// once so version probes and chunk requests serve cached bytes. A snapshot
+// the codec rejects is an error: the server would have nothing to ship.
+func newServing(det anomaly.Detector, execMs func(int) float64, snap *ModelSnapshot) (*serving, error) {
+	sv := &serving{detector: det, execMs: execMs}
 	if snap != nil {
-		if payload, manifest, err := encodeModel(snap, nil); err == nil {
-			sv.dist = &distState{payload: payload, manifest: manifest, deltas: make(map[string][]byte)}
+		payload, manifest, err := encodeModel(snap, nil)
+		if err != nil {
+			return nil, fmt.Errorf("transport: refusing to serve snapshot: %w", err)
 		}
+		sv.dist = &distState{snap: snap, payload: payload, manifest: manifest, deltas: make(map[string][]byte)}
 	}
-	return sv
+	return sv, nil
 }
 
 // deltaPayload returns the canonical payload restricted to want, memoized
 // per want-list: a fleet of nodes upgrading across the same two versions
 // all ask for the same tensors.
-func (d *distState) deltaPayload(snap *ModelSnapshot, want []string) ([]byte, error) {
+func (d *distState) deltaPayload(want []string) ([]byte, error) {
 	key := strings.Join(want, "\x00")
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if p, ok := d.deltas[key]; ok {
 		return p, nil
 	}
-	p, err := EncodeModel(snap, want)
+	p, err := EncodeModel(d.snap, want)
 	if err != nil {
 		return nil, err
 	}
@@ -519,15 +429,14 @@ func (s *Server) UpdateModel(det anomaly.Detector, execMs func(frames int) float
 	if det == nil {
 		return errors.New("transport: UpdateModel requires a detector")
 	}
-	if snap != nil {
-		if _, err := EncodeModel(snap, nil); err != nil {
-			return fmt.Errorf("transport: refusing to serve snapshot: %w", err)
-		}
-	}
 	if execMs == nil {
 		execMs = s.serving.Load().execMs
 	}
-	s.serving.Store(newServing(det, execMs, snap))
+	sv, err := newServing(det, execMs, snap)
+	if err != nil {
+		return err
+	}
+	s.serving.Store(sv)
 	return nil
 }
 
@@ -544,8 +453,8 @@ func (s *Server) ModelVersion() string {
 func (s *Server) Addr() string { return s.lis.Addr().String() }
 
 // SetFaultDelay injects d of extra service time into every detection
-// request (OpHello is exempt, so liveness pings and codec negotiation
-// still answer promptly — a straggler is slow, not dead). The delay is
+// request (OpHello is exempt, so liveness pings and dials still answer
+// promptly — a straggler is slow, not dead). The delay is
 // slept outside the server's measured processing time, so clients see it
 // exactly where a real straggler's queueing shows up: in measured network
 // time, and in the replica's in-flight count. d ≤ 0 removes the fault.
@@ -636,19 +545,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	for {
-		payload, binaryReq, err := readFrame(conn, rbuf)
+		payload, err := readFrame(conn, rbuf)
 		if err != nil {
 			return // peer closed, drain deadline hit, or protocol error
 		}
 		rbuf = payload[:cap(payload)]
 		req := new(DetectRequest)
-		if binaryReq {
-			err = BinaryCodec.DecodeRequest(payload, req)
-		} else {
-			err = GobCodec.DecodeRequest(payload, req)
-		}
-		if err != nil {
-			return // undecodable frame; the stream position is lost
+		if err := BinaryCodec.DecodeRequest(payload, req); err != nil {
+			// Undecodable frame — another protocol (a gob-era peer) or
+			// garbage: the stream position is lost.
+			return
 		}
 		if req.Op == OpCancel {
 			// One-way frame, handled inline on the read loop without taking
@@ -672,28 +578,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			if !write {
 				return // canceled: nobody is waiting for a response
 			}
-			// Respond in the request's codec: a peer only sends binary
-			// frames once negotiation proved both sides decode them. Model
-			// and hello responses always travel as gob (the binary codec
-			// refuses them), which is fine — those requests arrive as gob.
 			wmu.Lock()
-			var encErr error
-			if binaryReq && resp.Model == nil && resp.Sched == nil {
-				wbuf, encErr = BinaryCodec.AppendResponse(wbuf[:0], resp)
-				if encErr == nil {
-					encErr = writeFrame(conn, wbuf, true)
-				}
-			} else {
-				wbuf, encErr = GobCodec.AppendResponse(wbuf[:0], resp)
-				if encErr == nil {
-					encErr = writeFrame(conn, wbuf, false)
-				}
+			var err error
+			if wbuf, err = BinaryCodec.AppendResponse(wbuf[:0], resp); err == nil {
+				// A failed write means the peer is gone; the read loop will
+				// notice shortly.
+				_ = writeFrame(conn, wbuf)
 			}
 			wmu.Unlock()
-			if encErr != nil {
-				// The peer is gone; the read loop will notice shortly.
-				_ = encErr
-			}
 		}()
 	}
 }
@@ -733,8 +625,8 @@ func (s *Server) process(connID uint64, req *DetectRequest) (resp *DetectRespons
 	// Straggler injection: sleep the fault delay outside the measured
 	// processing time, so clients account it as network/queueing time — and
 	// while sleeping, the request occupies an in-flight slot, which is what
-	// lets load-aware routing see the straggler. The ping/negotiation op
-	// stays fast: slow ≠ dead. Under a scheduler the sleep is interruptible
+	// lets load-aware routing see the straggler. The hello/ping op stays
+	// fast: slow ≠ dead. Under a scheduler the sleep is interruptible
 	// by cancel — the whole point of OpCancel is not holding capacity for a
 	// caller that already left.
 	if d := s.faultDelay.Load(); d > 0 && req.Op != OpHello {
@@ -767,26 +659,16 @@ func (s *Server) SchedStats() (st sched.Stats, ok bool) {
 func (s *Server) handle(req *DetectRequest) *DetectResponse {
 	// Deadline shedding: if the client's propagated deadline has already
 	// passed, the response cannot be useful no matter how fast detection
-	// runs — skip the detector entirely and tell the client why. The
-	// model-distribution ops (fetch, version probe, chunk) are exempt
-	// (model shipping is a provisioning step, not a live-path detection
-	// whose answer goes stale), as is the hello/ping (negotiation is not
-	// detection work).
-	if req.DeadlineUnixMicro > 0 && req.Op != OpFetchModel && req.Op != OpHello &&
-		req.Op != OpModelVersion && req.Op != OpModelChunk &&
+	// runs — skip the detector entirely and tell the client why. Only
+	// detection is shed: model shipping is a provisioning step whose answer
+	// does not go stale, and the hello/ping is not detection work.
+	if req.DeadlineUnixMicro > 0 && (req.Op == OpDetect || req.Op == OpDetectBatch) &&
 		time.Now().UnixMicro() > req.DeadlineUnixMicro {
 		return &DetectResponse{
 			ID:   req.ID,
 			Code: CodeExpired,
 			Err:  "deadline expired before processing; work shed",
 		}
-	}
-	// A server capped below CodecVersionTensor plays a pre-distribution
-	// build for the compatibility matrix: the new ops must look exactly
-	// like they would against one — the generic "unknown op" reply that
-	// clients degrade on.
-	if (req.Op == OpModelVersion || req.Op == OpModelChunk) && s.maxCodec < CodecVersionTensor {
-		return &DetectResponse{ID: req.ID, Err: fmt.Sprintf("unknown op %d", req.Op)}
 	}
 	sv := s.serving.Load()
 	switch req.Op {
@@ -822,29 +704,18 @@ func (s *Server) handle(req *DetectRequest) *DetectResponse {
 			}
 		}
 		return &DetectResponse{ID: req.ID, Verdicts: vs, ExecMsEach: execEach, ProcMs: proc}
-	case OpFetchModel:
-		if sv.model == nil {
-			return &DetectResponse{ID: req.ID, Err: "no model snapshot available on this node"}
-		}
-		return &DetectResponse{ID: req.ID, Model: sv.model}
 	case OpModelVersion:
 		if sv.dist == nil {
 			return &DetectResponse{ID: req.ID, Err: "no model snapshot available on this node"}
 		}
-		return &DetectResponse{ID: req.ID,
-			ModelVersion: sv.dist.manifest.Version, Manifest: sv.dist.manifest}
+		return &DetectResponse{ID: req.ID, layout: layoutManifest, Manifest: sv.dist.manifest}
 	case OpModelChunk:
 		return s.handleModelChunk(sv, req)
 	case OpHello:
-		v := req.CodecVersion
-		if v > s.maxCodec {
-			v = s.maxCodec
-		}
-		if v < CodecVersionGob {
-			v = CodecVersionGob
-		}
-		resp := &DetectResponse{ID: req.ID, CodecVersion: v}
-		if sv.dist != nil && s.maxCodec >= CodecVersionTensor {
+		// The server answers every hello with its own version; the client
+		// decides whether the two match.
+		resp := &DetectResponse{ID: req.ID, layout: layoutHello, Version: protocolVersion}
+		if sv.dist != nil {
 			// Carry the model's content address on the hello, so health
 			// probes double as staleness probes: a watcher node learns a
 			// new version landed without a dedicated RPC.
@@ -852,8 +723,7 @@ func (s *Server) handle(req *DetectRequest) *DetectResponse {
 		}
 		if s.sched != nil {
 			// Piggyback the scheduling backlog on the hello so health
-			// probes double as backlog collectors. Hello responses always
-			// ride gob, so the pointer field costs the binary codec nothing.
+			// probes double as backlog collectors.
 			st := s.sched.Stats()
 			resp.Sched = &SchedInfo{
 				QueueDepth: st.Queued,
@@ -879,7 +749,7 @@ func (s *Server) handleModelChunk(sv *serving, req *DetectRequest) *DetectRespon
 	payload := sv.dist.payload
 	if req.WantDelta {
 		var err error
-		if payload, err = sv.dist.deltaPayload(sv.model, req.WantTensors); err != nil {
+		if payload, err = sv.dist.deltaPayload(req.WantTensors); err != nil {
 			return &DetectResponse{ID: req.ID, Err: err.Error()}
 		}
 	}
@@ -900,6 +770,7 @@ func (s *Server) handleModelChunk(sv *serving, req *DetectRequest) *DetectRespon
 	chunk := payload[req.ChunkOffset : req.ChunkOffset+size]
 	return &DetectResponse{
 		ID:           req.ID,
+		layout:       layoutChunk,
 		ModelVersion: sv.dist.manifest.Version,
 		ChunkOffset:  req.ChunkOffset,
 		ChunkTotal:   len(payload),
@@ -995,20 +866,6 @@ type DetectResult struct {
 	E2EMs float64
 }
 
-// CodecMode selects a client's wire-codec policy.
-type CodecMode int
-
-const (
-	// CodecAuto negotiates the binary fast path with OpHello at dial time
-	// and falls back to gob when the peer declines (or predates
-	// negotiation).
-	CodecAuto CodecMode = iota
-	// CodecGobOnly skips negotiation and speaks gob for everything — the
-	// legacy protocol, kept selectable so benchmarks can quantify the
-	// binary codec and tests can play an old client.
-	CodecGobOnly
-)
-
 // DialOptions configures DialWith.
 type DialOptions struct {
 	// OneWay is the emulated per-direction link delay (0 disables emulation).
@@ -1017,8 +874,6 @@ type DialOptions struct {
 	// exclusive lock across the injected delays. It exists so benchmarks and
 	// demos can quantify what pipelining buys; new code should leave it off.
 	Serial bool
-	// Codec selects the wire-codec policy (default CodecAuto).
-	Codec CodecMode
 }
 
 // Client is a keep-alive connection to a detection server. Requests carry
@@ -1030,11 +885,6 @@ type Client struct {
 	conn   net.Conn
 	oneWay time.Duration
 	serial bool
-	// codecVer is the codec version OpHello negotiated (0 before/without
-	// negotiation = gob). At CodecVersionBinary+ the hot RPCs ride the
-	// binary codec; at CodecVersionTensor+ model fetches ride the chunked
-	// canonical-tensor path.
-	codecVer atomic.Uint32
 
 	serialMu sync.Mutex // held across a whole call in Serial mode only
 	wmu      sync.Mutex // serialises request writes; guards encBuf
@@ -1046,26 +896,24 @@ type Client struct {
 	err     error
 }
 
-// Dial connects to a detection server with pipelining enabled and the
-// codec negotiated. oneWay is the emulated per-direction link delay (0
-// disables emulation).
+// Dial connects to a detection server with pipelining enabled. oneWay is
+// the emulated per-direction link delay (0 disables emulation).
 func Dial(addr string, oneWay time.Duration) (*Client, error) {
 	return DialWith(addr, DialOptions{OneWay: oneWay})
 }
 
-// DialWith connects to a detection server with full options. Under
-// CodecAuto (the default) it performs the OpHello codec negotiation before
-// returning, so the first real request already rides the agreed codec. It
-// is DialContext with context.Background(): the dial and the handshake are
-// bounded only by their internal 5 s caps.
+// DialWith connects to a detection server with full options, completing
+// the OpHello version check before it returns. It is DialContext with
+// context.Background(): the dial and the hello are bounded only by their
+// internal 5 s caps.
 func DialWith(addr string, opt DialOptions) (*Client, error) {
 	return DialContext(context.Background(), addr, opt)
 }
 
 // DialContext is DialWith bounded by ctx: both the TCP connect and the
-// codec handshake respect the caller's deadline (each additionally capped
-// at 5 s), so a redial on a request path cannot stall past the request's
-// own budget.
+// hello respect the caller's deadline (each additionally capped at 5 s),
+// so a redial on a request path cannot stall past the request's own
+// budget.
 func DialContext(ctx context.Context, addr string, opt DialOptions) (*Client, error) {
 	if opt.OneWay < 0 {
 		return nil, fmt.Errorf("transport: negative one-way delay %v", opt.OneWay)
@@ -1087,46 +935,42 @@ func DialContext(ctx context.Context, addr string, opt DialOptions) (*Client, er
 		pending: make(map[uint64]chan *DetectResponse),
 	}
 	go c.readLoop()
-	if opt.Codec == CodecAuto {
-		if err := c.negotiate(ctx); err != nil {
-			c.Close()
-			return nil, err
-		}
+	if err := c.hello(ctx); err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// negotiate runs the OpHello handshake: announce the newest codec this
-// build speaks, adopt whatever the server concedes. A peer that predates
-// OpHello answers with an "unknown op" application error — that is a
-// successful negotiation of gob, not a failure. A peer that cannot answer
-// the hello at all within the budget is connection-dead: the failure is
-// classified as ErrConn, and the handshake's own timeout is deliberately
+// hello runs the OpHello exchange: announce this build's protocol version
+// and require the server to answer with the same one. A peer that answers
+// with another version, or with bytes this codec cannot decode (a gob-era
+// build drops the connection on our first frame, and its own frames fail
+// to decode here), is unusable: the failure is classified as ErrConn, so
+// routing layers expel the replica. The same holds for a peer that cannot
+// answer within the budget; the hello's own timeout is deliberately
 // flattened out of the error chain — it is an implementation budget, not
 // the caller's detection deadline, and must not read as ErrDeadline (which
 // would also stop routing layers from failing over).
-func (c *Client) negotiate(ctx context.Context) error {
+func (c *Client) hello(ctx context.Context) error {
 	hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	resp, err := c.do(hctx, &DetectRequest{Op: OpHello, CodecVersion: CodecVersionTensor})
+	resp, err := c.do(hctx, &DetectRequest{Op: OpHello, Version: protocolVersion})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			// The *caller* abandoned the dial (cancel or their own
 			// deadline); preserve their error so the taxonomy reads
 			// "I gave up", not "the remote failed".
-			return fmt.Errorf("transport: codec negotiation abandoned: %w", ctxErr)
+			return fmt.Errorf("transport: hello abandoned: %w", ctxErr)
 		}
-		return fmt.Errorf("transport: codec negotiation failed: %v (%w)", err, connError())
+		return fmt.Errorf("transport: hello failed: %v (%w)", err, connError())
 	}
-	if resp.Err == "" && resp.CodecVersion >= CodecVersionBinary {
-		c.codecVer.Store(uint32(resp.CodecVersion))
+	if resp.Version != protocolVersion {
+		return fmt.Errorf("transport: peer speaks protocol version %d, this build %d (%w)",
+			resp.Version, protocolVersion, connError())
 	}
 	return nil
 }
-
-// Binary reports whether the connection negotiated the binary codec for
-// its hot RPCs.
-func (c *Client) Binary() bool { return c.codecVer.Load() >= CodecVersionBinary }
 
 // InFlight reports how many calls are currently awaiting responses on this
 // connection — the pipeline depth. Pools prefer idle connections for
@@ -1145,19 +989,14 @@ func (c *Client) InFlight() int {
 func (c *Client) readLoop() {
 	var rbuf []byte
 	for {
-		payload, binaryResp, err := readFrame(c.conn, rbuf)
+		payload, err := readFrame(c.conn, rbuf)
 		if err != nil {
 			c.fail(err)
 			return
 		}
 		rbuf = payload[:cap(payload)]
 		resp := new(DetectResponse)
-		if binaryResp {
-			err = BinaryCodec.DecodeResponse(payload, resp)
-		} else {
-			err = GobCodec.DecodeResponse(payload, resp)
-		}
-		if err != nil {
+		if err := BinaryCodec.DecodeResponse(payload, resp); err != nil {
 			c.fail(err)
 			return
 		}
@@ -1228,21 +1067,14 @@ func (c *Client) do(ctx context.Context, req *DetectRequest) (*DetectResponse, e
 	c.pending[req.ID] = ch
 	c.mu.Unlock()
 
-	// Hot detection RPCs ride the negotiated binary codec; everything else
-	// (hello, model shipping) stays gob, which every peer decodes.
-	useBinary := c.Binary() && (req.Op == OpDetect || req.Op == OpDetectBatch)
 	c.wmu.Lock()
 	var encErr, writeErr error
-	if useBinary {
-		c.encBuf, encErr = BinaryCodec.AppendRequest(c.encBuf[:0], req)
-	} else {
-		c.encBuf, encErr = GobCodec.AppendRequest(c.encBuf[:0], req)
-	}
+	c.encBuf, encErr = BinaryCodec.AppendRequest(c.encBuf[:0], req)
 	if encErr == nil && len(c.encBuf) > maxMessageBytes {
 		encErr = fmt.Errorf("transport: message of %d bytes exceeds limit", len(c.encBuf))
 	}
 	if encErr == nil {
-		writeErr = writeFrame(c.conn, c.encBuf, useBinary)
+		writeErr = writeFrame(c.conn, c.encBuf)
 	}
 	c.wmu.Unlock()
 	if encErr != nil || writeErr != nil {
@@ -1287,13 +1119,10 @@ func (c *Client) do(ctx context.Context, req *DetectRequest) (*DetectResponse, e
 }
 
 // sendCancel ships a one-way OpCancel frame for an abandoned request. The
-// frame consumes a fresh request ID that is never registered as pending:
-// an old peer that answers it with "unknown op" produces a response whose
-// ID matches no waiter, which the read loop silently drops — so cancel
-// works against every peer generation without negotiation. Best-effort:
-// write errors are ignored (a dead connection has no capacity to free,
-// and the read loop surfaces it on the next real call). Cancel frames
-// always ride gob; the binary codec does not carry the op.
+// frame consumes a fresh request ID that is never registered as pending,
+// since the server answers nothing. Best-effort: write errors are ignored
+// (a dead connection has no capacity to free, and the read loop surfaces
+// it on the next real call).
 func (c *Client) sendCancel(targetID uint64) {
 	c.mu.Lock()
 	if c.pending == nil {
@@ -1305,9 +1134,9 @@ func (c *Client) sendCancel(targetID uint64) {
 	c.mu.Unlock()
 	c.wmu.Lock()
 	var err error
-	c.encBuf, err = GobCodec.AppendRequest(c.encBuf[:0], &DetectRequest{ID: id, Op: OpCancel, TargetID: targetID})
+	c.encBuf, err = BinaryCodec.AppendRequest(c.encBuf[:0], &DetectRequest{ID: id, Op: OpCancel, TargetID: targetID})
 	if err == nil {
-		_ = writeFrame(c.conn, c.encBuf, false)
+		_ = writeFrame(c.conn, c.encBuf)
 	}
 	c.wmu.Unlock()
 }
@@ -1356,12 +1185,6 @@ func remoteError(op string, resp *DetectResponse) error {
 	}
 	if resp.Code == CodeBusy {
 		return fmt.Errorf("transport: %s: %s: %w (%w)", op, resp.Err, ErrBusy, ErrRemote)
-	}
-	if strings.HasPrefix(resp.Err, "unknown op") {
-		// The generic reply every server gives an op it predates — the
-		// wire-level compatibility contract since OpHello (see PROTOCOL.md),
-		// so matching it is protocol, not string-guessing.
-		return fmt.Errorf("transport: %s: %s: %w (%w)", op, resp.Err, ErrUnsupported, ErrRemote)
 	}
 	return fmt.Errorf("transport: %s: %s (%w)", op, resp.Err, ErrRemote)
 }
@@ -1447,47 +1270,33 @@ func (c *Client) FetchModel() (*ModelSnapshot, error) {
 	return c.FetchModelContext(context.Background())
 }
 
-// FetchModelContext is FetchModel with cancellation. Against a peer that
-// negotiated CodecVersionTensor the snapshot arrives as the canonical
-// binary tensor payload in bounded chunks — CRC-checked, hash-verified
-// against its content address, and interleaved with any detection traffic
-// pipelined on the same connection. Against older peers (or when the
-// distribution path reports an application error) it degrades to the
-// legacy whole-snapshot gob fetch. The wire deadline is not used for
-// shedding here because provisioning work is still useful to a retrying
-// caller.
+// FetchModelContext is FetchModel with cancellation. The snapshot arrives
+// as the canonical binary tensor payload in bounded chunks — CRC-checked,
+// hash-verified against its content address, and interleaved with any
+// detection traffic pipelined on the same connection. A version swap
+// mid-transfer restarts the assembly (bounded). The wire deadline is not
+// used for shedding here because provisioning work is still useful to a
+// retrying caller.
 func (c *Client) FetchModelContext(ctx context.Context) (*ModelSnapshot, error) {
-	if c.codecVer.Load() >= CodecVersionTensor {
-		snap, err := c.fetchChunkedFull(ctx)
-		if err == nil {
-			return snap, nil
+	for attempt := 0; ; attempt++ {
+		payload, version, err := AssembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
+			return c.ModelChunkContext(ctx, off, 0, nil, false)
+		})
+		if errors.Is(err, ErrModelChanged) && attempt < 2 {
+			continue
 		}
-		if errors.Is(err, ErrConn) || ctx.Err() != nil {
+		if err != nil {
 			return nil, err
 		}
-		// Application-level failure on the distribution path (e.g. the
-		// snapshot predates canonical encoding): the legacy RPC is still
-		// authoritative.
+		if hexDigest(payload) != version {
+			if attempt < 2 {
+				continue
+			}
+			return nil, fmt.Errorf("transport: assembled payload hashes to %.8s, peer advertised %.8s (%w)",
+				hexDigest(payload), version, ErrRemote)
+		}
+		return DecodeModel(payload)
 	}
-	return c.FetchModelFullContext(ctx)
-}
-
-// FetchModelFullContext is the legacy model-shipping RPC: the whole
-// snapshot in one gob frame, regardless of the negotiated codec. It is the
-// path old peers are served by and the fallback the distribution path
-// degrades to.
-func (c *Client) FetchModelFullContext(ctx context.Context) (*ModelSnapshot, error) {
-	resp, err := c.do(ctx, &DetectRequest{Op: OpFetchModel})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, remoteError("fetching model", resp)
-	}
-	if resp.Model == nil {
-		return nil, fmt.Errorf("transport: peer returned an empty model snapshot (%w)", ErrRemote)
-	}
-	return resp.Model, nil
 }
 
 // ErrModelChanged reports that the server's model version changed while a
@@ -1508,8 +1317,7 @@ type ModelChunk struct {
 }
 
 // ModelManifestContext asks the peer for its model's content address and
-// per-tensor digest manifest (OpModelVersion). A peer that predates the op
-// fails with ErrUnsupported — the caller degrades to a full fetch.
+// per-tensor digest manifest (OpModelVersion).
 func (c *Client) ModelManifestContext(ctx context.Context) (*ModelManifest, error) {
 	resp, err := c.do(ctx, &DetectRequest{Op: OpModelVersion})
 	if err != nil {
@@ -1518,7 +1326,7 @@ func (c *Client) ModelManifestContext(ctx context.Context) (*ModelManifest, erro
 	if resp.Err != "" {
 		return nil, remoteError("probing model version", resp)
 	}
-	if resp.Manifest == nil || resp.ModelVersion == "" {
+	if resp.Manifest == nil || resp.Manifest.Version == "" {
 		return nil, fmt.Errorf("transport: peer returned an empty model manifest (%w)", ErrRemote)
 	}
 	return resp.Manifest, nil
@@ -1582,38 +1390,13 @@ func AssembleModel(ctx context.Context, fetch func(ctx context.Context, offset i
 	}
 }
 
-// fetchChunkedFull fetches the complete canonical payload chunk by chunk
-// and verifies the assembled bytes hash to the advertised version before
-// decoding. A version swap mid-transfer restarts the assembly (bounded).
-func (c *Client) fetchChunkedFull(ctx context.Context) (*ModelSnapshot, error) {
-	for attempt := 0; ; attempt++ {
-		payload, version, err := AssembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
-			return c.ModelChunkContext(ctx, off, 0, nil, false)
-		})
-		if errors.Is(err, ErrModelChanged) && attempt < 2 {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if hexDigest(payload) != version {
-			if attempt < 2 {
-				continue
-			}
-			return nil, fmt.Errorf("transport: assembled payload hashes to %.8s, peer advertised %.8s (%w)",
-				hexDigest(payload), version, ErrRemote)
-		}
-		return DecodeModel(payload)
-	}
-}
-
 // RefreshModelContext is the version-aware fetch: given the snapshot the
 // caller currently runs (nil for none), it probes the peer's content
 // address and either skips the download entirely (versions match —
 // upToDate true, nil snapshot), ships a delta of only the changed tensors
-// merged over base, or falls back to a full fetch (first provisioning,
-// architecture change, or a peer that predates distribution). The returned
-// snapshot is always hash-verified against the peer's advertised version.
+// merged over base, or falls back to a full fetch (first provisioning or an
+// architecture change). The returned snapshot is always hash-verified
+// against the peer's advertised version.
 func (c *Client) RefreshModelContext(ctx context.Context, base *ModelSnapshot) (*ModelSnapshot, bool, error) {
 	var baseMan *ModelManifest
 	if base != nil {
@@ -1623,12 +1406,6 @@ func (c *Client) RefreshModelContext(ctx context.Context, base *ModelSnapshot) (
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		man, err := c.ModelManifestContext(ctx)
-		if errors.Is(err, ErrUnsupported) {
-			// Old peer: the probe itself is the negotiation — degrade to
-			// the legacy full fetch.
-			snap, ferr := c.FetchModelFullContext(ctx)
-			return snap, false, ferr
-		}
 		if err != nil {
 			return nil, false, err
 		}
@@ -1661,7 +1438,7 @@ func (c *Client) RefreshModelContext(ctx context.Context, base *ModelSnapshot) (
 			// architecture changed under the same tensor names, or base
 			// and server disagree structurally): a full fetch is always
 			// sound.
-			snap, err := c.fetchChunkedFull(ctx)
+			snap, err := c.FetchModelContext(ctx)
 			return snap, false, err
 		}
 		if man2, err := ManifestOf(snap); err != nil || man2.Version != man.Version {
@@ -1674,10 +1451,9 @@ func (c *Client) RefreshModelContext(ctx context.Context, base *ModelSnapshot) (
 }
 
 // Ping verifies the peer is alive and answering: it sends an OpHello and
-// accepts any well-formed response — including the "unknown op" application
-// error a pre-negotiation peer returns — as proof the peer's read and write
-// loops both work. Health checkers use it instead of a detection RPC so a
-// probe never costs the tier real compute.
+// accepts any well-formed response as proof the peer's read and write loops
+// both work. Health checkers use it instead of a detection RPC so a probe
+// never costs the tier real compute.
 func (c *Client) Ping(ctx context.Context) error {
 	_, err := c.PingStatus(ctx)
 	return err
@@ -1685,8 +1461,7 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // PeerStatus is what a liveness probe learns about a peer beyond "it
 // answers": whether it runs a server-side scheduler, and the scheduler's
-// backlog if so. Peers without a scheduler — including every
-// pre-scheduler build — report the zero value.
+// backlog if so. Peers without a scheduler report the zero value.
 type PeerStatus struct {
 	// Scheduled reports that the peer runs a server-side scheduler and the
 	// remaining fields are meaningful.
@@ -1700,17 +1475,17 @@ type PeerStatus struct {
 	Canceled   uint64
 	// ModelVersion is the content address of the model the peer currently
 	// distributes, piggybacked on the hello ("" from peers without a
-	// distributable model or predating the field) — so a liveness probe
-	// doubles as a staleness probe.
+	// distributable model) — so a liveness probe doubles as a staleness
+	// probe.
 	ModelVersion string
 }
 
 // PingStatus is Ping returning the peer's scheduling backlog as
 // piggybacked on the hello response, so one probe answers both "alive?"
-// and "how loaded?". The same compatibility contract as Ping: any
-// well-formed response counts as alive.
+// and "how loaded?". As with Ping, any well-formed response counts as
+// alive.
 func (c *Client) PingStatus(ctx context.Context) (PeerStatus, error) {
-	resp, err := c.do(ctx, &DetectRequest{Op: OpHello, CodecVersion: CodecVersionTensor})
+	resp, err := c.do(ctx, &DetectRequest{Op: OpHello, Version: protocolVersion})
 	if err != nil {
 		return PeerStatus{}, err
 	}

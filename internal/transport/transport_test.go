@@ -61,6 +61,50 @@ func startServerWith(t *testing.T, opt ServerOptions) *Server {
 	return srv
 }
 
+// writeRequest frames and sends one request, playing a client by hand.
+func writeRequest(t *testing.T, conn net.Conn, req *DetectRequest) {
+	t.Helper()
+	payload, err := BinaryCodec.AppendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readResponse reads and decodes one response frame.
+func readResponse(t *testing.T, conn net.Conn) *DetectResponse {
+	t.Helper()
+	payload, err := readFrame(conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := new(DetectResponse)
+	if err := BinaryCodec.DecodeResponse(payload, resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// answerHello plays a server's side of the dial: it reads the client's
+// hello and answers it with the given protocol version.
+func answerHello(conn net.Conn, version uint8) error {
+	payload, err := readFrame(conn, nil)
+	if err != nil {
+		return err
+	}
+	var req DetectRequest
+	if err := BinaryCodec.DecodeRequest(payload, &req); err != nil {
+		return err
+	}
+	out, err := BinaryCodec.AppendResponse(nil, &DetectResponse{ID: req.ID, layout: layoutHello, Version: version})
+	if err != nil {
+		return err
+	}
+	return writeFrame(conn, out)
+}
+
 func dialT(t *testing.T, addr string, oneWay time.Duration) *Client {
 	t.Helper()
 	cli, err := Dial(addr, oneWay)
@@ -275,15 +319,18 @@ func TestMidStreamDisconnect(t *testing.T) {
 			return
 		}
 		close(accepted)
-		// Swallow one length prefix mid-message, then drop the connection.
+		// Complete the dial, swallow one length prefix mid-message, then
+		// drop the connection.
+		if err := answerHello(conn, protocolVersion); err != nil {
+			conn.Close()
+			return
+		}
 		buf := make([]byte, 4)
 		_, _ = io.ReadFull(conn, buf)
 		conn.Close()
 	}()
 
-	// The fake peer answers nothing, so skip the OpHello negotiation —
-	// exactly what a client talking to a pre-negotiation build does.
-	cli, err := DialWith(lis.Addr().String(), DialOptions{Codec: CodecGobOnly})
+	cli, err := Dial(lis.Addr().String(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,12 +545,7 @@ func TestMessageSizeLimit(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
 	// A >16 MB window must be rejected client-side before hitting the wire.
-	// Values must be irregular: gob encodes zero floats in one byte.
-	huge := make([][]float64, 1)
-	huge[0] = make([]float64, (maxMessageBytes/8)+1024)
-	for i := range huge[0] {
-		huge[0][i] = 1.0/(float64(i)+3) + 1e-9
-	}
+	huge := [][]float64{make([]float64, (maxMessageBytes/8)+1024)}
 	err := func() error { _, err := cli.Detect(huge); return err }()
 	if err == nil {
 		t.Fatal("oversized message must be rejected")
