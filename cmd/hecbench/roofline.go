@@ -11,18 +11,19 @@ import (
 	"repro/internal/autoencoder"
 	"repro/internal/mat"
 	"repro/internal/nn"
+	"repro/internal/rnn"
 )
 
 // The -roofline mode: measures this machine's compute and memory ceilings,
-// then places the packed matrix micro-kernel of every dispatch level on the
-// roofline so a snapshot diff shows whether a
+// then places the packed matrix micro-kernel and one single-window LSTM step
+// of every dispatch level on the roofline so a snapshot diff shows whether a
 // kernel regressed against the hardware rather than against a previous
 // build. The emitted file (BENCH_8.json style) also carries the two
 // CI-gated comparisons: AVX2-over-SSE2 on a batched training epoch, and
 // cached packed panels over repacking on steady-state inference.
 
 // rooflineSchema identifies the snapshot layout for downstream tooling.
-const rooflineSchema = "hec-roofline/2"
+const rooflineSchema = "hec-roofline/3"
 
 // RooflinePoint is one kernel placed on the roofline model.
 type RooflinePoint struct {
@@ -50,6 +51,24 @@ type RooflinePoint struct {
 	Bound string `json:"bound"`
 	// Efficiency is GFlops/CeilingGFlops.
 	Efficiency float64 `json:"efficiency"`
+	// Split divides a recurrent step's time by kind of work (lstm-step
+	// points only).
+	Split *StepSplit `json:"split,omitempty"`
+}
+
+// StepSplit divides one recurrent step's wall-clock time, in µs per step.
+type StepSplit struct {
+	// StepUs is the whole step; the other three sum to it.
+	StepUs float64 `json:"step_us"`
+	// ProductsUs is x·Wxᵀ and h·Whᵀ, timed alone on the same panels.
+	ProductsUs float64 `json:"products_us"`
+	// CopiesUs is copying the frame into the step's input row.
+	CopiesUs float64 `json:"copies_us"`
+	// ActivationsUs is the rest of the step: the gate cell (bias, the
+	// exponentials, sigmoid and tanh, the state update).
+	ActivationsUs float64 `json:"activations_us"`
+	// ActivationsShare is ActivationsUs/StepUs.
+	ActivationsShare float64 `json:"activations_share"`
 }
 
 // RooflineSnapshot is the file layout of -roofline.
@@ -173,7 +192,12 @@ func measurePoint(name string, peak, bw float64, reps int) (RooflinePoint, error
 	}
 	flops := int64(2 * m * n * k)
 	bytes := int64(m*k*8+m*n*8) + int64(p.Bytes())
-	perCallMs := ms / iters
+	return placePoint(name, fmt.Sprintf("%d×%d · (%d×%d)ᵀ", m, k, n, k), flops, bytes, ms/iters, peak, bw), nil
+}
+
+// placePoint builds the roofline point of a kernel that does flops and moves
+// bytes in perCallMs under the active dispatch level.
+func placePoint(name, shape string, flops, bytes int64, perCallMs, peak, bw float64) RooflinePoint {
 	gflops := float64(flops) / (perCallMs * 1e6)
 	intensity := float64(flops) / float64(bytes)
 	ceiling := math.Min(peak, intensity*bw)
@@ -184,7 +208,7 @@ func measurePoint(name string, peak, bw float64, reps int) (RooflinePoint, error
 	return RooflinePoint{
 		Name:          name,
 		Kernel:        mat.KernelName(),
-		Shape:         fmt.Sprintf("%d×%d · (%d×%d)ᵀ", m, k, n, k),
+		Shape:         shape,
 		Flops:         flops,
 		MovedBytes:    bytes,
 		Ms:            perCallMs,
@@ -193,7 +217,101 @@ func measurePoint(name string, peak, bw float64, reps int) (RooflinePoint, error
 		CeilingGFlops: ceiling,
 		Bound:         bound,
 		Efficiency:    gflops / ceiling,
-	}, nil
+	}
+}
+
+// measureLSTMStep places one single-window step of the fast cloud tier's
+// BiLSTM encoder (I = 18, H = 24, both directions, batch 1) on the roofline
+// under the active dispatch level and splits its time into the products,
+// the frame copies and — what remains of the step — the activations. The
+// point's flops are the products'; its bytes are the packed weights plus
+// each direction's inputs and projections.
+func measureLSTMStep(peak, bw float64, reps int) (RooflinePoint, error) {
+	const in, hidden, iters = 18, 24, 4000
+	rng := rand.New(rand.NewSource(48))
+	bi := rnn.NewBiLSTM(in, hidden, rng)
+	dirs := [2]*rnn.LSTM{bi.Fwd, bi.Bwd}
+	var st [2]rnn.StepState
+	frame := make([]float64, in)
+	fillRand(frame, rng)
+	x := mat.New(1, in)
+	step := func() error {
+		for d, l := range dirs {
+			copy(x.Data, frame)
+			if err := l.StepBatch(&st[d], x); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for d := range st {
+		st[d].Reset(1, hidden)
+	}
+	if err := step(); err != nil { // pack the panels at this level's width
+		return RooflinePoint{}, err
+	}
+	stepMs, err := timeIt(reps, func() error {
+		for i := 0; i < iters; i++ {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return RooflinePoint{}, err
+	}
+
+	var wx, wh [2]*mat.Packed
+	bytes := int64(0)
+	for d, l := range dirs {
+		wx[d], wh[d] = mat.Pack(l.Wx), mat.Pack(l.Wh)
+		bytes += int64(wx[d].Bytes()+wh[d].Bytes()) + int64(in+hidden+2*4*hidden)*8
+	}
+	z, zh := mat.New(1, 4*hidden), mat.New(1, 4*hidden)
+	h := st[0].H.Clone()
+	productsMs, err := timeIt(reps, func() error {
+		for i := 0; i < iters; i++ {
+			for d := range dirs {
+				if err := mat.MulBTPackedInto(z, x, wx[d]); err != nil {
+					return err
+				}
+				if err := mat.MulBTPackedInto(zh, h, wh[d]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return RooflinePoint{}, err
+	}
+	copiesMs, err := timeIt(reps, func() error {
+		for i := 0; i < iters; i++ {
+			for range dirs {
+				copy(x.Data, frame)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return RooflinePoint{}, err
+	}
+
+	perStep := func(ms float64) float64 { return ms * 1e3 / iters }
+	split := &StepSplit{
+		StepUs:     perStep(stepMs),
+		ProductsUs: perStep(productsMs),
+		CopiesUs:   perStep(copiesMs),
+	}
+	split.ActivationsUs = split.StepUs - split.ProductsUs - split.CopiesUs
+	split.ActivationsShare = split.ActivationsUs / split.StepUs
+	flops := int64(len(dirs)) * 2 * int64(4*hidden) * int64(in+hidden)
+	shape := fmt.Sprintf("BiLSTM step, both directions, batch 1: 1×%d · (%d×%d)ᵀ + 1×%d · (%d×%d)ᵀ each",
+		in, 4*hidden, in, hidden, 4*hidden, hidden)
+	pt := placePoint("lstm-step-"+mat.KernelName(), shape, flops, bytes, stepMs/iters, peak, bw)
+	pt.Split = split
+	return pt, nil
 }
 
 // benchTrainKernels measures the CI-gated AVX2-over-SSE2 speedup on the
@@ -341,7 +459,8 @@ func runRoofline(path string, fast bool) error {
 	snap.RidgeIntensity = peak / bw
 	fmt.Fprintf(os.Stderr, "  ceilings: %.2f GFLOP/s compute, %.2f GB/s bandwidth, ridge %.2f flops/byte\n", peak, bw, peak/bw)
 
-	// One point per exact dispatch level.
+	// Two points per exact dispatch level: the dense product and one
+	// single-window recurrent step.
 	for _, k := range kernels {
 		if k == "neon" {
 			continue // opt-in, bounded-ULP; not part of the dispatch default
@@ -351,7 +470,11 @@ func runRoofline(path string, fast bool) error {
 			if err != nil {
 				return err
 			}
-			snap.Points = append(snap.Points, pt)
+			step, err := measureLSTMStep(peak, bw, reps)
+			if err != nil {
+				return err
+			}
+			snap.Points = append(snap.Points, pt, step)
 			return nil
 		})
 		if err != nil {
@@ -361,6 +484,10 @@ func runRoofline(path string, fast bool) error {
 	for _, pt := range snap.Points {
 		fmt.Fprintf(os.Stderr, "  %-18s %7.2f GFLOP/s  %5.2f flops/byte  %-9s bound  %4.0f%% of ceiling\n",
 			pt.Name, pt.GFlops, pt.Intensity, pt.Bound, pt.Efficiency*100)
+		if s := pt.Split; s != nil {
+			fmt.Fprintf(os.Stderr, "  %-18s %.2f µs/step: products %.2f, activations %.2f (%.0f%%), copies %.2f\n",
+				"", s.StepUs, s.ProductsUs, s.ActivationsUs, s.ActivationsShare*100, s.CopiesUs)
+		}
 	}
 
 	if avx2 {

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/parallel"
 )
@@ -68,6 +69,19 @@ func parallelWorth(rows int, flops int64) int {
 		return 1
 	}
 	return parallel.Workers(0, rows)
+}
+
+// SequentialRows reports the most rows a product with shared dimension k and
+// n output columns can have and still run on the calling goroutine; larger
+// products fan out over the worker pool. A caller that splits a product into
+// row blocks of its own sizes them with it so that no block spawns
+// goroutines.
+func SequentialRows(k, n int) int {
+	perRow := 2 * int64(k) * int64(n)
+	if perRow == 0 {
+		return math.MaxInt
+	}
+	return max(15, int((mulParallelFlops-1)/perRow))
 }
 
 // MulInto computes dst = a·b without allocating. dst must be a.Rows×b.Cols

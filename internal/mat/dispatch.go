@@ -17,10 +17,14 @@ import (
 //	      is pinned against, and the only path under the noasm build tag
 //	sse2  amd64 baseline: the 2×4 SSE2 micro-kernel (per-lane
 //	      multiply-then-add, bit-identical to the reference)
-//	avx2  amd64 with AVX2: 2×8 / 1×8 micro-kernels over 8-wide packed
-//	      panels plus vectorised axpy/Adam kernels (still per-lane
-//	      multiply-then-add — AVX2 is used for width, not fusion — so
-//	      results stay bit-identical to the reference)
+//	avx2  amd64 with AVX2: 2×8 / 1×8 / 1×32 micro-kernels over 8-wide
+//	      packed panels plus vectorised axpy/Adam/exp kernels (still
+//	      per-lane multiply-then-add — AVX2 is used for width, not fusion —
+//	      so results stay bit-identical to the reference). The one
+//	      exception is the exp kernel behind ExpInto: it fuses exactly
+//	      where the standard library's amd64 math.Exp fuses, and runs only
+//	      on a CPU with FMA, where math.Exp takes that fused branch itself,
+//	      so it too matches the reference — math.Exp — bit for bit
 //	neon  arm64 NEON 2×4 panel kernel. NEON float64 vector arithmetic is
 //	      only available fused (FMLA), which rounds once per
 //	      multiply-accumulate instead of twice; results are therefore NOT
@@ -74,7 +78,7 @@ var activeKernel atomic.Int32
 type cpuFeatures struct {
 	sse2 bool // amd64 baseline (always true on amd64 builds with asm)
 	avx2 bool // AVX2 + OS YMM support
-	fma  bool // FMA3 (informational; the exact kernels do not fuse)
+	fma  bool // FMA3: math.Exp takes its fused branch, so the exp kernel may run
 	neon bool // arm64 AdvSIMD (always true on arm64 builds with asm)
 }
 

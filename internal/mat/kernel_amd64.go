@@ -2,17 +2,22 @@
 
 package mat
 
+import "math"
+
 // amd64 SIMD kernels. Two dispatch levels live here:
 //
 //   - sse2: the 2×4 micro-kernel (dotPanel2x4), part of the amd64 baseline,
 //     packing panels on the fly inside mulBTRangeKernel.
-//   - avx2: 8-wide micro-kernels (dotPanel2x8 / dotPanel1x8) consumed through
-//     the packed-panel cache, plus vectorised axpy and Adam-update kernels.
-//     Detected at init via CPUID + XGETBV (OS must have enabled YMM state).
+//   - avx2: 8-wide micro-kernels (dotPanel2x8 / dotPanel1x8 / dotPanel1x32)
+//     consumed through the packed-panel cache, plus vectorised axpy, Adam
+//     and exp kernels. Detected at init via CPUID + XGETBV (OS must have
+//     enabled YMM state).
 //
 // Every routine keeps the repository's exactness contract: one vector lane
 // per output element, multiply-then-add in ascending order, no FMA — so
-// results are bit-identical to the pure-Go reference at every level.
+// results are bit-identical to the pure-Go reference at every level. The one
+// fused kernel, expAsm, fuses exactly where math.Exp itself does and runs
+// only when math.Exp takes that branch.
 
 // detectFeatures fills the dispatch capability flags from CPUID. SSE2 is
 // part of the amd64 baseline; AVX2 additionally requires the AVX and AVX2
@@ -65,6 +70,13 @@ func dotPanel2x8(a0, a1, panel *float64, k int, out *[16]float64)
 //go:noescape
 func dotPanel1x8(a, panel *float64, k int, out *[8]float64)
 
+// dotPanel1x32 (AVX2) reduces one sample row against four consecutive 8-wide
+// panels (panel points at the first; each is 8·k long), keeping eight
+// independent accumulator chains in flight where dotPanel1x8 keeps two.
+//
+//go:noescape
+func dotPanel1x32(a, panel *float64, k int, out *[32]float64)
+
 // axpyAsm (AVX2) computes y[i] += s·x[i] for i < n; n must be a multiple
 // of 4.
 //
@@ -88,6 +100,36 @@ type adamConsts struct {
 	lr, eps  float64
 	tiny     float64 // flushTiny threshold (1e-150)
 	absMask  float64 // 0x7FFF…F bit pattern, clears the sign bit
+}
+
+// expAsm (AVX2+FMA) sets dst[i] = math.Exp(src[i]) four lanes at a time for
+// i < n (n a multiple of 4), stopping at the first group that holds a lane
+// outside ±708 or a non-finite lane; it returns how many elements it wrote.
+//
+//go:noescape
+func expAsm(dst, src *float64, n int) int
+
+// expKernel runs ExpInto under the avx2 dispatch level on a CPU with FMA —
+// the condition under which math.Exp takes the FMA branch expAsm repeats —
+// and reports whether it ran.
+func expKernel(dst, src []float64) bool {
+	n := len(src)
+	if n < 4 || ActiveKernel() != KernelAVX2 || !features.fma {
+		return false
+	}
+	q := n &^ 3
+	for i := 0; i < q; {
+		i += expAsm(&dst[i], &src[i], q-i)
+		if i < q { // a group expAsm declined: outside ±708 or not finite
+			for end := i + 4; i < end; i++ {
+				dst[i] = math.Exp(src[i])
+			}
+		}
+	}
+	for i := q; i < n; i++ {
+		dst[i] = math.Exp(src[i])
+	}
+	return true
 }
 
 // dotPanelNEON2x4 is the arm64 kernel; unreachable on amd64 (the neon

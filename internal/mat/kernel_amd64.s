@@ -183,6 +183,195 @@ done1x8:
 	VZEROUPPER
 	RET
 
+// func dotPanel1x32(a, panel *float64, k int, out *[32]float64)
+//
+// Single-row AVX2 reduction against four consecutive 8-wide panels (BX, R9,
+// R10, R11, each 8·k values apart). At batch 1 dotPanel1x8's two accumulator
+// chains wait on VADDPD latency; eight independent chains keep the adders
+// busy. Same lane/order contract: every lane is a VMULPD-then-VADDPD chain
+// over ascending kk.
+//
+// out layout: [panel0 c0-7, panel1 c0-7, panel2 c0-7, panel3 c0-7].
+TEXT ·dotPanel1x32(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), SI
+	MOVQ panel+8(FP), BX
+	MOVQ k+16(FP), CX
+	MOVQ out+24(FP), DX
+
+	MOVQ CX, R8
+	SHLQ $6, R8            // panel stride in bytes: 8 values · 8 bytes · k
+	LEAQ (BX)(R8*1), R9
+	LEAQ (R9)(R8*1), R10
+	LEAQ (R10)(R8*1), R11
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+	TESTQ CX, CX
+	JLE   done1x32
+
+loop1x32:
+	VBROADCASTSD (SI), Y8
+
+	VMULPD (BX), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(BX), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD (R9), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 32(R9), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD (R10), Y8, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD 32(R10), Y8, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD (R11), Y8, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD 32(R11), Y8, Y9
+	VADDPD Y9, Y7, Y7
+
+	ADDQ $8, SI
+	ADDQ $64, BX
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $64, R11
+	DECQ CX
+	JNZ  loop1x32
+
+done1x32:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// Constants of expAsm: the literals of the standard library's amd64 math.Exp
+// (src/math/exp_amd64.s), plus the lane guard and the exponent bias.
+DATA expc<>+0(SB)/8, $1.4426950408889634073599246810018920                     // log2(e)
+DATA expc<>+8(SB)/8, $0.69314718055966295651160180568695068359375               // ln 2, upper part
+DATA expc<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12    // ln 2, lower part
+DATA expc<>+24(SB)/8, $0.0625
+DATA expc<>+32(SB)/8, $2.4801587301587301587e-5                                // Taylor 1/8!
+DATA expc<>+40(SB)/8, $1.9841269841269841270e-4                                // 1/7!
+DATA expc<>+48(SB)/8, $1.3888888888888888889e-3                                // 1/6!
+DATA expc<>+56(SB)/8, $8.3333333333333333333e-3                                // 1/5!
+DATA expc<>+64(SB)/8, $4.1666666666666666667e-2                                // 1/4!
+DATA expc<>+72(SB)/8, $1.6666666666666666667e-1                                // 1/3!
+DATA expc<>+80(SB)/8, $0.5
+DATA expc<>+88(SB)/8, $1.0
+DATA expc<>+96(SB)/8, $2.0
+DATA expc<>+104(SB)/8, $708.0                                                  // lane guard: |x| ≤ 708
+DATA expc<>+112(SB)/8, $0x7FFFFFFFFFFFFFFF                                     // clears the sign bit
+DATA expc<>+120(SB)/8, $0x3FF                                                  // exponent bias
+GLOBL expc<>(SB), RODATA|NOPTR, $128
+
+// func expAsm(dst, src *float64, n int) int
+//
+// dst[i] = math.Exp(src[i]) for i < n, n a multiple of 4, four lanes per
+// group. Each group repeats, instruction for instruction, the avxfma branch
+// of math.Exp's amd64 assembly — the same constants, the same fused
+// VFNMADD/VFMADD steps where it fuses and plain VMULPD/VADDPD where it does
+// not — so each lane rounds exactly as math.Exp does on a CPU with FMA.
+// For |x| ≤ 708 that branch never reaches its overflow or subnormal exits
+// (|round(x·log2 e)| ≤ 1022), so those exits need no vector form: the first
+// group holding a lane outside ±708, or a NaN or ±Inf lane, stops the loop,
+// and the return value (elements written) tells the caller where.
+TEXT ·expAsm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+	VBROADCASTSD expc<>+112(SB), Y4 // sign-clearing mask
+	VBROADCASTSD expc<>+104(SB), Y5 // 708
+	VBROADCASTSD expc<>+0(SB), Y6   // log2(e)
+	VBROADCASTSD expc<>+8(SB), Y7   // ln 2 upper
+	VBROADCASTSD expc<>+16(SB), Y8  // ln 2 lower
+	VBROADCASTSD expc<>+24(SB), Y9  // 0.0625
+	VBROADCASTSD expc<>+40(SB), Y10 // 1/7!
+	VBROADCASTSD expc<>+48(SB), Y11 // 1/6!
+	VBROADCASTSD expc<>+56(SB), Y12 // 1/5!
+	VBROADCASTSD expc<>+64(SB), Y13 // 1/4!
+	VBROADCASTSD expc<>+72(SB), Y14 // 1/3!
+	VBROADCASTSD expc<>+96(SB), Y15 // 2
+
+	CMPQ AX, CX
+	JGE  expDone
+
+expLoop:
+	VMOVUPD (SI)(AX*8), Y0
+
+	// Guard: every lane ordered and |x| ≤ 708 (predicate 2 = LE_OS is false
+	// for NaN).
+	VANDPD    Y4, Y0, Y1
+	VCMPPD    $2, Y5, Y1, Y1
+	VMOVMSKPD Y1, DX
+	CMPQ      DX, $15
+	JNE       expDone
+
+	// n = round(x·log2 e) under the MXCSR rounding mode, as CVTSD2SL does.
+	VMULPD     Y6, Y0, Y1
+	VCVTPD2DQY Y1, X2
+	VCVTDQ2PD  X2, Y1
+
+	// r = (x − n·ln2u − n·ln2l) / 16, both subtractions fused.
+	VFNMADD231PD Y7, Y1, Y0
+	VFNMADD231PD Y8, Y1, Y0
+	VMULPD       Y9, Y0, Y0
+
+	// p = ((((((1/8!·r + 1/7!)·r + 1/6!)·r + 1/5!)·r + 1/4!)·r + 1/3!)·r + 1/2)·r + 1,
+	// each step fused.
+	VBROADCASTSD expc<>+32(SB), Y1
+	VFMADD213PD  Y10, Y0, Y1
+	VFMADD213PD  Y11, Y0, Y1
+	VFMADD213PD  Y12, Y0, Y1
+	VFMADD213PD  Y13, Y0, Y1
+	VFMADD213PD  Y14, Y0, Y1
+	VBROADCASTSD expc<>+80(SB), Y3
+	VFMADD213PD  Y3, Y0, Y1
+	VBROADCASTSD expc<>+88(SB), Y3
+	VFMADD213PD  Y3, Y0, Y1
+
+	// y = r·p, squared back up four times: y = y·(y+2) thrice, then
+	// y = (y+2)·y + 1 fused.
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      Y15, Y0, Y1
+	VFMADD213PD Y3, Y1, Y0
+
+	// Scale by 2ⁿ: (n + 1023) << 52 is the bit pattern of 2ⁿ.
+	VPMOVSXDQ    X2, Y1
+	VPBROADCASTQ expc<>+120(SB), Y3
+	VPADDQ       Y3, Y1, Y1
+	VPSLLQ       $52, Y1, Y1
+	VMULPD       Y1, Y0, Y0
+
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     expLoop
+
+expDone:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
 // func axpyAsm(y, x *float64, n int, s float64)
 //
 // y[i] += s·x[i] for i < n; n must be a multiple of 4. Each element is an

@@ -38,6 +38,10 @@ func dotPanel1x8(a, panel *float64, k int, out *[8]float64) {
 	panic("mat: avx2 kernel invoked on arm64")
 }
 
+func dotPanel1x32(a, panel *float64, k int, out *[32]float64) {
+	panic("mat: avx2 kernel invoked on arm64")
+}
+
 // axpyKernel has no arm64 assembly (unfused vector multiply-add does not
 // exist in the arm64 assembler); the scalar loop is used at every level.
 func axpyKernel(y, x []float64, s float64) bool { return false }
@@ -46,6 +50,9 @@ func axpyKernel(y, x []float64, s float64) bool { return false }
 func adamKernel(w, g, m, v []float64, beta1, beta2, c1, c2, lr, eps float64) bool {
 	return false
 }
+
+// expKernel has no arm64 assembly; ExpInto calls math.Exp per element.
+func expKernel(dst, src []float64) bool { return false }
 
 // mulBTRangeKernel reports false: the on-the-fly pack path is amd64-only.
 // NEON consumption happens through the PanelCache packed path, where the

@@ -23,6 +23,9 @@ func adamKernel(w, g, m, v []float64, beta1, beta2, c1, c2, lr, eps float64) boo
 	return false
 }
 
+// expKernel reports false; ExpInto calls math.Exp per element.
+func expKernel(dst, src []float64) bool { return false }
+
 func dotPanel2x4(a0, a1, panel *float64, k int, out *[8]float64) {
 	panic("mat: sse2 kernel invoked on a pure-Go build")
 }
@@ -32,6 +35,10 @@ func dotPanel2x8(a0, a1, panel *float64, k int, out *[16]float64) {
 }
 
 func dotPanel1x8(a, panel *float64, k int, out *[8]float64) {
+	panic("mat: avx2 kernel invoked on a pure-Go build")
+}
+
+func dotPanel1x32(a, panel *float64, k int, out *[32]float64) {
 	panic("mat: avx2 kernel invoked on a pure-Go build")
 }
 

@@ -220,25 +220,32 @@ func mulBTPackedRange(dst, a *Matrix, p *Packed, r0, r1 int) {
 	}
 }
 
-// mulBTPackedAVX2 consumes 8-wide panels with the 2×8 / 1×8 AVX2
-// micro-kernels; the tail columns run the generic consumer.
+// mulBTPackedAVX2 consumes 8-wide panels with the 2×8 AVX2 micro-kernel
+// over row pairs. A lone or odd trailing row — every product at batch 1 —
+// takes four panels at a time through the 1×32 kernel, then the rest through
+// the 1×8 one. The tail columns run the generic consumer.
 func mulBTPackedAVX2(dst, a *Matrix, p *Packed, r0, r1 int) {
 	k, n := p.cols, p.rows
 	groups := n / 8
+	pairs := r0 + (r1-r0)&^1
 	var out2 [16]float64
-	var out1 [8]float64
 	for g := 0; g < groups; g++ {
 		panel := p.data[g*8*k : (g+1)*8*k]
 		j := g * 8
-		i := r0
-		for ; i+2 <= r1; i += 2 {
+		for i := r0; i < pairs; i += 2 {
 			dotPanel2x8(&a.Data[i*k], &a.Data[(i+1)*k], &panel[0], k, &out2)
 			copy(dst.Data[i*dst.Cols+j:i*dst.Cols+j+8], out2[:8])
 			copy(dst.Data[(i+1)*dst.Cols+j:(i+1)*dst.Cols+j+8], out2[8:])
 		}
-		if i < r1 {
-			dotPanel1x8(&a.Data[i*k], &panel[0], k, &out1)
-			copy(dst.Data[i*dst.Cols+j:i*dst.Cols+j+8], out1[:])
+	}
+	if i := pairs; i < r1 {
+		orow := dst.Data[i*dst.Cols : i*dst.Cols+groups*8]
+		g := 0
+		for ; g+4 <= groups; g += 4 {
+			dotPanel1x32(&a.Data[i*k], &p.data[g*8*k], k, (*[32]float64)(orow[g*8:g*8+32]))
+		}
+		for ; g < groups; g++ {
+			dotPanel1x8(&a.Data[i*k], &p.data[g*8*k], k, (*[8]float64)(orow[g*8:g*8+8]))
 		}
 	}
 	if tail := n - groups*8; tail > 0 {

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,6 +60,36 @@ func TestMulBTPackedMatchesReference(t *testing.T) {
 					t.Fatalf("MulBTPackedInto %v: %v", s, err)
 				}
 				bitEqual(t, KernelName(), got, want)
+			}
+		})
+	}
+}
+
+// TestMulBTPackedFewRowsMatchesMulBT pins the lone and odd trailing row of
+// the packed product — the 1×32 group of four panels, then single panels,
+// then the tail columns — to MulBTInto bit for bit, at widths on both sides
+// of each boundary and at the shared dimensions the models use.
+func TestMulBTPackedFewRowsMatchesMulBT(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, name := range exactKernels() {
+		withKernel(t, name, func(t *testing.T) {
+			for _, m := range []int{1, 3, 5} {
+				for _, n := range []int{8, 24, 32, 33, 96, 336} {
+					for _, k := range []int{1, 18, 24, 672} {
+						a := randMatrix(m, k, rng)
+						b := randMatrix(n, k, rng)
+						want := New(m, n)
+						if err := MulBTInto(want, a, b); err != nil {
+							t.Fatal(err)
+						}
+						got := New(m, n)
+						got.Fill(math.NaN()) // catch unwritten elements
+						if err := MulBTPackedInto(got, a, Pack(b)); err != nil {
+							t.Fatal(err)
+						}
+						bitEqual(t, fmt.Sprintf("%d×%d · (%d×%d)ᵀ", m, k, n, k), got, want)
+					}
+				}
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package rnn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/mat"
@@ -14,10 +13,13 @@ import (
 // products per step per sequence. Batching B windows turns each step into
 // two matrix-matrix products (X_t·Wxᵀ and H·Whᵀ) through the blocked
 // kernels, amortising both weight matrices over the whole batch. The
-// kernels accumulate in per-sample order, so a row's result does not depend
-// on the batch around it. This is the only inference path: a single window
-// is a batch of one (Reconstruct, EncodedState). Training (train.go) runs
-// the same kernels over its own model-owned scratch.
+// encoder sees all its inputs up front, so its X·Wxᵀ is hoisted out of the
+// recurrence into one product per block of steps; the decoder feeds on its
+// own output and keeps both products per step. The kernels accumulate in
+// per-sample order, so a row's result does not depend on the batch around
+// it. This is the only inference path: a single window is a batch of one
+// (Reconstruct, EncodedState). Training (train.go) runs the same kernels and
+// the same cell over its own model-owned scratch.
 //
 // Everything here is stateless with respect to the model: the evolving
 // batch state lives in a caller-owned StepState, so any number of
@@ -32,6 +34,15 @@ type StepState struct {
 	H, C mat.Matrix
 
 	z, zh mat.Matrix
+	e     []float64 // the cell's exponentials
+}
+
+// exps returns the cell's 4H scratch.
+func (st *StepState) exps(h int) []float64 {
+	if cap(st.e) < 4*h {
+		st.e = make([]float64, 4*h)
+	}
+	return st.e[:4*h]
 }
 
 // Reset sizes the state for batch size b over hidden width h and zeroes the
@@ -59,27 +70,55 @@ func (l *LSTM) StepBatch(st *StepState, x *mat.Matrix) error {
 	if err := mat.MulBTCachedInto(z, x, l.Wx, &l.cacheWx); err != nil {
 		return fmt.Errorf("lstm batch step: %w", err)
 	}
-	zh := st.zh.Reshape(x.Rows, 4*H)
+	return l.recur(st, z.Data)
+}
+
+// recur finishes one step for every sequence of st from their input
+// projections, row r of z for sequence r: one recurrent product H·Whᵀ, then
+// the cell row by row.
+func (l *LSTM) recur(st *StepState, z []float64) error {
+	G := 4 * l.HiddenSize
+	zh := st.zh.Reshape(st.H.Rows, G)
 	if err := mat.MulBTCachedInto(zh, &st.H, l.Wh, &l.cacheWh); err != nil {
 		return fmt.Errorf("lstm batch step: %w", err)
 	}
-	for r := 0; r < x.Rows; r++ {
-		zr := z.Row(r)
-		zhr := zh.Row(r)
-		hr := st.H.Row(r)
-		cr := st.C.Row(r)
-		for i := range zr {
-			zr[i] += zhr[i] + l.B[i]
+	e := st.exps(l.HiddenSize)
+	for r := 0; r < st.H.Rows; r++ {
+		l.cell(z[r*G:(r+1)*G], zh.Row(r), st.C.Row(r), st.H.Row(r), e, e)
+	}
+	return nil
+}
+
+// encode runs l over the frame-major slab xs — row t·B + w is window w's
+// step t — from the states in st, backwards in time when reverse is set.
+// The input projection is hoisted out of the recurrence: it is one product
+// per block of steps, each block small enough to stay on the calling
+// goroutine, so a step is only the recurrent product and the cell. xb is
+// scratch for the block's view of xs. Each row of a product is computed on
+// its own, so the states carry the bits StepBatch would give them.
+func (l *LSTM) encode(st *StepState, xs, xb *mat.Matrix, reverse bool) error {
+	B, I, G := st.H.Rows, l.InSize, 4*l.HiddenSize
+	T := xs.Rows / B
+	steps := max(1, mat.SequentialRows(I, G)/B)
+	for done := 0; done < T; done += steps {
+		n := min(steps, T-done)
+		t0 := done
+		if reverse {
+			t0 = T - done - n
 		}
-		for i := 0; i < H; i++ {
-			ig := sigmoid(zr[i])
-			fg := sigmoid(zr[H+i])
-			gg := math.Tanh(zr[2*H+i])
-			og := sigmoid(zr[3*H+i])
-			c := fg*cr[i] + ig*gg
-			tc := math.Tanh(c)
-			cr[i] = c
-			hr[i] = og * tc
+		xb.Rows, xb.Cols, xb.Data = n*B, I, xs.Data[t0*B*I:(t0+n)*B*I]
+		z := st.z.Reshape(n*B, G)
+		if err := mat.MulBTCachedInto(z, xb, l.Wx, &l.cacheWx); err != nil {
+			return fmt.Errorf("lstm encode: %w", err)
+		}
+		for s := 0; s < n; s++ {
+			j := s
+			if reverse {
+				j = n - 1 - s
+			}
+			if err := l.recur(st, z.Data[j*B*G:(j+1)*B*G]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -92,7 +131,11 @@ type inferScratch struct {
 	// st is the forward encoder's state and, once encodeBatch returns, the
 	// decoder's; bwd is the BiLSTM's reverse direction.
 	st, bwd StepState
-	// xt is the frame fed to the next step; yt receives the head's output.
+	// xs holds the windows' frames as one frame-major slab, row t·B + w;
+	// xb is the view of the block of it being projected.
+	xs, xb mat.Matrix
+	// xt is the frame fed to the next decoder step; yt receives the head's
+	// output.
 	xt, yt mat.Matrix
 }
 
@@ -115,34 +158,26 @@ func (m *Seq2Seq) encodeBatch(sc *inferScratch, windows [][][]float64) error {
 			}
 		}
 	}
-	xt := sc.xt.Reshape(B, m.InSize)
-	run := func(l *LSTM, st *StepState, t int) error {
-		for w := range windows {
-			copy(xt.Row(w), windows[w][t])
+	xs := sc.xs.Reshape(T*B, m.InSize)
+	for w, win := range windows {
+		for t, f := range win {
+			copy(xs.Row(t*B+w), f)
 		}
-		if err := l.StepBatch(st, xt); err != nil {
-			return fmt.Errorf("seq2seq encode: %w", err)
-		}
-		return nil
 	}
 	fwd := m.Encoder
 	if m.BiEncoder != nil {
 		fwd = m.BiEncoder.Fwd
 	}
 	sc.st.Reset(B, m.HiddenSize)
-	for t := 0; t < T; t++ {
-		if err := run(fwd, &sc.st, t); err != nil {
-			return err
-		}
+	if err := fwd.encode(&sc.st, xs, &sc.xb, false); err != nil {
+		return fmt.Errorf("seq2seq encode: %w", err)
 	}
 	if m.BiEncoder == nil {
 		return nil
 	}
 	sc.bwd.Reset(B, m.HiddenSize)
-	for t := T - 1; t >= 0; t-- {
-		if err := run(m.BiEncoder.Bwd, &sc.bwd, t); err != nil {
-			return err
-		}
+	if err := m.BiEncoder.Bwd.encode(&sc.bwd, xs, &sc.xb, true); err != nil {
+		return fmt.Errorf("seq2seq encode: %w", err)
 	}
 	for i, v := range sc.bwd.H.Data {
 		sc.st.H.Data[i] += v

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mat"
@@ -122,6 +123,58 @@ func TestEncodedStateIsBatchedEncode(t *testing.T) {
 		})
 		if allocs > 8 {
 			t.Fatalf("bidirectional=%v: EncodedState allocates %.0f objects/call in steady state, want ≤ 8", bidi, allocs)
+		}
+	}
+}
+
+// TestInferenceAllocations pins steady-state inference to what the caller
+// keeps: EncodedState's returned vector, and ReconstructBatch's three result
+// slabs at batch 1 and at batch 32 — where a block of the hoisted input
+// projection large enough to fan out over the worker pool would add
+// hundreds. Allocations are counted at the process's own GOMAXPROCS
+// (testing.AllocsPerRun drops it to 1, where nothing fans out). Everything
+// else comes from the pooled scratch, which the race detector's sync.Pool
+// drops at random, so the exact pins run without it.
+func TestInferenceAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, bidi := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(5))
+		m, err := NewSeq2Seq(Config{InSize: 18, HiddenSize: 24, Bidirectional: bidi}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin := func(tag string, want uint64, call func() error) {
+			t.Helper()
+			if err := call(); err != nil { // warm the pool and the panel caches
+				t.Fatal(err)
+			}
+			// The best of several rounds: a goroutine that moves to another P
+			// misses its pooled scratch now and then.
+			const rounds, runs = 5, 5
+			best := uint64(math.MaxUint64)
+			for range rounds {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					if err := call(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				best = min(best, (after.Mallocs-before.Mallocs)/runs)
+			}
+			if best != want {
+				t.Fatalf("bidirectional=%v %s: %d allocations per call at GOMAXPROCS=%d, want %d",
+					bidi, tag, best, runtime.GOMAXPROCS(0), want)
+			}
+		}
+		xs := randWindows(1, 128, 18, rng)[0]
+		pin("EncodedState", 1, func() error { _, err := m.EncodedState(xs); return err })
+		for _, b := range []int{1, 32} {
+			windows := randWindows(b, 128, 18, rng)
+			pin(fmt.Sprintf("ReconstructBatch of %d", b), 3, func() error { _, err := m.ReconstructBatch(windows); return err })
 		}
 	}
 }

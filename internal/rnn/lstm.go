@@ -8,7 +8,6 @@ package rnn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/mat"
@@ -65,9 +64,6 @@ func NewLSTM(inSize, hiddenSize int, rng *rand.Rand) *LSTM {
 	}
 	return l
 }
-
-// sigmoid is the logistic function.
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
 // Params returns the trainable parameters.
 func (l *LSTM) Params() []nn.Param {

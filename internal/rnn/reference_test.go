@@ -12,6 +12,9 @@ import (
 // for bit: one window at a time, one matrix-vector product per gate block
 // per step, and per-step OuterAdd gradient accumulation.
 
+// sigmoid is the logistic function, one math.Exp per call.
+func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
 // mulVec returns m·x, accumulating each row in ascending column order.
 func mulVec(m *mat.Matrix, x []float64) []float64 {
 	out := make([]float64, m.Rows)

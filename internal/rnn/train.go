@@ -2,7 +2,6 @@ package rnn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 	"repro/internal/nn"
@@ -90,6 +89,7 @@ func (l *LSTM) forward(p *lstmPass, hs *mat.Matrix) error {
 		return fmt.Errorf("lstm train forward: %w", err)
 	}
 	zh := p.st.zh.Reshape(p.B, 4*H)
+	e := p.st.exps(H)
 	for t := 0; t < p.T; t++ {
 		if err := mat.MulBTCachedInto(zh, &p.st.H, l.Wh, &l.cacheWh); err != nil {
 			return fmt.Errorf("lstm train forward: %w", err)
@@ -99,20 +99,7 @@ func (l *LSTM) forward(p *lstmPass, hs *mat.Matrix) error {
 			hr, cr := p.st.H.Row(w), p.st.C.Row(w)
 			copy(p.hp.Row(r), hr)
 			copy(p.cp.Row(r), cr)
-			zr, zhr, tcr := p.z.Row(r), zh.Row(w), p.tc.Row(r)
-			for i := range zr {
-				zr[i] += zhr[i] + l.B[i]
-			}
-			for i := 0; i < H; i++ {
-				ig := sigmoid(zr[i])
-				fg := sigmoid(zr[H+i])
-				gg := math.Tanh(zr[2*H+i])
-				og := sigmoid(zr[3*H+i])
-				zr[i], zr[H+i], zr[2*H+i], zr[3*H+i] = ig, fg, gg, og
-				c := fg*cr[i] + ig*gg
-				tc := math.Tanh(c)
-				cr[i], tcr[i], hr[i] = c, tc, og*tc
-			}
+			l.cell(p.z.Row(r), zh.Row(w), cr, hr, p.tc.Row(r), e)
 			if hs != nil {
 				copy(hs.Row(w*p.T+t), hr)
 			}
