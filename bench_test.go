@@ -360,6 +360,68 @@ func BenchmarkGaussianLogPDF(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionAdaptiveMultivariate measures the paper's method on the
+// device, one window per Detect on the fast multivariate system. "one-pass"
+// is the session as opened: the IoT model is also the extractor, so a
+// window is encoded once for the policy's context and the detection.
+// "two-pass" wraps the extractor, which makes the device extract the context
+// first and detect after — the path the end-to-end benchmark's traced
+// devices take.
+func BenchmarkSessionAdaptiveMultivariate(b *testing.B) {
+	sys := fastMultiSystem(b)
+	twoPass := *sys
+	twoPass.Extractor = wrappedExtractor{sys.Extractor}
+	for _, c := range []struct {
+		name string
+		sys  *System
+	}{{"one-pass", sys}, {"two-pass", &twoPass}} {
+		b.Run(c.name, func(b *testing.B) {
+			sess, err := c.sys.Open(SchemeAdaptive)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sess.Close()
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.Detect(ctx, sys.TestSamples[i%len(sys.TestSamples)].Frames); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLogPDFRows measures the batch scorer on one multivariate window's
+// error matrix (128 steps × 18 channels) — what a seq2seq Detect scores.
+func BenchmarkLogPDFRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	samples := make([][]float64, 500)
+	for i := range samples {
+		s := make([]float64, 18)
+		for j := range s {
+			s[j] = rng.NormFloat64()
+		}
+		samples[i] = s
+	}
+	g, err := mat.FitGaussian(samples, 1e-6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	xs, err := mat.NewFromRows(samples[:128])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.LogPDFRows(xs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSeq2SeqTrainStep measures one teacher-forced BPTT step of the
 // smallest seq2seq model — the unit of training cost the harness budgets.
 func BenchmarkSeq2SeqTrainStep(b *testing.B) {

@@ -167,6 +167,38 @@ type BatchDetector interface {
 	DetectBatch(windows [][][]float64) ([]Verdict, error)
 }
 
+// Keep decides, from window i's encoder state z, whether a HandoffDetector
+// goes on to judge the window. z is valid only during the call.
+type Keep func(i int, z []float64) (bool, error)
+
+// HandoffDetector is a BatchDetector whose model encodes each window into a
+// state before judging it, and that hands the state out on the way: the
+// multivariate IoT model, whose encoder state is also the policy's context.
+// DetectKept encodes every window once, calls keep with each window's state
+// (the bits its EncodedState would return), and judges only the windows keep
+// accepts; the verdicts of the others are left zero. A keep error stops the
+// call and is returned. A nil keep keeps every window, which makes
+// DetectKept DetectBatch. Implementations must be comparable: Handoff
+// recognises the model that is both a caller's extractor and its detector
+// by identity.
+type HandoffDetector interface {
+	BatchDetector
+	DetectKept(windows [][][]float64, keep Keep) ([]Verdict, error)
+}
+
+// Handoff returns d as a HandoffDetector when the caller's context
+// extractor ext is d itself — the one case in which a window's context is
+// the state d computes on the way to its verdict, so the caller can take
+// both from one DetectKept pass. Any other pairing, including a wrapped
+// extractor, needs the context and the detection separately.
+func Handoff(d Detector, ext any) (HandoffDetector, bool) {
+	hd, ok := d.(HandoffDetector)
+	if !ok || any(hd) != ext {
+		return nil, false
+	}
+	return hd, true
+}
+
 // DetectAll judges every window, in one DetectBatch call when the detector
 // supports batching and by sequential Detect calls otherwise. It is the
 // batching seam for callers that hold a plain Detector (precompute engine,

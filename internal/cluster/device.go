@@ -23,6 +23,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/anomaly"
@@ -177,12 +178,17 @@ func (d *Device) SwapLocal(det anomaly.Detector, execMs func(frames int) float64
 }
 
 // localState returns the live local detector and execution-time model,
-// preferring a SwapLocal override over the construction-time fields.
+// preferring a SwapLocal override over the construction-time fields. A nil
+// execution-time model charges zero.
 func (d *Device) localState() (anomaly.Detector, func(frames int) float64) {
+	det, execMs := d.Local, d.LocalExecMs
 	if h := d.hot.Load(); h != nil {
-		return h.det, h.execMs
+		det, execMs = h.det, h.execMs
 	}
-	return d.Local, d.LocalExecMs
+	if execMs == nil {
+		execMs = func(int) float64 { return 0 }
+	}
+	return det, execMs
 }
 
 // Outcome is one live detection with its delay decomposition.
@@ -203,13 +209,15 @@ type Outcome struct {
 // policyLayer runs the policy on the window's context and returns the
 // highest-probability layer (worst=false) or the lowest (worst=true).
 func (d *Device) policyLayer(frames [][]float64, worst bool) (hec.Layer, error) {
-	if d.Policy == nil || d.Extractor == nil {
-		return 0, fmt.Errorf("cluster: policy-driven scheme needs a policy and an extractor")
-	}
 	z, err := d.Extractor.Context(frames)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: extracting context: %w", err)
 	}
+	return d.pick(z, worst)
+}
+
+// pick is policyLayer from the context z.
+func (d *Device) pick(z []float64, worst bool) (hec.Layer, error) {
 	probs, err := d.Policy.Probs(z)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: policy forward: %w", err)
@@ -324,16 +332,37 @@ func (b *dispatch) escalate(outs []Outcome) error {
 // preferred layer (the paper's method) or, when worst, its least preferred
 // (Pathological, which falls back to always-cloud without a policy). The
 // windows are then judged in one group per layer.
+//
+// When the extractor is the live local detector — the multivariate IoT
+// model, whose encoder state is the context — the windows are encoded once:
+// the detector hands each window's state to the policy and goes on to judge
+// the windows the policy keeps at the IoT layer. Any other device (a
+// univariate one, one whose detector SwapLocal replaced, one whose
+// extractor is wrapped) extracts every context first and judges after.
 func (b *dispatch) route(worst bool, outs []Outcome) error {
 	var one [1]hec.Layer
 	picks := one[:]
 	if len(outs) > 1 {
 		picks = make([]hec.Layer, len(outs))
 	}
-	fallback := worst && (b.d.Policy == nil || b.d.Extractor == nil)
-	for i := range picks {
-		picks[i] = hec.LayerCloud
-		if !fallback {
+	first := hec.LayerIoT // the first layer still to judge
+	local, execMs := b.d.localState()
+	hd, handoff := anomaly.Handoff(local, b.d.Extractor)
+	switch {
+	case b.d.Policy == nil || b.d.Extractor == nil:
+		if !worst {
+			return fmt.Errorf("cluster: policy-driven scheme needs a policy and an extractor")
+		}
+		for i := range picks {
+			picks[i] = hec.LayerCloud
+		}
+	case handoff:
+		if err := b.handoff(hd, execMs, worst, picks, outs); err != nil {
+			return err
+		}
+		first = hec.LayerEdge
+	default:
+		for i := range picks {
 			l, err := b.d.policyLayer(b.window(i), worst)
 			if err != nil {
 				return err
@@ -342,7 +371,7 @@ func (b *dispatch) route(worst bool, outs []Outcome) error {
 		}
 	}
 	var buf []int
-	for l := hec.LayerIoT; l < hec.NumLayers; l++ {
+	for l := first; l < hec.NumLayers; l++ {
 		group, n := subset(nil, len(picks), &buf, func(i int) bool { return picks[i] == l })
 		if n == 0 {
 			continue
@@ -352,6 +381,64 @@ func (b *dispatch) route(worst bool, outs []Outcome) error {
 		}
 	}
 	return nil
+}
+
+// handoff is route's one pass over a local detector that is also the
+// extractor: hd encodes every window once, the policy picks each window's
+// layer from its encoder state, and hd judges the windows picked for the
+// IoT layer in the same call. The others are left for their layers.
+func (b *dispatch) handoff(hd anomaly.HandoffDetector, execMs func(int) float64, worst bool, picks []hec.Layer, outs []Outcome) error {
+	if err := b.ctx.Err(); err != nil {
+		return fmt.Errorf("cluster: local detection abandoned: %w", err)
+	}
+	c := handoffPool.Get().(*handoffCall)
+	defer c.release()
+	c.d, c.worst = b.d, worst
+	windows := b.windows
+	if windows == nil {
+		c.one[0] = b.frames
+		windows = c.one[:]
+	}
+	c.layers = append(c.layers[:0], picks...)
+	vs, err := hd.DetectKept(windows, c.keep)
+	if err != nil {
+		return fmt.Errorf("cluster: local detection: %w", err)
+	}
+	copy(picks, c.layers)
+	for i, l := range picks {
+		if l == hec.LayerIoT {
+			fold(&outs[i], l, vs[i], execMs(len(windows[i])), 0)
+		}
+	}
+	return nil
+}
+
+// handoffCall is the state of one handoff. The keep callback escapes into
+// the interface call, and with it whatever it captures, so it is built once
+// per pooled call over the call's own fields instead of per dispatch over
+// the dispatch's (possibly stack-held) ones.
+type handoffCall struct {
+	d      *Device
+	worst  bool
+	layers []hec.Layer    // each window's pick
+	one    [1][][]float64 // Run's window as a batch
+	keep   anomaly.Keep   // picks window i's layer from z; keeps it at the IoT layer
+}
+
+var handoffPool = sync.Pool{New: func() any {
+	c := new(handoffCall)
+	c.keep = func(i int, z []float64) (bool, error) {
+		l, err := c.d.pick(z, c.worst)
+		c.layers[i] = l
+		return l == hec.LayerIoT, err
+	}
+	return c
+}}
+
+// release drops the call's references and returns it to the pool.
+func (c *handoffCall) release() {
+	c.d, c.one[0] = nil, nil
+	handoffPool.Put(c)
 }
 
 // subset returns the windows of idx (nil meaning all windows) that keep
@@ -398,9 +485,6 @@ func (b *dispatch) judge(l hec.Layer, idx []int, outs []Outcome) error {
 		}
 		if err := b.ctx.Err(); err != nil {
 			return fmt.Errorf("cluster: local detection abandoned: %w", err)
-		}
-		if execMs == nil {
-			execMs = func(int) float64 { return 0 }
 		}
 		var one [1]anomaly.Verdict
 		vs, err := one[:], error(nil)

@@ -3,7 +3,8 @@
 // network runs fast on IoT devices: for univariate data the context is the
 // min, max, mean and standard deviation of each day's readings; for
 // multivariate data it is the encoded state of the IoT model's LSTM
-// encoder (extracted by the model itself; see rnn.Seq2Seq.EncodedState).
+// encoder (the IoT seq2seq.Model is itself the Extractor; see
+// rnn.Seq2Seq.EncodedState).
 package features
 
 import (
@@ -61,23 +62,3 @@ func (UnivariateExtractor) Context(frames [][]float64) ([]float64, error) {
 
 // Dim implements Extractor.
 func (UnivariateExtractor) Dim() int { return UnivariateDim }
-
-// EncoderExtractor wraps any model exposing an encoder state (the
-// multivariate case: the IoT seq2seq model's LSTM encoder).
-type EncoderExtractor struct {
-	// Encode returns the encoder's final hidden state for a window.
-	Encode func(frames [][]float64) ([]float64, error)
-	// Width is the encoder state width.
-	Width int
-}
-
-// Context implements Extractor.
-func (e EncoderExtractor) Context(frames [][]float64) ([]float64, error) {
-	if e.Encode == nil {
-		return nil, fmt.Errorf("features: EncoderExtractor has no Encode function")
-	}
-	return e.Encode(frames)
-}
-
-// Dim implements Extractor.
-func (e EncoderExtractor) Dim() int { return e.Width }

@@ -60,26 +60,6 @@ func TestUnivariateExtractor(t *testing.T) {
 	}
 }
 
-func TestEncoderExtractor(t *testing.T) {
-	e := EncoderExtractor{
-		Encode: func(frames [][]float64) ([]float64, error) {
-			return []float64{float64(len(frames))}, nil
-		},
-		Width: 1,
-	}
-	ctx, err := e.Context(make([][]float64, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx[0] != 7 || e.Dim() != 1 {
-		t.Fatalf("ctx=%v dim=%d", ctx, e.Dim())
-	}
-	var empty EncoderExtractor
-	if _, err := empty.Context(nil); err == nil {
-		t.Fatal("nil Encode must error")
-	}
-}
-
 func TestUnivariateContextSeparatesAnomalies(t *testing.T) {
 	// An outage week should have a visibly lower per-day min than a normal
 	// week — the signal the policy network exploits.

@@ -169,6 +169,10 @@ func PrecomputeWith(ctx context.Context, dep *Deployment, ext features.Extractor
 			bs = maxBS
 		}
 	}
+	// When the extractor is the IoT detector itself (the multivariate IoT
+	// model), the IoT pass hands out each window's context on its way to the
+	// verdict, and no window is encoded twice.
+	hd, handoff := anomaly.Handoff(dep.Detectors[LayerIoT], ext)
 	chunks := (len(samples) + bs - 1) / bs
 	err := parallel.ForEachCtx(ctx, opt.Workers, chunks, func(ci int) error {
 		lo := ci * bs
@@ -187,7 +191,16 @@ func PrecomputeWith(ctx context.Context, dep *Deployment, ext features.Extractor
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			vs, err := anomaly.DetectAll(dep.Detectors[l], windows)
+			var vs []anomaly.Verdict
+			var err error
+			if l == LayerIoT && handoff {
+				vs, err = hd.DetectKept(windows, func(k int, z []float64) (bool, error) {
+					pc.Contexts[lo+k] = append([]float64(nil), z...)
+					return true, nil
+				})
+			} else {
+				vs, err = anomaly.DetectAll(dep.Detectors[l], windows)
+			}
 			if err != nil {
 				return fmt.Errorf("hec: precompute samples %d-%d layer %v: %w", lo, hi-1, l, err)
 			}
@@ -199,7 +212,7 @@ func PrecomputeWith(ctx context.Context, dep *Deployment, ext features.Extractor
 				pc.Outcomes[lo+k][l] = Outcome{Verdict: v, ExecMs: exec, E2EMs: pc.RTTs[l] + exec}
 			}
 		}
-		if ext != nil {
+		if ext != nil && !handoff {
 			for k := range windows {
 				z, err := ext.Context(windows[k])
 				if err != nil {

@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -194,10 +196,15 @@ func TestReshapeReusesBacking(t *testing.T) {
 	}
 }
 
-// TestLogPDFRowsMatchesLogPDF pins batch scoring to the per-point scorer.
+// TestLogPDFRowsMatchesLogPDF pins batch scoring to the per-point scorer bit
+// for bit: every row count around the four-row block (a lone row, a short
+// tail, whole blocks, a tail after many) at every dimension the scorer
+// serves, from the univariate fast path to one above the stack block. A
+// NaN or ±Inf reading in any lane of a block must score as LogPDF scores it
+// and leave the other lanes' scores untouched.
 func TestLogPDFRowsMatchesLogPDF(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for _, dim := range []int{1, 5, 18} {
+	for _, dim := range []int{1, 2, 5, 18, lockstepDim + 1} {
 		samples := make([][]float64, 200)
 		for i := range samples {
 			s := make([]float64, dim)
@@ -210,21 +217,53 @@ func TestLogPDFRowsMatchesLogPDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xs, err := NewFromRows(samples[:64])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := g.LogPDFRows(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < xs.Rows; i++ {
-			want, err := g.LogPDF(xs.Row(i))
+		// check scores xs in one call and compares every row with LogPDF.
+		check := func(tag string, xs *Matrix) []float64 {
+			t.Helper()
+			got, err := g.LogPDFRows(xs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got[i] != want {
-				t.Fatalf("dim %d row %d: batch %g vs per-point %g", dim, i, got[i], want)
+			if len(got) != xs.Rows {
+				t.Fatalf("dim %d %s: %d scores for %d rows", dim, tag, len(got), xs.Rows)
+			}
+			for i := 0; i < xs.Rows; i++ {
+				want, err := g.LogPDF(xs.Row(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("dim %d %s row %d: batch %g (%#x) vs per-point %g (%#x)",
+						dim, tag, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				}
+			}
+			return got
+		}
+		for _, rows := range []int{1, 3, 4, 5, 64, 129} {
+			xs, err := NewFromRows(samples[:rows])
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%d rows", rows), xs)
+		}
+		for _, rows := range []int{5, 8} {
+			clean, err := NewFromRows(samples[:rows])
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := check(fmt.Sprintf("%d clean rows", rows), clean)
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				for p := 0; p < rows; p++ {
+					xs := clean.Clone()
+					xs.Set(p, dim/2, bad)
+					tag := fmt.Sprintf("%d rows, %g at row %d", rows, bad, p)
+					got := check(tag, xs)
+					for i := range got {
+						if i != p && math.Float64bits(got[i]) != math.Float64bits(base[i]) {
+							t.Fatalf("dim %d %s: row %d moved from %g to %g", dim, tag, i, base[i], got[i])
+						}
+					}
+				}
 			}
 		}
 		if _, err := g.LogPDFRows(New(2, dim+1)); err == nil {

@@ -74,32 +74,6 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SolveInto solves A·x = b into x, using y (length n) as forward-substitution
-// scratch — the allocation-free form of Solve for batch scoring loops. The
-// arithmetic is element-for-element identical to Solve.
-func (c *Cholesky) SolveInto(x, y, b []float64) error {
-	n := c.L.Rows
-	if len(b) != n || len(x) != n || len(y) != n {
-		return fmt.Errorf("%w: Cholesky.SolveInto lengths %d/%d/%d, want %d", ErrShape, len(x), len(y), len(b), n)
-	}
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		row := c.L.Row(i)
-		for k := 0; k < i; k++ {
-			sum -= row[k] * y[k]
-		}
-		y[i] = sum / row[i]
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= c.L.At(k, i) * x[k]
-		}
-		x[i] = sum / c.L.At(i, i)
-	}
-	return nil
-}
-
 // LogDet returns log det(A) = 2·Σ log L_ii.
 func (c *Cholesky) LogDet() float64 {
 	var s float64

@@ -126,11 +126,23 @@ func (g *Gaussian) LogPDF(x []float64) (float64, error) {
 	return g.logNorm - 0.5*maha, nil
 }
 
+// lanes is how many rows LogPDFRows scores in lockstep, and lockstepDim the
+// widest Gaussian whose per-block scratch it keeps on the stack.
+const (
+	lanes       = 4
+	lockstepDim = 32
+)
+
 // LogPDFRows scores every row of xs under the Gaussian, one logPD per row —
-// the batch form of LogPDF used by the vectorised anomaly scorer. Each row
-// runs through the same centred solve in the same floating-point order as
-// LogPDF, so the scores are bit-identical to per-row calls; the solver
-// scratch is reused across rows instead of allocated per point.
+// the batch form of LogPDF used by the vectorised anomaly scorer. A
+// row's score is a chain of dependent divisions (the two triangular solves),
+// so the rows advance four at a time, with the four substitution sums held
+// in registers: the chains overlap instead of running one after another.
+// Each row still takes LogPDF's exact operations in its exact order (same k
+// order, same divisions by L[i,i], same maha accumulation), so the scores
+// are bit-identical to per-row calls, and a non-finite row touches no other
+// lane. A last block of fewer than four rows runs the same loop over zero
+// rows in the spare lanes.
 func (g *Gaussian) LogPDFRows(xs *Matrix) ([]float64, error) {
 	if xs.Cols != g.dim {
 		return nil, fmt.Errorf("%w: LogPDFRows input dim %d, want %d", ErrShape, xs.Cols, g.dim)
@@ -138,9 +150,9 @@ func (g *Gaussian) LogPDFRows(xs *Matrix) ([]float64, error) {
 	out := make([]float64, xs.Rows)
 	if g.dim == 1 {
 		// Univariate fast path: the 1×1 factor solve collapses to two
-		// divisions — same operations, same order as SolveInto, so the
-		// scores stay bit-identical while skipping the generic loops that
-		// would otherwise dominate low-dimensional scoring.
+		// divisions — same operations, same order as Solve, so the scores
+		// stay bit-identical while skipping the generic loops that would
+		// otherwise dominate low-dimensional scoring.
 		l := g.chol.L.Data[0]
 		mean := g.Mean[0]
 		for i, v := range xs.Data {
@@ -150,22 +162,74 @@ func (g *Gaussian) LogPDFRows(xs *Matrix) ([]float64, error) {
 		}
 		return out, nil
 	}
-	diff := make([]float64, g.dim)
-	sol := make([]float64, g.dim)
-	scratch := make([]float64, g.dim)
-	for i := 0; i < xs.Rows; i++ {
-		row := xs.Row(i)
-		for j, v := range row {
-			diff[j] = v - g.Mean[j]
+	n, L := g.dim, g.chol.L.Data
+	// d holds a block's centred rows and s their solutions, lane-interleaved:
+	// element j of lane r is at j·lanes + r. s holds the forward solution y
+	// until the backward pass overwrites y[i] with x[i], which is the last
+	// read of y[i] — the values Solve keeps in two vectors.
+	var stack [2 * lanes * lockstepDim]float64
+	buf := stack[:]
+	if n > lockstepDim {
+		buf = make([]float64, 2*lanes*n)
+	}
+	d, s := buf[:lanes*n], buf[lanes*n:2*lanes*n]
+	for r0 := 0; r0 < xs.Rows; r0 += lanes {
+		rows := min(lanes, xs.Rows-r0)
+		for r := 0; r < lanes; r++ {
+			if r >= rows {
+				for j := 0; j < n; j++ {
+					d[j*lanes+r] = 0
+				}
+				continue
+			}
+			for j, v := range xs.Row(r0 + r) {
+				d[j*lanes+r] = v - g.Mean[j]
+			}
 		}
-		if err := g.chol.SolveInto(sol, scratch, diff); err != nil {
-			return nil, err
+		// Forward: L·y = d.
+		for i := 0; i < n; i++ {
+			row := L[i*n : i*n+i+1]
+			di := d[i*lanes : i*lanes+lanes : i*lanes+lanes]
+			s0, s1, s2, s3 := di[0], di[1], di[2], di[3]
+			for k, l := range row[:i] {
+				yk := s[k*lanes : k*lanes+lanes : k*lanes+lanes]
+				s0 -= l * yk[0]
+				s1 -= l * yk[1]
+				s2 -= l * yk[2]
+				s3 -= l * yk[3]
+			}
+			lii := row[i]
+			yi := s[i*lanes : i*lanes+lanes : i*lanes+lanes]
+			yi[0], yi[1], yi[2], yi[3] = s0/lii, s1/lii, s2/lii, s3/lii
 		}
-		var maha float64
-		for j, d := range diff {
-			maha += d * sol[j]
+		// Backward: Lᵀ·x = y.
+		for i := n - 1; i >= 0; i-- {
+			xi := s[i*lanes : i*lanes+lanes : i*lanes+lanes]
+			s0, s1, s2, s3 := xi[0], xi[1], xi[2], xi[3]
+			for k := i + 1; k < n; k++ {
+				l := L[k*n+i]
+				xk := s[k*lanes : k*lanes+lanes : k*lanes+lanes]
+				s0 -= l * xk[0]
+				s1 -= l * xk[1]
+				s2 -= l * xk[2]
+				s3 -= l * xk[3]
+			}
+			lii := L[i*n+i]
+			xi[0], xi[1], xi[2], xi[3] = s0/lii, s1/lii, s2/lii, s3/lii
 		}
-		out[i] = g.logNorm - 0.5*maha
+		var m0, m1, m2, m3 float64
+		for j := 0; j < n; j++ {
+			dj := d[j*lanes : j*lanes+lanes : j*lanes+lanes]
+			xj := s[j*lanes : j*lanes+lanes : j*lanes+lanes]
+			m0 += dj[0] * xj[0]
+			m1 += dj[1] * xj[1]
+			m2 += dj[2] * xj[2]
+			m3 += dj[3] * xj[3]
+		}
+		maha := [lanes]float64{m0, m1, m2, m3}
+		for r := 0; r < rows; r++ {
+			out[r0+r] = g.logNorm - 0.5*maha[r]
+		}
 	}
 	return out, nil
 }

@@ -137,6 +137,8 @@ type inferScratch struct {
 	// xt is the frame fed to the next decoder step; yt receives the head's
 	// output.
 	xt, yt mat.Matrix
+	// kept lists the windows ReconstructKept decodes, by batch position.
+	kept []int
 }
 
 var inferScratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
@@ -215,50 +217,109 @@ func (m *Seq2Seq) Reconstruct(xs [][]float64) ([][]float64, error) {
 // together, each starting from a zero vector and consuming its own previous
 // reconstruction. It returns one reconstructed sequence per window — row r
 // is the same bits whatever else is in the batch — and is safe for
-// concurrent use on a shared model.
+// concurrent use on a shared model. It is ReconstructKept keeping every
+// window, with the result in slices of the caller's own.
 func (m *Seq2Seq) ReconstructBatch(windows [][][]float64) ([][][]float64, error) {
 	B := len(windows)
 	if B == 0 {
 		return nil, nil
 	}
-	T, D := len(windows[0]), m.InSize
-	if T == 0 {
-		return nil, fmt.Errorf("rnn: Reconstruct of empty sequence")
-	}
-	sc := inferScratchPool.Get().(*inferScratch)
-	defer inferScratchPool.Put(sc)
-	if err := m.encodeBatch(sc, windows); err != nil {
-		return nil, err
-	}
-
 	// The result is the caller's to keep, so it cannot come from the pool;
 	// one slab each for the values and the row headers keeps it at three
 	// allocations whatever B and T are.
-	vals := make([]float64, B*T*D)
+	var rec mat.Matrix
+	if err := m.ReconstructKept(&rec, windows, nil); err != nil {
+		return nil, err
+	}
+	T, D := len(windows[0]), m.InSize
 	rows := make([][]float64, B*T)
 	out := make([][][]float64, B)
 	for w := range out {
 		out[w] = rows[w*T : (w+1)*T : (w+1)*T]
+		for t := range out[w] {
+			at := (w*T + t) * D
+			out[w][t] = rec.Data[at : at+D : at+D]
+		}
 	}
+	return out, nil
+}
+
+// ReconstructKept is ReconstructBatch with a say between the encoder and
+// the decoder: it encodes every window, hands keep window i's final hidden
+// state h — the bits EncodedState returns for it — and decodes only the
+// windows keep accepts, into rec: row r·T + t is step t of the r-th kept
+// window, in batch order, and rec has no rows when keep rejects them all.
+// h is valid only during the call; keep must copy what it retains. A keep
+// error stops the call and is returned as it is. A nil keep keeps every
+// window.
+func (m *Seq2Seq) ReconstructKept(rec *mat.Matrix, windows [][][]float64, keep func(i int, h []float64) (bool, error)) error {
+	B := len(windows)
+	if B == 0 {
+		rec.Reshape(0, m.InSize)
+		return nil
+	}
+	if len(windows[0]) == 0 {
+		return fmt.Errorf("rnn: Reconstruct of empty sequence")
+	}
+	sc := inferScratchPool.Get().(*inferScratch)
+	defer inferScratchPool.Put(sc)
+	if err := m.encodeBatch(sc, windows); err != nil {
+		return err
+	}
+	if keep != nil {
+		kept := sc.kept[:0]
+		for w := 0; w < B; w++ {
+			ok, err := keep(w, sc.st.H.Row(w))
+			if err != nil {
+				return err
+			}
+			if ok {
+				kept = append(kept, w)
+			}
+		}
+		sc.kept = kept
+		if len(kept) == 0 {
+			rec.Reshape(0, m.InSize)
+			return nil
+		}
+		if len(kept) < B {
+			keepRows(&sc.st.H, kept)
+			keepRows(&sc.st.C, kept)
+		}
+	}
+	return m.decodeBatch(sc, rec, len(windows[0]))
+}
+
+// keepRows compacts m to its rows at the ascending positions kept.
+func keepRows(m *mat.Matrix, kept []int) {
+	for r, w := range kept {
+		copy(m.Row(r), m.Row(w))
+	}
+	m.Reshape(len(kept), m.Cols)
+}
+
+// decodeBatch runs the decoder T steps from the states encodeBatch left in
+// sc.st, one row per window, and writes row r's step t to rec's row r·T + t.
+func (m *Seq2Seq) decodeBatch(sc *inferScratch, rec *mat.Matrix, T int) error {
+	B, D := sc.st.H.Rows, m.InSize
+	rec.Reshape(B*T, D)
 	prev := sc.xt.Reshape(B, D)
 	prev.Zero() // zero start token
 	yt := sc.yt.Reshape(B, D)
 	for t := 0; t < T; t++ {
 		if err := m.Decoder.StepBatch(&sc.st, prev); err != nil {
-			return nil, fmt.Errorf("seq2seq decode step %d: %w", t, err)
+			return fmt.Errorf("seq2seq decode step %d: %w", t, err)
 		}
 		if err := mat.MulBTCachedInto(yt, &sc.st.H, m.Wy, &m.cacheWy); err != nil {
-			return nil, err
+			return err
 		}
 		if err := yt.AddRowWise(m.By); err != nil {
-			return nil, err
+			return err
 		}
-		for w := range out {
-			at := (w*T + t) * D
-			out[w][t] = vals[at : at+D : at+D]
-			copy(out[w][t], yt.Row(w))
+		for r := 0; r < B; r++ {
+			copy(rec.Row(r*T+t), yt.Row(r))
 		}
 		prev, yt = yt, prev
 	}
-	return out, nil
+	return nil
 }

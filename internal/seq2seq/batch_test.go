@@ -114,9 +114,15 @@ func TestSeq2SeqDetectBatchMixedLengths(t *testing.T) {
 
 // TestSeq2SeqDetectSteadyStateAllocs keeps the per-window scalar path from
 // growing back, for the LSTM and the BiLSTM encoder on an MHEALTH-shaped
-// window (128×18): a warm Detect allocates its result slices, not the
-// thousands of per-step vectors the deleted path did.
+// window (128×18): a warm Detect allocates its verdicts and its scores and
+// nothing else — the reconstruction, the errors and the solver scratch are
+// pooled or on the stack, not the thousands of per-step vectors the deleted
+// path allocated. The pooled scratch is dropped at random under the race
+// detector, so the exact count runs without it.
 func TestSeq2SeqDetectSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	for _, tier := range []Tier{TierIoT, TierCloud} {
 		rng := rand.New(rand.NewSource(12))
 		m, err := New(tier, DefaultSizing(), rng)
@@ -139,8 +145,8 @@ func TestSeq2SeqDetectSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%s Detect: %.0f allocations/call", m.ModelName, allocs)
-		if allocs > 32 {
-			t.Fatalf("%s: Detect allocates %.0f objects/call in steady state, want ≤ 32", m.ModelName, allocs)
+		if allocs > 2 {
+			t.Fatalf("%s: Detect allocates %.0f objects/call in steady state, want ≤ 2", m.ModelName, allocs)
 		}
 	}
 }

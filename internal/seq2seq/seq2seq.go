@@ -157,16 +157,16 @@ func (m *Model) Fit(train [][][]float64, cfg TrainConfig, rng *rand.Rand) (float
 	// (step order matches a window-by-window loop).
 	const fitBatch = 32
 	var (
-		errsM mat.Matrix
-		errs  [][]float64
+		sc   detectScratch
+		errs [][]float64
 	)
 	for start := 0; start < len(train); {
 		end := min(lockstepRun(train, start), start+fitBatch)
-		if err := m.batchErrors(&errsM, train[start:end]); err != nil {
+		if err := m.runErrors(&sc, train[start:end], start, nil); err != nil {
 			return 0, err
 		}
-		for r := 0; r < errsM.Rows; r++ {
-			errs = append(errs, mat.CloneVec(errsM.Row(r)))
+		for r := 0; r < sc.errs.Rows; r++ {
+			errs = append(errs, mat.CloneVec(sc.errs.Row(r)))
 		}
 		start = end
 	}
@@ -202,58 +202,88 @@ func lockstepRun(windows [][][]float64, start int) int {
 	return end
 }
 
-// batchErrors reconstructs a batch of equal-length windows and writes their
-// per-step D-dimensional error vectors into errs, window after window.
-func (m *Model) batchErrors(errs *mat.Matrix, batch [][][]float64) error {
-	recs, err := m.Net.ReconstructBatch(batch)
+// detectScratch is the per-call workspace of runErrors.
+type detectScratch struct {
+	// errs holds the kept windows' reconstructions, then their errors.
+	errs mat.Matrix
+	// kept lists the kept windows' positions in the run.
+	kept []int
+}
+
+// detectScratchPool leases DetectKept its workspace, so steady-state
+// detection does not allocate one per call.
+var detectScratchPool = sync.Pool{New: func() any { return new(detectScratch) }}
+
+// runErrors reconstructs the windows of an equal-length run that keep
+// accepts (all of them when keep is nil) and leaves their per-step
+// D-dimensional error vectors in sc.errs, window after window, and their
+// positions in the run in sc.kept. first is the run's first window's index
+// in keep's numbering.
+func (m *Model) runErrors(sc *detectScratch, run [][][]float64, first int, keep anomaly.Keep) error {
+	sc.kept = sc.kept[:0]
+	err := m.Net.ReconstructKept(&sc.errs, run, func(k int, z []float64) (bool, error) {
+		ok, err := true, error(nil)
+		if keep != nil {
+			ok, err = keep(first+k, z)
+		}
+		if ok {
+			sc.kept = append(sc.kept, k)
+		}
+		return ok, err
+	})
 	if err != nil {
 		return err
 	}
-	T := len(batch[0])
-	errs.Reshape(len(batch)*T, m.Net.InSize)
-	for k, xs := range batch {
-		for t, x := range xs {
-			row := errs.Row(k*T + t)
+	T := len(run[0])
+	for r, k := range sc.kept {
+		for t, x := range run[k] {
+			row := sc.errs.Row(r*T + t)
 			for j := range row {
-				row[j] = recs[k][t][j] - x[j]
+				row[j] -= x[j]
 			}
 		}
 	}
 	return nil
 }
 
-// errScratchPool leases DetectBatch its per-step error matrix, so steady-
-// state detection does not allocate one per call.
-var errScratchPool = sync.Pool{New: func() any { return new(mat.Matrix) }}
-
-// DetectBatch implements anomaly.BatchDetector: windows are reconstructed in
-// lockstep through the batched LSTM kernels and their per-step errors scored
-// in one matrix pass. Callers may mix lengths freely: each run of
-// consecutive equal-length windows is one lockstep batch. A window's
-// verdict does not depend on the batch around it, and the call is safe for
-// concurrent use.
+// DetectBatch implements anomaly.BatchDetector: DetectKept keeping every
+// window.
 func (m *Model) DetectBatch(windows [][][]float64) ([]anomaly.Verdict, error) {
+	return m.DetectKept(windows, nil)
+}
+
+// DetectKept implements anomaly.HandoffDetector: windows are encoded in
+// lockstep through the batched LSTM kernels, each window's encoder state
+// goes to keep, and the kept windows are decoded and their per-step errors
+// scored in one matrix pass. Callers may mix lengths freely: each run of
+// consecutive equal-length windows is one lockstep batch. A window's
+// verdict and state do not depend on the batch around it, and the call is
+// safe for concurrent use.
+func (m *Model) DetectKept(windows [][][]float64, keep anomaly.Keep) ([]anomaly.Verdict, error) {
 	if m.Scorer == nil {
 		return nil, fmt.Errorf("seq2seq: %s not fitted", m.ModelName)
 	}
 	if len(windows) == 0 {
 		return nil, nil
 	}
-	errsM := errScratchPool.Get().(*mat.Matrix)
-	defer errScratchPool.Put(errsM)
+	sc := detectScratchPool.Get().(*detectScratch)
+	defer detectScratchPool.Put(sc)
 	out := make([]anomaly.Verdict, len(windows))
 	for start := 0; start < len(windows); {
 		end := lockstepRun(windows, start)
-		if err := m.batchErrors(errsM, windows[start:end]); err != nil {
+		run := windows[start:end]
+		if err := m.runErrors(sc, run, start, keep); err != nil {
 			return nil, err
 		}
-		scores, err := m.Scorer.ScoreMatrix(errsM)
-		if err != nil {
-			return nil, err
-		}
-		T := len(windows[start])
-		for k := range windows[start:end] {
-			out[start+k] = m.Scorer.Judge(scores[k*T:(k+1)*T], m.Conf)
+		if len(sc.kept) > 0 {
+			scores, err := m.Scorer.ScoreMatrix(&sc.errs)
+			if err != nil {
+				return nil, err
+			}
+			T := len(run[0])
+			for r, k := range sc.kept {
+				out[start+k] = m.Scorer.Judge(scores[r*T:(r+1)*T], m.Conf)
+			}
 		}
 		start = end
 	}
@@ -274,6 +304,13 @@ func (m *Model) EncodedState(frames [][]float64) ([]float64, error) {
 
 // StateDim is the width of EncodedState vectors.
 func (m *Model) StateDim() int { return m.Net.HiddenSize }
+
+// Context implements features.Extractor: the model is its own policy
+// context, EncodedState.
+func (m *Model) Context(frames [][]float64) ([]float64, error) { return m.EncodedState(frames) }
+
+// Dim implements features.Extractor: StateDim.
+func (m *Model) Dim() int { return m.StateDim() }
 
 // Quantize applies FP16 compression to the model weights, reproducing the
 // paper's deployment step for IoT- and edge-hosted models. Returns the

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/dataset"
-	"repro/internal/features"
 	"repro/internal/hec"
 	"repro/internal/nn"
 	"repro/internal/parallel"
@@ -128,8 +127,10 @@ func buildMultivariate(ctx context.Context, opt MultivariateOptions, eng engineO
 		return nil, wrapErr("building multivariate system", err)
 	}
 	// The multivariate context is the IoT model's encoder state: it is
-	// produced on-device as a by-product of local processing.
-	ext := features.EncoderExtractor{Encode: iotModel.EncodedState, Width: iotModel.StateDim()}
+	// produced on-device as a by-product of local processing. The model is
+	// its own extractor, so whoever holds it as both (a Session's device,
+	// Precompute) encodes a window once for the context and the detection.
+	ext := iotModel
 	dep.PolicyOverheadMs = policyOverheadMs(opt.Topology, ext.Dim(), opt.Policy.Hidden)
 
 	// Policy training (single-threaded REINFORCE over the policy split) and

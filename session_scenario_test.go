@@ -16,7 +16,7 @@ var (
 	fastMultiErr  error
 )
 
-func fastMultiSystem(t *testing.T) *System {
+func fastMultiSystem(t testing.TB) *System {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("LSTM training is slow; skipped with -short")
