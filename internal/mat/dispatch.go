@@ -18,13 +18,16 @@ import (
 //	sse2  amd64 baseline: the 2×4 SSE2 micro-kernel (per-lane
 //	      multiply-then-add, bit-identical to the reference)
 //	avx2  amd64 with AVX2: 2×8 / 1×8 / 1×32 micro-kernels over 8-wide
-//	      packed panels plus vectorised axpy/Adam/exp kernels (still
-//	      per-lane multiply-then-add — AVX2 is used for width, not fusion —
-//	      so results stay bit-identical to the reference). The one
-//	      exception is the exp kernel behind ExpInto: it fuses exactly
-//	      where the standard library's amd64 math.Exp fuses, and runs only
-//	      on a CPU with FMA, where math.Exp takes that fused branch itself,
-//	      so it too matches the reference — math.Exp — bit for bit
+//	      packed panels plus vectorised axpy/Adam/exp/LSTM-cell kernels
+//	      (still per-lane multiply-then-add — AVX2 is used for width, not
+//	      fusion — so results stay bit-identical to the reference). The
+//	      one exception is the exp sequence that ExpInto and the LSTM cell
+//	      kernel share: it fuses exactly where the standard library's
+//	      amd64 math.Exp fuses, and runs only on a CPU with FMA, where
+//	      math.Exp takes that fused branch itself, so it too matches the
+//	      reference — math.Exp — bit for bit. The rest of the cell (gate
+//	      sums, σ's division, tanh's blended branches, the state update) is
+//	      unfused and matches the scalar cell the same way
 //	neon  arm64 NEON 2×4 panel kernel. NEON float64 vector arithmetic is
 //	      only available fused (FMLA), which rounds once per
 //	      multiply-accumulate instead of twice; results are therefore NOT

@@ -9,15 +9,16 @@ import "math"
 //   - sse2: the 2×4 micro-kernel (dotPanel2x4), part of the amd64 baseline,
 //     packing panels on the fly inside mulBTRangeKernel.
 //   - avx2: 8-wide micro-kernels (dotPanel2x8 / dotPanel1x8 / dotPanel1x32)
-//     consumed through the packed-panel cache, plus vectorised axpy, Adam
-//     and exp kernels. Detected at init via CPUID + XGETBV (OS must have
-//     enabled YMM state).
+//     consumed through the packed-panel cache, plus vectorised axpy, Adam,
+//     exp and LSTM-cell kernels. Detected at init via CPUID + XGETBV (OS must
+//     have enabled YMM state).
 //
 // Every routine keeps the repository's exactness contract: one vector lane
 // per output element, multiply-then-add in ascending order, no FMA — so
 // results are bit-identical to the pure-Go reference at every level. The one
-// fused kernel, expAsm, fuses exactly where math.Exp itself does and runs
-// only when math.Exp takes that branch.
+// fused sequence, the EXP4 macro that expAsm and lstmCellAsm share, fuses
+// exactly where math.Exp itself does and runs only when math.Exp takes that
+// branch.
 
 // detectFeatures fills the dispatch capability flags from CPUID. SSE2 is
 // part of the amd64 baseline; AVX2 additionally requires the AVX and AVX2
@@ -130,6 +131,22 @@ func expKernel(dst, src []float64) bool {
 		dst[i] = math.Exp(src[i])
 	}
 	return true
+}
+
+// lstmCellAsm (AVX2+FMA) finishes an LSTM step for units [0, n) (n a
+// multiple of 4), stopping before the first units it declines; it returns
+// how many units it finished. See LSTMCell.
+//
+//go:noescape
+func lstmCellAsm(z, zh, b, c, h, tc *float64, hid, n int) int
+
+// cellKernel runs LSTMCell's first n units (n > 0, a multiple of 4) under
+// the same condition as expKernel and returns how many it finished.
+func cellKernel(z, zh, b, c, h, tc []float64, n int) int {
+	if ActiveKernel() != KernelAVX2 || !features.fma {
+		return 0
+	}
+	return lstmCellAsm(&z[0], &zh[0], &b[0], &c[0], &h[0], &tc[0], len(c), n)
 }
 
 // dotPanelNEON2x4 is the arm64 kernel; unreachable on amd64 (the neon

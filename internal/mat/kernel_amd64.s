@@ -256,55 +256,197 @@ done1x32:
 	VZEROUPPER
 	RET
 
-// Constants of expAsm: the literals of the standard library's amd64 math.Exp
-// (src/math/exp_amd64.s), plus the lane guard and the exponent bias.
-DATA expc<>+0(SB)/8, $1.4426950408889634073599246810018920                     // log2(e)
-DATA expc<>+8(SB)/8, $0.69314718055966295651160180568695068359375               // ln 2, upper part
-DATA expc<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12    // ln 2, lower part
-DATA expc<>+24(SB)/8, $0.0625
-DATA expc<>+32(SB)/8, $2.4801587301587301587e-5                                // Taylor 1/8!
-DATA expc<>+40(SB)/8, $1.9841269841269841270e-4                                // 1/7!
-DATA expc<>+48(SB)/8, $1.3888888888888888889e-3                                // 1/6!
-DATA expc<>+56(SB)/8, $8.3333333333333333333e-3                                // 1/5!
-DATA expc<>+64(SB)/8, $4.1666666666666666667e-2                                // 1/4!
-DATA expc<>+72(SB)/8, $1.6666666666666666667e-1                                // 1/3!
-DATA expc<>+80(SB)/8, $0.5
-DATA expc<>+88(SB)/8, $1.0
-DATA expc<>+96(SB)/8, $2.0
-DATA expc<>+104(SB)/8, $708.0                                                  // lane guard: |x| ≤ 708
-DATA expc<>+112(SB)/8, $0x7FFFFFFFFFFFFFFF                                     // clears the sign bit
-DATA expc<>+120(SB)/8, $0x3FF                                                  // exponent bias
-GLOBL expc<>(SB), RODATA|NOPTR, $128
+// Constants of the exp and cell kernels, four copies each so every one is a
+// 256-bit memory operand: the literals of the standard library's amd64
+// math.Exp (src/math/exp_amd64.s), the lane guards and masks, and the
+// thresholds and rational coefficients of math.Tanh (src/math/tanh.go).
+#define BCAST4(off, v) \
+	DATA vconst<>+off(SB)/8, v; \
+	DATA vconst<>+off+8(SB)/8, v; \
+	DATA vconst<>+off+16(SB)/8, v; \
+	DATA vconst<>+off+24(SB)/8, v
+
+#define C_LOG2E 0
+#define C_LN2U 32
+#define C_LN2L 64
+#define C_SIXTEENTH 96
+#define C_F8 128
+#define C_F7 160
+#define C_F6 192
+#define C_F5 224
+#define C_F4 256
+#define C_F3 288
+#define C_HALF 320
+#define C_ONE 352
+#define C_TWO 384
+#define C_BIAS 416
+#define C_GUARD 448
+#define C_ABS 480
+#define C_SIGN 512
+#define C_TANH_SAT 544
+#define C_TANH_MID 576
+#define C_TANH_P0 608
+#define C_TANH_P1 640
+#define C_TANH_P2 672
+#define C_TANH_Q0 704
+#define C_TANH_Q1 736
+#define C_TANH_Q2 768
+#define C_CGUARD 800
+
+BCAST4(C_LOG2E, $1.4426950408889634073599246810018920)
+BCAST4(C_LN2U, $0.69314718055966295651160180568695068359375)
+BCAST4(C_LN2L, $0.28235290563031577122588448175013436025525412068e-12)
+BCAST4(C_SIXTEENTH, $0.0625)
+BCAST4(C_F8, $2.4801587301587301587e-5)
+BCAST4(C_F7, $1.9841269841269841270e-4)
+BCAST4(C_F6, $1.3888888888888888889e-3)
+BCAST4(C_F5, $8.3333333333333333333e-3)
+BCAST4(C_F4, $4.1666666666666666667e-2)
+BCAST4(C_F3, $1.6666666666666666667e-1)
+BCAST4(C_HALF, $0.5)
+BCAST4(C_ONE, $1.0)
+BCAST4(C_TWO, $2.0)
+BCAST4(C_BIAS, $0x3FF)
+BCAST4(C_GUARD, $708.0)
+BCAST4(C_ABS, $0x7FFFFFFFFFFFFFFF)
+BCAST4(C_SIGN, $0x8000000000000000)
+BCAST4(C_TANH_SAT, $44.014845965556527147994)
+BCAST4(C_TANH_MID, $0.625)
+BCAST4(C_TANH_P0, $-9.64399179425052238628e-1)
+BCAST4(C_TANH_P1, $-9.92877231001918586564e1)
+BCAST4(C_TANH_P2, $-1.61468768441708447952e3)
+BCAST4(C_TANH_Q0, $1.12811678491632931402e2)
+BCAST4(C_TANH_Q1, $2.23548839060100448583e3)
+BCAST4(C_TANH_Q2, $4.84406305325125486048e3)
+BCAST4(C_CGUARD, $353.0)
+GLOBL vconst<>(SB), RODATA|NOPTR, $832
+
+// EXP4 sets each lane of x to math.Exp of itself, repeating instruction for
+// instruction the avxfma branch of math.Exp's amd64 assembly — the same
+// constants, the same fused VFNMADD/VFMADD steps where it fuses and plain
+// VMULPD/VADDPD where it does not — so each lane rounds exactly as math.Exp
+// does on a CPU with FMA. Every lane must be finite with |x| ≤ 708: there
+// that branch never reaches its overflow or subnormal exits
+// (|round(x·log2 e)| ≤ 1022), so they need no vector form. t is scratch, tx
+// its low half, and n (an XMM register or 16 bytes of memory) keeps the
+// integer exponent between the first stage and the last.
+//
+// The sequence comes in four stages, so that a caller can run several
+// exponentials' stages side by side; across a stage boundary only x and n
+// are live.
+//
+//	EXPA: n = round(x·log2 e) under the MXCSR rounding mode, as CVTSD2SL
+//	      does; r = (x − n·ln2u − n·ln2l) / 16, both subtractions fused
+//	EXPB: p = ((((((1/8!·r + 1/7!)·r + 1/6!)·r + 1/5!)·r + 1/4!)·r + 1/3!)·r
+//	      + 1/2)·r + 1, each step fused; y = r·p
+//	EXPC: y squared back up four times: y = y·(y+2) thrice, then
+//	      y = (y+2)·y + 1 fused
+//	EXPD: y·2ⁿ, where (n + 1023) << 52 is the bit pattern of 2ⁿ
+#define EXPA(x, t, tx, n) \
+	VMULPD       vconst<>+C_LOG2E(SB), x, t; \
+	VCVTPD2DQY   t, tx; \
+	VMOVDQU      tx, n; \
+	VCVTDQ2PD    tx, t; \
+	VFNMADD231PD vconst<>+C_LN2U(SB), t, x; \
+	VFNMADD231PD vconst<>+C_LN2L(SB), t, x; \
+	VMULPD       vconst<>+C_SIXTEENTH(SB), x, x
+
+#define EXPB(x, t) \
+	VMOVUPD     vconst<>+C_F8(SB), t; \
+	VFMADD213PD vconst<>+C_F7(SB), x, t; \
+	VFMADD213PD vconst<>+C_F6(SB), x, t; \
+	VFMADD213PD vconst<>+C_F5(SB), x, t; \
+	VFMADD213PD vconst<>+C_F4(SB), x, t; \
+	VFMADD213PD vconst<>+C_F3(SB), x, t; \
+	VFMADD213PD vconst<>+C_HALF(SB), x, t; \
+	VFMADD213PD vconst<>+C_ONE(SB), x, t; \
+	VMULPD      t, x, x
+
+#define EXPC(x, t) \
+	VADDPD      vconst<>+C_TWO(SB), x, t; \
+	VMULPD      t, x, x; \
+	VADDPD      vconst<>+C_TWO(SB), x, t; \
+	VMULPD      t, x, x; \
+	VADDPD      vconst<>+C_TWO(SB), x, t; \
+	VMULPD      t, x, x; \
+	VADDPD      vconst<>+C_TWO(SB), x, t; \
+	VFMADD213PD vconst<>+C_ONE(SB), t, x
+
+#define EXPD(x, t, n) \
+	VPMOVSXDQ n, t; \
+	VPADDQ    vconst<>+C_BIAS(SB), t, t; \
+	VPSLLQ    $52, t, t; \
+	VMULPD    t, x, x
+
+#define EXP4(x, t, tx, n) \
+	EXPA(x, t, tx, n); \
+	EXPB(x, t); \
+	EXPC(x, t); \
+	EXPD(x, t, n)
+
+// TANHQ and TANH4 compute math.Tanh(x) lane by lane as tanhFromExp
+// (internal/rnn) does: its three branches in every lane, each in math.Tanh's
+// exact operation order, then blended —
+//
+//	|x| > 44.0148…:        ±1 with the sign of x
+//	0.625 ≤ |x| ≤ 44.01…:  ±(1 − 2/(s+1)),  s = exp(2|x|)
+//	|x| < 0.625:           x + x·x²·((P0·x² + P1)·x² + P2) / (((x² + Q0)·x² + Q1)·x² + Q2)
+//	x == 0:                x, so −0 keeps its sign
+//
+// TANHQ sets r and m to the rational branch's numerator and denominator (a
+// is scratch). It needs no exponential, so it goes ahead of the EXP4 that
+// computes s and runs alongside it.
+#define TANHQ(x, r, m, a) \
+	VMULPD x, x, a; \
+	VMULPD vconst<>+C_TANH_P0(SB), a, r; \
+	VADDPD vconst<>+C_TANH_P1(SB), r, r; \
+	VMULPD a, r, r; \
+	VADDPD vconst<>+C_TANH_P2(SB), r, r; \
+	VMULPD a, x, m; \
+	VMULPD r, m, r; \
+	VADDPD vconst<>+C_TANH_Q0(SB), a, m; \
+	VMULPD a, m, m; \
+	VADDPD vconst<>+C_TANH_Q1(SB), m, m; \
+	VMULPD a, m, m; \
+	VADDPD vconst<>+C_TANH_Q2(SB), m, m
+
+// TANH4 finishes: given TANHQ's r and m and s = exp(2|x|), it sets r to
+// tanh(x), overwriting s and m; a and q are scratch, and Y15 must hold 1.
+// The middle and rational branches share one division: the numerator and
+// denominator are blended before it.
+#define TANH4(x, s, r, m, a, q) \
+	VADDPD    Y15, s, s; \
+	VANDPD    vconst<>+C_ABS(SB), x, a; \
+	VCMPPD    $0x1D, vconst<>+C_TANH_MID(SB), a, q; \
+	VBLENDVPD q, s, m, m; \
+	VBLENDVPD q, vconst<>+C_TWO(SB), r, r; \
+	VDIVPD    m, r, r; \
+	VSUBPD    r, Y15, s; \
+	VANDPD    vconst<>+C_SIGN(SB), x, m; \
+	VXORPD    m, s, s; \
+	VADDPD    r, x, r; \
+	VBLENDVPD q, s, r, r; \
+	VCMPPD    $0x1E, vconst<>+C_TANH_SAT(SB), a, q; \
+	VORPD     Y15, m, s; \
+	VBLENDVPD q, s, r, r; \
+	VXORPD    s, s, s; \
+	VCMPPD    $0, s, x, q; \
+	VBLENDVPD q, x, r, r
 
 // func expAsm(dst, src *float64, n int) int
 //
 // dst[i] = math.Exp(src[i]) for i < n, n a multiple of 4, four lanes per
-// group. Each group repeats, instruction for instruction, the avxfma branch
-// of math.Exp's amd64 assembly — the same constants, the same fused
-// VFNMADD/VFMADD steps where it fuses and plain VMULPD/VADDPD where it does
-// not — so each lane rounds exactly as math.Exp does on a CPU with FMA.
-// For |x| ≤ 708 that branch never reaches its overflow or subnormal exits
-// (|round(x·log2 e)| ≤ 1022), so those exits need no vector form: the first
-// group holding a lane outside ±708, or a NaN or ±Inf lane, stops the loop,
-// and the return value (elements written) tells the caller where.
+// group through EXP4. The first group holding a lane outside ±708, or a NaN
+// or ±Inf lane, stops the loop, and the return value (elements written)
+// tells the caller where.
 TEXT ·expAsm(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ n+16(FP), CX
 	XORQ AX, AX
 
-	VBROADCASTSD expc<>+112(SB), Y4 // sign-clearing mask
-	VBROADCASTSD expc<>+104(SB), Y5 // 708
-	VBROADCASTSD expc<>+0(SB), Y6   // log2(e)
-	VBROADCASTSD expc<>+8(SB), Y7   // ln 2 upper
-	VBROADCASTSD expc<>+16(SB), Y8  // ln 2 lower
-	VBROADCASTSD expc<>+24(SB), Y9  // 0.0625
-	VBROADCASTSD expc<>+40(SB), Y10 // 1/7!
-	VBROADCASTSD expc<>+48(SB), Y11 // 1/6!
-	VBROADCASTSD expc<>+56(SB), Y12 // 1/5!
-	VBROADCASTSD expc<>+64(SB), Y13 // 1/4!
-	VBROADCASTSD expc<>+72(SB), Y14 // 1/3!
-	VBROADCASTSD expc<>+96(SB), Y15 // 2
+	VMOVUPD vconst<>+C_ABS(SB), Y4
+	VMOVUPD vconst<>+C_GUARD(SB), Y5
 
 	CMPQ AX, CX
 	JGE  expDone
@@ -320,47 +462,7 @@ expLoop:
 	CMPQ      DX, $15
 	JNE       expDone
 
-	// n = round(x·log2 e) under the MXCSR rounding mode, as CVTSD2SL does.
-	VMULPD     Y6, Y0, Y1
-	VCVTPD2DQY Y1, X2
-	VCVTDQ2PD  X2, Y1
-
-	// r = (x − n·ln2u − n·ln2l) / 16, both subtractions fused.
-	VFNMADD231PD Y7, Y1, Y0
-	VFNMADD231PD Y8, Y1, Y0
-	VMULPD       Y9, Y0, Y0
-
-	// p = ((((((1/8!·r + 1/7!)·r + 1/6!)·r + 1/5!)·r + 1/4!)·r + 1/3!)·r + 1/2)·r + 1,
-	// each step fused.
-	VBROADCASTSD expc<>+32(SB), Y1
-	VFMADD213PD  Y10, Y0, Y1
-	VFMADD213PD  Y11, Y0, Y1
-	VFMADD213PD  Y12, Y0, Y1
-	VFMADD213PD  Y13, Y0, Y1
-	VFMADD213PD  Y14, Y0, Y1
-	VBROADCASTSD expc<>+80(SB), Y3
-	VFMADD213PD  Y3, Y0, Y1
-	VBROADCASTSD expc<>+88(SB), Y3
-	VFMADD213PD  Y3, Y0, Y1
-
-	// y = r·p, squared back up four times: y = y·(y+2) thrice, then
-	// y = (y+2)·y + 1 fused.
-	VMULPD      Y1, Y0, Y0
-	VADDPD      Y15, Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      Y15, Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      Y15, Y0, Y1
-	VMULPD      Y1, Y0, Y0
-	VADDPD      Y15, Y0, Y1
-	VFMADD213PD Y3, Y1, Y0
-
-	// Scale by 2ⁿ: (n + 1023) << 52 is the bit pattern of 2ⁿ.
-	VPMOVSXDQ    X2, Y1
-	VPBROADCASTQ expc<>+120(SB), Y3
-	VPADDQ       Y3, Y1, Y1
-	VPSLLQ       $52, Y1, Y1
-	VMULPD       Y1, Y0, Y0
+	EXP4(Y0, Y1, X1, X2)
 
 	VMOVUPD Y0, (DI)(AX*8)
 	ADDQ    $4, AX
@@ -369,6 +471,252 @@ expLoop:
 
 expDone:
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func lstmCellAsm(z, zh, b, c, h, tc *float64, hid, n int) int
+//
+// One LSTM step for units [0, n) of one sequence, n a multiple of 4. z, zh
+// and b point at unit 0 of the first of four gate blocks (i, f, g, o) hid
+// values apart; c, h and tc at unit 0 of the states. Per lane, in the scalar
+// cell's order (LSTM.cellUnits in internal/rnn):
+//
+//	v = z + (zh + b)                       for each gate
+//	i, f, o = 1/(1 + exp(−v)),  g = tanh(v)
+//	c = f·c + i·g                          unfused
+//	tc = tanh(c),  h = o·tc
+//
+// with exp through EXP4's stages, the division by VDIVPD (correctly
+// rounded) and tanh through TANHQ and TANH4, so every stored value is the
+// scalar cell's bit for bit.
+//
+// The first pass takes two groups of four units at a time — A and B, or the
+// last group twice over when one is left — from the inputs to the new c, all
+// eight gate exponentials side by side, and stores the gates and c. Before
+// anything of them is stored, every lane must pass the guard: each gate's
+// exp argument (−v for i, f and o, 2|v| for g) finite and within ±708, and
+// the previous c finite with |c| ≤ 353, which bounds the new c by 354 since
+// f, i and |g| are at most 1, so exp(2|c|) is in range too. A pair that
+// fails ends the pass; the return value (units finished) tells the caller
+// where. The second pass finishes tc and h four units at a time for the
+// groups the first stored.
+TEXT ·lstmCellAsm(SB), NOSPLIT, $128-72
+	MOVQ z+0(FP), DI
+	MOVQ zh+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ c+24(FP), R8
+	MOVQ h+32(FP), R9
+	MOVQ tc+40(FP), R10
+	MOVQ hid+48(FP), R11
+	MOVQ n+56(FP), CX
+	XORQ AX, AX
+
+	SHLQ $3, R11            // gate block stride in bytes
+	LEAQ (R11)(R11*2), R12  // three blocks
+
+	VMOVUPD vconst<>+C_ONE(SB), Y15
+
+cellPairs:
+	// R13 is group B's offset from group A: the next group, or none.
+	MOVQ CX, DX
+	SUBQ AX, DX
+	JLE  cellStates
+	MOVQ $32, R13
+	CMPQ DX, $8
+	JGE  cellSums
+	XORQ R13, R13
+
+cellSums:
+	// Gate sums z + (zh + b): Y0 = i, Y1 = f, Y8 = g, Y2 = o of group A, and
+	// Y4, Y5, Y9, Y6 of group B.
+	VMOVUPD (SI), Y0
+	VADDPD  (BX), Y0, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD (SI)(R11*1), Y1
+	VADDPD  (BX)(R11*1), Y1, Y1
+	VADDPD  (DI)(R11*1), Y1, Y1
+	VMOVUPD (SI)(R11*2), Y8
+	VADDPD  (BX)(R11*2), Y8, Y8
+	VADDPD  (DI)(R11*2), Y8, Y8
+	VMOVUPD (SI)(R12*1), Y2
+	VADDPD  (BX)(R12*1), Y2, Y2
+	VADDPD  (DI)(R12*1), Y2, Y2
+	LEAQ    (SI)(R13*1), DX
+	VMOVUPD (DX), Y4
+	VMOVUPD (DX)(R11*1), Y5
+	VMOVUPD (DX)(R11*2), Y9
+	VMOVUPD (DX)(R12*1), Y6
+	LEAQ    (BX)(R13*1), DX
+	VADDPD  (DX), Y4, Y4
+	VADDPD  (DX)(R11*1), Y5, Y5
+	VADDPD  (DX)(R11*2), Y9, Y9
+	VADDPD  (DX)(R12*1), Y6, Y6
+	LEAQ    (DI)(R13*1), DX
+	VADDPD  (DX), Y4, Y4
+	VADDPD  (DX)(R11*1), Y5, Y5
+	VADDPD  (DX)(R11*2), Y9, Y9
+	VADDPD  (DX)(R12*1), Y6, Y6
+
+	// The guard, accumulated in Y10 (LE_OS is false for NaN). g's exp
+	// arguments 2|v| go to Y3 and Y7.
+	VANDPD    vconst<>+C_ABS(SB), Y0, Y10
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y10, Y10
+	VANDPD    vconst<>+C_ABS(SB), Y1, Y11
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y11, Y11
+	VANDPD    Y11, Y10, Y10
+	VANDPD    vconst<>+C_ABS(SB), Y2, Y11
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y11, Y11
+	VANDPD    Y11, Y10, Y10
+	VANDPD    vconst<>+C_ABS(SB), Y4, Y11
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y11, Y11
+	VANDPD    Y11, Y10, Y10
+	VANDPD    vconst<>+C_ABS(SB), Y5, Y11
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y11, Y11
+	VANDPD    Y11, Y10, Y10
+	VANDPD    vconst<>+C_ABS(SB), Y6, Y11
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y11, Y11
+	VANDPD    Y11, Y10, Y10
+	VANDPD    vconst<>+C_ABS(SB), Y8, Y3
+	VADDPD    Y3, Y3, Y3
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y3, Y11
+	VANDPD    Y11, Y10, Y10
+	VANDPD    vconst<>+C_ABS(SB), Y9, Y7
+	VADDPD    Y7, Y7, Y7
+	VCMPPD    $2, vconst<>+C_GUARD(SB), Y7, Y11
+	VANDPD    Y11, Y10, Y10
+	VMOVUPD   (R8), Y11
+	VANDPD    vconst<>+C_ABS(SB), Y11, Y11
+	VCMPPD    $2, vconst<>+C_CGUARD(SB), Y11, Y11
+	VANDPD    Y11, Y10, Y10
+	VMOVUPD   (R8)(R13*1), Y11
+	VANDPD    vconst<>+C_ABS(SB), Y11, Y11
+	VCMPPD    $2, vconst<>+C_CGUARD(SB), Y11, Y11
+	VANDPD    Y11, Y10, Y10
+	VMOVMSKPD Y10, DX
+	CMPQ      DX, $15
+	JNE       cellStates
+
+	// g's rational branches (Y10, Y11 and Y12, Y13), then the eight
+	// exponentials — exp(−v) for i, f and o, exp(2|v|) for g — stage by
+	// stage, their exponents in the frame.
+	TANHQ(Y8, Y10, Y11, Y14)
+	TANHQ(Y9, Y12, Y13, Y14)
+	VXORPD vconst<>+C_SIGN(SB), Y0, Y0
+	VXORPD vconst<>+C_SIGN(SB), Y1, Y1
+	VXORPD vconst<>+C_SIGN(SB), Y2, Y2
+	VXORPD vconst<>+C_SIGN(SB), Y4, Y4
+	VXORPD vconst<>+C_SIGN(SB), Y5, Y5
+	VXORPD vconst<>+C_SIGN(SB), Y6, Y6
+	EXPA(Y0, Y14, X14, 0(SP))
+	EXPA(Y1, Y14, X14, 16(SP))
+	EXPA(Y2, Y14, X14, 32(SP))
+	EXPA(Y3, Y14, X14, 48(SP))
+	EXPA(Y4, Y14, X14, 64(SP))
+	EXPA(Y5, Y14, X14, 80(SP))
+	EXPA(Y6, Y14, X14, 96(SP))
+	EXPA(Y7, Y14, X14, 112(SP))
+	EXPB(Y0, Y14)
+	EXPB(Y1, Y14)
+	EXPB(Y2, Y14)
+	EXPB(Y3, Y14)
+	EXPB(Y4, Y14)
+	EXPB(Y5, Y14)
+	EXPB(Y6, Y14)
+	EXPB(Y7, Y14)
+	EXPC(Y0, Y14)
+	EXPC(Y1, Y14)
+	EXPC(Y2, Y14)
+	EXPC(Y3, Y14)
+	EXPC(Y4, Y14)
+	EXPC(Y5, Y14)
+	EXPC(Y6, Y14)
+	EXPC(Y7, Y14)
+	EXPD(Y0, Y14, 0(SP))
+	EXPD(Y1, Y14, 16(SP))
+	EXPD(Y2, Y14, 32(SP))
+	EXPD(Y3, Y14, 48(SP))
+	EXPD(Y4, Y14, 64(SP))
+	EXPD(Y5, Y14, 80(SP))
+	EXPD(Y6, Y14, 96(SP))
+	EXPD(Y7, Y14, 112(SP))
+
+	// σ = 1/(1 + e) for i, f and o; o goes straight to z.
+	VADDPD  Y15, Y0, Y0
+	VDIVPD  Y0, Y15, Y0
+	VADDPD  Y15, Y1, Y1
+	VDIVPD  Y1, Y15, Y1
+	VADDPD  Y15, Y2, Y2
+	VDIVPD  Y2, Y15, Y2
+	VADDPD  Y15, Y4, Y4
+	VDIVPD  Y4, Y15, Y4
+	VADDPD  Y15, Y5, Y5
+	VDIVPD  Y5, Y15, Y5
+	VADDPD  Y15, Y6, Y6
+	VDIVPD  Y6, Y15, Y6
+	LEAQ    (DI)(R13*1), DX
+	VMOVUPD Y2, (DI)(R12*1)
+	VMOVUPD Y6, (DX)(R12*1)
+
+	// g = tanh(v) into Y10 and Y12.
+	TANH4(Y8, Y3, Y10, Y11, Y14, Y2)
+	TANH4(Y9, Y7, Y12, Y13, Y14, Y6)
+
+	// c = f·c + i·g into Y3 and Y7, both read before either is stored.
+	VMULPD (R8), Y1, Y3
+	VMULPD Y10, Y0, Y2
+	VADDPD Y2, Y3, Y3
+	VMULPD (R8)(R13*1), Y5, Y7
+	VMULPD Y12, Y4, Y6
+	VADDPD Y6, Y7, Y7
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R11*1)
+	VMOVUPD Y10, (DI)(R11*2)
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, (DX)(R11*1)
+	VMOVUPD Y12, (DX)(R11*2)
+	VMOVUPD Y3, (R8)
+	VMOVUPD Y7, (R8)(R13*1)
+
+	// Advance past both groups: 32 + R13 bytes, 4 + R13/8 units.
+	LEAQ 32(R13), DX
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, BX
+	ADDQ DX, R8
+	SHRQ $3, DX
+	ADDQ DX, AX
+	JMP  cellPairs
+
+	// Second pass, over the groups the first stored: tc = tanh(c) and
+	// h = o·tc.
+cellStates:
+	MOVQ  AX, ret+64(FP)
+	MOVQ  AX, CX
+	TESTQ CX, CX
+	JZ    cellDone
+	MOVQ  z+0(FP), DI
+	MOVQ  c+24(FP), R8
+
+cellStatesLoop:
+	VMOVUPD (R8), Y5
+	VANDPD  vconst<>+C_ABS(SB), Y5, Y2
+	VADDPD  Y2, Y2, Y2
+	TANHQ(Y5, Y10, Y8, Y7)
+	EXP4(Y2, Y6, X6, X7)
+	TANH4(Y5, Y2, Y10, Y8, Y7, Y9)
+	VMULPD  (DI)(R12*1), Y10, Y11
+	VMOVUPD Y10, (R10)
+	VMOVUPD Y11, (R9)
+
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	SUBQ $4, CX
+	JNZ  cellStatesLoop
+
+cellDone:
 	VZEROUPPER
 	RET
 

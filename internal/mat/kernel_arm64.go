@@ -54,6 +54,9 @@ func adamKernel(w, g, m, v []float64, beta1, beta2, c1, c2, lr, eps float64) boo
 // expKernel has no arm64 assembly; ExpInto calls math.Exp per element.
 func expKernel(dst, src []float64) bool { return false }
 
+// cellKernel has no arm64 assembly; LSTMCell's caller runs the scalar cell.
+func cellKernel(z, zh, b, c, h, tc []float64, n int) int { return 0 }
+
 // mulBTRangeKernel reports false: the on-the-fly pack path is amd64-only.
 // NEON consumption happens through the PanelCache packed path, where the
 // pack cost is paid once instead of per call.

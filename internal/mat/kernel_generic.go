@@ -26,6 +26,9 @@ func adamKernel(w, g, m, v []float64, beta1, beta2, c1, c2, lr, eps float64) boo
 // expKernel reports false; ExpInto calls math.Exp per element.
 func expKernel(dst, src []float64) bool { return false }
 
+// cellKernel finishes no units; LSTMCell's caller runs the scalar cell.
+func cellKernel(z, zh, b, c, h, tc []float64, n int) int { return 0 }
+
 func dotPanel2x4(a0, a1, panel *float64, k int, out *[8]float64) {
 	panic("mat: sse2 kernel invoked on a pure-Go build")
 }

@@ -34,15 +34,15 @@ type StepState struct {
 	H, C mat.Matrix
 
 	z, zh mat.Matrix
-	e     []float64 // the cell's exponentials
+	tc    []float64 // the cell's tanh(c), which inference does not keep
 }
 
-// exps returns the cell's 4H scratch.
-func (st *StepState) exps(h int) []float64 {
-	if cap(st.e) < 4*h {
-		st.e = make([]float64, 4*h)
+// tanhC returns the H-wide scratch for the cell's tanh(c).
+func (st *StepState) tanhC(h int) []float64 {
+	if cap(st.tc) < h {
+		st.tc = make([]float64, h)
 	}
-	return st.e[:4*h]
+	return st.tc[:h]
 }
 
 // Reset sizes the state for batch size b over hidden width h and zeroes the
@@ -82,9 +82,9 @@ func (l *LSTM) recur(st *StepState, z []float64) error {
 	if err := mat.MulBTCachedInto(zh, &st.H, l.Wh, &l.cacheWh); err != nil {
 		return fmt.Errorf("lstm batch step: %w", err)
 	}
-	e := st.exps(l.HiddenSize)
+	tc := st.tanhC(l.HiddenSize)
 	for r := 0; r < st.H.Rows; r++ {
-		l.cell(z[r*G:(r+1)*G], zh.Row(r), st.C.Row(r), st.H.Row(r), e, e)
+		l.cell(z[r*G:(r+1)*G], zh.Row(r), st.C.Row(r), st.H.Row(r), tc)
 	}
 	return nil
 }

@@ -10,41 +10,34 @@ import (
 // once and called by batched inference (StepBatch and the hoisted encoder)
 // and by the training forward.
 //
-// The activations equal 1/(1+math.Exp(−v)) and math.Tanh bit for bit, but a
-// step takes its exponentials in two mat.ExpInto passes instead of 5H scalar
-// calls: one over the four gate blocks — exp(−v) for the three sigmoid gates,
-// exp(2|v|) for the candidate's tanh — and one over exp(2|c|) for tanh(c).
+// The activations are 1/(1+math.Exp(−v)) and math.Tanh bit for bit. Under
+// avx2 on a CPU with FMA, mat.LSTMCell does the whole cell in vector lanes;
+// the scalar loop below takes the units from the first group it declines on
+// and the H mod 4 tail, and every unit at every other dispatch level.
 
 // cell finishes one LSTM step for one sequence. On entry z holds the input
 // projection x·Wxᵀ and zh the recurrent one h·Whᵀ; on return z holds the
-// activated gates (i, f, g, o), c and h the new states and tc tanh(c). e is
-// 4H scratch; tc may be e[:H].
-func (l *LSTM) cell(z, zh, c, h, tc, e []float64) {
-	H := l.HiddenSize
-	z, zh, e = z[:4*H], zh[:4*H], e[:4*H]
-	c, h, tc = c[:H], h[:H], tc[:H]
-	for i, b := range l.B {
-		v := z[i] + (zh[i] + b)
-		z[i] = v
-		e[i] = -v
+// activated gates (i, f, g, o), c and h the new states and tc tanh(c).
+func (l *LSTM) cell(z, zh, c, h, tc []float64) {
+	l.cellUnits(z, zh, c, h, tc, mat.LSTMCell(z, zh, l.B, c, h, tc))
+}
+
+// cellUnits is the scalar cell over units [from, H). tanh(c) takes a second
+// loop so that the units' exp → c → exp chains overlap.
+func (l *LSTM) cellUnits(z, zh, c, h, tc []float64, from int) {
+	H, b := l.HiddenSize, l.B
+	for j := from; j < H; j++ {
+		i, f, g, o := j, H+j, 2*H+j, 3*H+j
+		z[i] = sigmoidFromExp(math.Exp(-(z[i] + (zh[i] + b[i]))))
+		z[f] = sigmoidFromExp(math.Exp(-(z[f] + (zh[f] + b[f]))))
+		vg := z[g] + (zh[g] + b[g])
+		z[g] = tanhFromExp(vg, math.Exp(2*math.Abs(vg)))
+		z[o] = sigmoidFromExp(math.Exp(-(z[o] + (zh[o] + b[o]))))
+		c[j] = z[f]*c[j] + z[i]*z[g]
 	}
-	for i := 2 * H; i < 3*H; i++ {
-		e[i] = 2 * math.Abs(z[i])
-	}
-	mat.ExpInto(e, e)
-	for i := 0; i < H; i++ {
-		ig := sigmoidFromExp(e[i])
-		fg := sigmoidFromExp(e[H+i])
-		gg := tanhFromExp(z[2*H+i], e[2*H+i])
-		og := sigmoidFromExp(e[3*H+i])
-		z[i], z[H+i], z[2*H+i], z[3*H+i] = ig, fg, gg, og
-		c[i] = fg*c[i] + ig*gg
-		tc[i] = 2 * math.Abs(c[i]) // e[i] is read above, so tc may be e[:H]
-	}
-	mat.ExpInto(tc, tc)
-	for i := 0; i < H; i++ {
-		tc[i] = tanhFromExp(c[i], tc[i])
-		h[i] = z[3*H+i] * tc[i]
+	for j := from; j < H; j++ {
+		tc[j] = tanhFromExp(c[j], math.Exp(2*math.Abs(c[j])))
+		h[j] = z[3*H+j] * tc[j]
 	}
 }
 
@@ -54,7 +47,8 @@ func sigmoidFromExp(e float64) float64 { return 1 / (1 + e) }
 // tanhFromExp is math.Tanh(x) given s = math.Exp(2|x|). It is the standard
 // library's tanh copied branch for branch, with its one math.Exp call
 // replaced by s, so the result is math.Tanh's bit for bit; s is read only on
-// the branch that needs it (0.625 ≤ |x| ≤ 44.01…).
+// the branch that needs it (0.625 ≤ |x| ≤ 44.01…). mat.LSTMCell computes the
+// same three branches in vector lanes.
 func tanhFromExp(x, s float64) float64 {
 	const maxLog = 8.8029691931113054295988e+01 // log(2**127)
 	z := math.Abs(x)

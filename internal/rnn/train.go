@@ -89,7 +89,6 @@ func (l *LSTM) forward(p *lstmPass, hs *mat.Matrix) error {
 		return fmt.Errorf("lstm train forward: %w", err)
 	}
 	zh := p.st.zh.Reshape(p.B, 4*H)
-	e := p.st.exps(H)
 	for t := 0; t < p.T; t++ {
 		if err := mat.MulBTCachedInto(zh, &p.st.H, l.Wh, &l.cacheWh); err != nil {
 			return fmt.Errorf("lstm train forward: %w", err)
@@ -99,7 +98,7 @@ func (l *LSTM) forward(p *lstmPass, hs *mat.Matrix) error {
 			hr, cr := p.st.H.Row(w), p.st.C.Row(w)
 			copy(p.hp.Row(r), hr)
 			copy(p.cp.Row(r), cr)
-			l.cell(p.z.Row(r), zh.Row(w), cr, hr, p.tc.Row(r), e)
+			l.cell(p.z.Row(r), zh.Row(w), cr, hr, p.tc.Row(r))
 			if hs != nil {
 				copy(hs.Row(w*p.T+t), hr)
 			}
