@@ -183,7 +183,7 @@ func (m *Model) Fit(train [][]float64, cfg TrainConfig, rng *rand.Rand) (float64
 			for k, idx := range batch {
 				copy(xb.Data[k*m.inputDim:(k+1)*m.inputDim], train[idx])
 			}
-			out, err := m.Net.ForwardBatch(xb, true)
+			out, err := m.Net.ForwardBatch(xb)
 			if err != nil {
 				return 0, fmt.Errorf("training %s: %w", m.ModelName, err)
 			}

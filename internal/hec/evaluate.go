@@ -110,18 +110,6 @@ type PolicyConfig struct {
 	LR float64
 	// Beta is the reinforcement-comparison baseline rate.
 	Beta float64
-	// Rollout batches REINFORCE steps: each rollout sample gets a child RNG
-	// seeded sequentially from the parent stream, its action sampled under
-	// a frozen policy and its reward evaluated concurrently across workers,
-	// before the (sequential, deterministic) updates apply. The shared
-	// parent *rand.Rand is never handed to a worker goroutine, so a fixed
-	// seed trains the same policy at any worker count (see
-	// policy.Trainer.StepBatch for the full determinism contract). Values
-	// < 2 keep the paper's one-sample-at-a-time training.
-	Rollout int
-	// RolloutWorkers bounds the goroutines evaluating a rollout's rewards;
-	// < 1 means one per available CPU.
-	RolloutWorkers int
 }
 
 // DefaultPolicyConfig returns the harness settings with the paper's
@@ -166,26 +154,6 @@ func TrainPolicy(pc *Precomputed, cfg PolicyConfig, rng *rand.Rand) (*policy.Net
 	}
 	for e := 0; e < cfg.Epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		if cfg.Rollout > 1 {
-			for start := 0; start < len(order); start += cfg.Rollout {
-				end := start + cfg.Rollout
-				if end > len(order) {
-					end = len(order)
-				}
-				batch := order[start:end]
-				zs := make([][]float64, len(batch))
-				for k, i := range batch {
-					zs[k] = pc.Contexts[i]
-				}
-				_, _, err := tr.StepBatch(zs, func(k, action int) (float64, error) {
-					return reward(batch[k], action)
-				}, cfg.RolloutWorkers, rng)
-				if err != nil {
-					return nil, fmt.Errorf("hec: policy training batch at %d: %w", start, err)
-				}
-			}
-			continue
-		}
 		for _, i := range order {
 			i := i
 			_, _, err := tr.Step(pc.Contexts[i], func(action int) (float64, error) {

@@ -125,34 +125,3 @@ func TestParallelEvaluateMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestTrainPolicyRolloutDeterministic pins the batched-rollout trainer: a
-// fixed seed must yield an identical policy regardless of how many workers
-// evaluated the rollout rewards.
-func TestTrainPolicyRolloutDeterministic(t *testing.T) {
-	dep := testDeployment(t)
-	pc, err := Precompute(context.Background(), dep, constExtractor{}, manySamples(120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	train := func(workers int) *Result {
-		cfg := DefaultPolicyConfig(5e-4)
-		cfg.Epochs = 4
-		cfg.Rollout = 16
-		cfg.RolloutWorkers = workers
-		pol, err := TrainPolicy(pc, cfg, rand.New(rand.NewSource(9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Evaluate(context.Background(), Adaptive{Policy: pol}, pc, cfg.Alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	one := train(1)
-	many := train(8)
-	if !reflect.DeepEqual(one, many) {
-		t.Fatal("rollout training diverges with worker count")
-	}
-}

@@ -104,22 +104,25 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// Softmax returns the softmax of x computed with the max-subtraction trick
-// for numerical stability. The result sums to 1 for any finite input.
-func Softmax(x []float64) []float64 {
+// SoftmaxInto writes the softmax of x into dst, computed with the
+// max-subtraction trick for numerical stability. The result sums to 1 for
+// any finite input. dst may alias x.
+func SoftmaxInto(dst, x []float64) error {
+	if len(dst) != len(x) {
+		return fmt.Errorf("%w: SoftmaxInto lengths %d and %d", ErrShape, len(dst), len(x))
+	}
 	if len(x) == 0 {
 		return nil
 	}
 	_, max := MinMaxVec(x)
-	out := make([]float64, len(x))
 	var sum float64
 	for i, v := range x {
 		e := math.Exp(v - max)
-		out[i] = e
+		dst[i] = e
 		sum += e
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
+	return nil
 }

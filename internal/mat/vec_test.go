@@ -75,26 +75,46 @@ func TestNorm2ArgMax(t *testing.T) {
 	}
 }
 
-func TestSoftmaxBasics(t *testing.T) {
-	p := Softmax([]float64{1, 2, 3})
-	if len(p) != 3 {
-		t.Fatalf("len = %d", len(p))
+// softmax is SoftmaxInto into a fresh slice.
+func softmax(t testing.TB, x []float64) []float64 {
+	t.Helper()
+	p := make([]float64, len(x))
+	if err := SoftmaxInto(p, x); err != nil {
+		t.Fatal(err)
 	}
+	return p
+}
+
+func TestSoftmaxBasics(t *testing.T) {
+	x := []float64{1, 2, 3}
+	p := softmax(t, x)
 	if math.Abs(SumVec(p)-1) > 1e-12 {
 		t.Fatalf("softmax sums to %g, want 1", SumVec(p))
 	}
 	if !(p[2] > p[1] && p[1] > p[0]) {
 		t.Fatalf("softmax not monotone: %v", p)
 	}
+	// In place: dst may alias x.
+	if err := SoftmaxInto(x, x); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range p {
+		if math.Float64bits(x[i]) != math.Float64bits(v) {
+			t.Fatalf("in-place softmax = %v, want %v", x, p)
+		}
+	}
 	// Stability with large logits.
-	p = Softmax([]float64{1000, 1000, 1000})
+	p = softmax(t, []float64{1000, 1000, 1000})
 	for _, v := range p {
 		if math.Abs(v-1.0/3) > 1e-9 {
 			t.Fatalf("large-logit softmax = %v, want uniform", p)
 		}
 	}
-	if Softmax(nil) != nil {
-		t.Fatal("Softmax(nil) should be nil")
+	if err := SoftmaxInto(nil, nil); err != nil {
+		t.Fatalf("SoftmaxInto(nil, nil) = %v, want nil", err)
+	}
+	if err := SoftmaxInto(make([]float64, 2), p); err == nil {
+		t.Fatal("SoftmaxInto must reject a length mismatch")
 	}
 }
 
@@ -114,7 +134,7 @@ func TestQuickSoftmaxInvariance(t *testing.T) {
 			x[i] = rng.NormFloat64() * 10
 			y[i] = x[i] + shift
 		}
-		px, py := Softmax(x), Softmax(y)
+		px, py := softmax(t, x), softmax(t, y)
 		if math.Abs(SumVec(px)-1) > 1e-9 {
 			return false
 		}

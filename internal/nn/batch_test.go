@@ -2,14 +2,14 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/mat"
 )
 
-// testNet builds a small AE-shaped network (no dropout, so forward passes
-// are deterministic) plus a random batch.
+// testNet builds a small AE-shaped network.
 func testNet(t *testing.T, rng *rand.Rand) *Sequential {
 	t.Helper()
 	return NewSequential(
@@ -30,27 +30,33 @@ func randBatch(b, n int, rng *rand.Rand) *mat.Matrix {
 }
 
 // TestForwardBatchMatchesPerSample pins the core equivalence claim of the
-// batched engine: row i of ForwardBatch equals Forward on row i, bit for
-// bit, because the batch kernels accumulate in the per-sample order.
+// batched engine: row i of ForwardBatch equals the scalar reference on row
+// i, bit for bit, because the batch kernels accumulate in the per-sample
+// order. Sequential.Forward, the batch-of-one wrapper, must match it in
+// both modes.
 func TestForwardBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := testNet(t, rng)
 	x := randBatch(17, 12, rng)
-	y, err := net.ForwardBatch(x, false)
+	y, err := net.ForwardBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Copy: the returned matrix is scratch and per-sample Forward below runs
-	// through the same layers.
+	// Copy: the returned matrix is scratch and Forward below runs through
+	// the same layers.
 	got := y.Clone()
 	for i := 0; i < x.Rows; i++ {
-		want, err := net.Forward(x.Row(i), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range want {
-			if got.At(i, j) != v {
-				t.Fatalf("row %d col %d: batch %g vs per-sample %g", i, j, got.At(i, j), v)
+		acts := refForward(net, x.Row(i))
+		want := acts[len(acts)-1]
+		for _, train := range []bool{false, true} {
+			row, err := net.Forward(x.Row(i), train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range want {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(v) || math.Float64bits(row[j]) != math.Float64bits(v) {
+					t.Fatalf("row %d col %d: batch %g, Forward(train=%v) %g, reference %g", i, j, got.At(i, j), train, row[j], v)
+				}
 			}
 		}
 	}
@@ -68,28 +74,24 @@ func TestBackwardBatchMatchesPerSample(t *testing.T) {
 	x := randBatch(9, 12, rng)
 	target := randBatch(9, 12, rng)
 
-	// Per-sample accumulation, batch-averaged gradient scale.
+	// Per-sample accumulation through the reference, batch-averaged
+	// gradient scale.
 	netA.ZeroGrads()
 	B := float64(x.Rows)
 	for i := 0; i < x.Rows; i++ {
-		out, err := netA.Forward(x.Row(i), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, g, err := MSELoss(out, target.Row(i))
+		acts := refForward(netA, x.Row(i))
+		_, g, err := MSELoss(acts[len(acts)-1], target.Row(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range g {
 			g[j] /= B
 		}
-		if _, err := netA.Backward(g); err != nil {
-			t.Fatal(err)
-		}
+		refBackward(netA, acts, g)
 	}
 
 	netB.ZeroGrads()
-	out, err := netB.ForwardBatch(x, true)
+	out, err := netB.ForwardBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +154,9 @@ func TestBatchGradientCheck(t *testing.T) {
 	target := randBatch(5, 3, rng)
 	grad := mat.New(0, 0)
 
+	var ws BatchScratch
 	lossAt := func() float64 {
-		out, err := net.ForwardBatch(x, false)
+		out, err := net.InferBatch(&ws, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +168,7 @@ func TestBatchGradientCheck(t *testing.T) {
 	}
 
 	net.ZeroGrads()
-	out, err := net.ForwardBatch(x, true)
+	out, err := net.ForwardBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +229,11 @@ func TestBatchForwardAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state InferBatch allocates %.1f times per run, want 0", allocs)
 	}
 
-	if _, err := net.ForwardBatch(x, true); err != nil { // warm layer scratch
+	if _, err := net.ForwardBatch(x); err != nil { // warm layer scratch
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		if _, err := net.ForwardBatch(x, true); err != nil {
+		if _, err := net.ForwardBatch(x); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -247,7 +250,7 @@ func TestInferBatchMatchesForwardBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := testNet(t, rng)
 	x := randBatch(11, 12, rng)
-	stateful, err := net.ForwardBatch(x, false)
+	stateful, err := net.ForwardBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,92 +293,10 @@ func TestInferBatchMatchesForwardBatch(t *testing.T) {
 	}
 }
 
-// TestDropoutBatchSemantics pins the documented dropout batch contract: the
-// mask is per element in row-major order, so a batched pass consumes the rng
-// exactly as sequential per-sample passes would and produces the same mask.
-func TestDropoutBatchSemantics(t *testing.T) {
-	const rate = 0.4
-	batch := func() *mat.Matrix {
-		d := NewDropout(rate, rand.New(rand.NewSource(11)))
-		out, err := d.ForwardBatch(randBatch(6, 10, rand.New(rand.NewSource(12))), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.Clone()
-	}()
-	perSample := func() *mat.Matrix {
-		d := NewDropout(rate, rand.New(rand.NewSource(11)))
-		x := randBatch(6, 10, rand.New(rand.NewSource(12)))
-		out := mat.New(6, 10)
-		for i := 0; i < x.Rows; i++ {
-			row, err := d.Forward(x.Row(i), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			copy(out.Row(i), row)
-		}
-		return out
-	}()
-	if !mat.Equal(batch, perSample, 0) {
-		t.Fatal("batched dropout mask diverges from sequential per-sample masks")
-	}
-
-	// The mask must vary across rows (per element, not one mask per batch):
-	// with 60 elements at rate 0.4 the odds of two identical 10-wide rows
-	// are negligible.
-	distinct := false
-	for i := 1; i < batch.Rows && !distinct; i++ {
-		for j := 0; j < batch.Cols; j++ {
-			z0, zi := batch.At(0, j) == 0, batch.At(i, j) == 0
-			if z0 != zi {
-				distinct = true
-				break
-			}
-		}
-	}
-	if !distinct {
-		t.Fatal("dropout applied one shared mask to every row; the contract is per-element masking")
-	}
-
-	// Inference must be the identity regardless of batch shape.
-	d := NewDropout(rate, rand.New(rand.NewSource(13)))
-	x := randBatch(4, 5, rand.New(rand.NewSource(14)))
-	out, err := d.ForwardBatch(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mat.Equal(x, out, 0) {
-		t.Fatal("inference-mode dropout must pass the batch through unchanged")
-	}
-
-	// Backward routes gradients through the cached mask.
-	dTrain := NewDropout(rate, rand.New(rand.NewSource(15)))
-	fw, err := dTrain.ForwardBatch(x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeroAt := -1
-	for i, v := range fw.Data {
-		if v == 0 {
-			zeroAt = i
-			break
-		}
-	}
-	ones := mat.New(4, 5)
-	ones.Fill(1)
-	gin, err := dTrain.BackwardBatch(ones)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zeroAt >= 0 && gin.Data[zeroAt] != 0 {
-		t.Fatal("gradient leaked through a dropped element")
-	}
-}
-
 // TestQuantizeFP16UnderBatchPath checks the paper's FP16 deployment step
 // against the batched engine: quantised weights round-trip exactly (FP16 is
 // exactly representable in float64), and the batch forward pass through a
-// quantised network matches the per-sample pass on the same weights.
+// quantised network matches the scalar reference on the same weights.
 func TestQuantizeFP16UnderBatchPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := testNet(t, rng)
@@ -388,17 +309,14 @@ func TestQuantizeFP16UnderBatchPath(t *testing.T) {
 		t.Fatalf("second FP16 quantisation moved weights by %g, want 0", again)
 	}
 	x := randBatch(13, 12, rng)
-	y, err := net.ForwardBatch(x, false)
+	var ws BatchScratch
+	got, err := net.InferBatch(&ws, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := y.Clone()
 	for i := 0; i < x.Rows; i++ {
-		want, err := net.Forward(x.Row(i), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range want {
+		acts := refForward(net, x.Row(i))
+		for j, v := range acts[len(acts)-1] {
 			if got.At(i, j) != v {
 				t.Fatalf("quantised net row %d col %d: batch %g vs per-sample %g", i, j, got.At(i, j), v)
 			}
@@ -416,14 +334,11 @@ func TestBackwardBatchBeforeForwardErrors(t *testing.T) {
 	if _, err := NewActivation(ActReLU).BackwardBatch(g); err == nil {
 		t.Fatal("Activation.BackwardBatch before forward must error")
 	}
-	if _, err := NewDropout(0.5, rng).BackwardBatch(g); err == nil {
-		t.Fatal("Dropout.BackwardBatch before forward must error")
-	}
 	d := NewDense(2, 3, rng)
-	if _, err := d.ForwardBatch(mat.New(1, 5), false); err == nil {
+	if _, err := d.ForwardBatch(mat.New(1, 5)); err == nil {
 		t.Fatal("Dense.ForwardBatch with wrong width must error")
 	}
-	if _, err := d.ForwardBatch(mat.New(4, 2), true); err != nil {
+	if _, err := d.ForwardBatch(mat.New(4, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.BackwardBatch(mat.New(3, 3)); err == nil {
@@ -441,10 +356,11 @@ func BenchmarkSequentialForwardBatch32(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
+	var ws BatchScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.ForwardBatch(x, false); err != nil {
+		if _, err := net.InferBatch(&ws, x); err != nil {
 			b.Fatal(err)
 		}
 	}

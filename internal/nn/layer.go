@@ -1,17 +1,16 @@
 // Package nn is a from-scratch feed-forward neural-network library built on
-// internal/mat. It provides the dense layers, activations, dropout,
-// optimisers, loss functions, serialisation and FP16 quantisation needed to
-// reproduce the paper's autoencoder anomaly-detection models and the policy
-// network, replacing the TensorFlow/Keras stack the authors used.
+// internal/mat. It provides the dense layers, activations, optimisers, loss
+// functions, serialisation and FP16 quantisation needed to reproduce the
+// paper's autoencoder anomaly-detection models and the policy network,
+// replacing the TensorFlow/Keras stack the authors used.
 //
-// The library is batch-first: every layer consumes a batch of samples as a
+// The library is batch-only: every layer consumes a batch of samples as a
 // *mat.Matrix with one sample per row and runs on the blocked matrix-matrix
 // kernels, so minibatch training and vectorised inference amortise each
-// weight matrix over the whole batch. The per-sample []float64 API is kept
-// as a batch-of-1 wrapper over the same code path, and because the batch
-// kernels accumulate in the exact floating-point order of the per-sample
-// kernels, a batch of B rows produces bit-identical outputs to B per-sample
-// passes.
+// weight matrix over the whole batch. A single sample is a batch of one.
+// Because the batch kernels accumulate every row in the order of a scalar
+// matrix-vector product, a batch of B rows produces bit-identical outputs
+// to B batches of one.
 package nn
 
 import (
@@ -47,35 +46,25 @@ func (p Param) invalidate() {
 	}
 }
 
-// Layer is one differentiable stage of a network.
-//
-// The batch methods are the primary interface, consuming one sample per row
-// of a *mat.Matrix. They come in two flavours with different concurrency
-// contracts:
+// Layer is one differentiable stage of a network. Its methods consume one
+// sample per row of a *mat.Matrix and come in two flavours with different
+// concurrency contracts:
 //
 //   - ApplyBatch is the stateless inference form: it computes the layer's
-//     inference-mode output into caller-owned dst, reading only the layer's
-//     immutable parameters. Any number of goroutines may call ApplyBatch on
+//     output into caller-owned dst, reading only the layer's immutable
+//     parameters. Any number of goroutines may call ApplyBatch on
 //     a shared layer concurrently — this is what keeps concurrent detection
 //     (Precompute workers, transport servers, cluster devices) safe.
 //   - ForwardBatch/BackwardBatch are the stateful training forms: the layer
-//     caches whatever BackwardBatch needs in layer-owned scratch, applies
-//     stochastic behaviour such as dropout, and reuses its scratch across
-//     calls (the steady-state training step is allocation-free). A model
-//     must not run the stateful forms from more than one goroutine at a
-//     time, and a BackwardBatch call must be preceded by a ForwardBatch
-//     call with train=true. Matrices returned by the stateful forms are
-//     layer-owned scratch, valid until that layer's next call.
-//
-// Forward and Backward are the per-sample forms: Forward with train=false
-// routes through the stateless path (and thus stays concurrency-safe);
-// Forward with train=true and Backward are batch-of-1 wrappers over the
-// stateful path. They return freshly allocated slices the caller owns.
+//     caches whatever BackwardBatch needs in layer-owned scratch and reuses
+//     its scratch across calls (the steady-state training step is
+//     allocation-free). A model must not run the stateful forms from more
+//     than one goroutine at a time, and a BackwardBatch call must be
+//     preceded by a ForwardBatch call. Matrices returned by the stateful
+//     forms are layer-owned scratch, valid until that layer's next call.
 type Layer interface {
-	Forward(x []float64, train bool) ([]float64, error)
-	Backward(gradOut []float64) ([]float64, error)
 	ApplyBatch(dst, x *mat.Matrix) error
-	ForwardBatch(x *mat.Matrix, train bool) (*mat.Matrix, error)
+	ForwardBatch(x *mat.Matrix) (*mat.Matrix, error)
 	BackwardBatch(gradOut *mat.Matrix) (*mat.Matrix, error)
 	Params() []Param
 	// OutSize reports the layer's output width for an input of width in,
@@ -84,9 +73,8 @@ type Layer interface {
 }
 
 // rowView wraps a vector as a 1×n matrix sharing storage. It serves two
-// roles: the batch-of-1 bridge from the per-sample API to the batch path,
-// and the uniform weights-and-biases view the optimisers consume via
-// Params.
+// roles: the batch-of-1 bridge of Sequential.Forward, and the uniform
+// weights-and-biases view the optimisers consume via Params.
 func rowView(x []float64) *mat.Matrix {
 	return &mat.Matrix{Rows: 1, Cols: len(x), Data: x}
 }
@@ -144,16 +132,14 @@ func (d *Dense) ApplyBatch(dst, x *mat.Matrix) error {
 }
 
 // ForwardBatch implements Layer: Y = X·Wᵀ + b, one sample per row.
-func (d *Dense) ForwardBatch(x *mat.Matrix, train bool) (*mat.Matrix, error) {
+func (d *Dense) ForwardBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	y := &d.outB
 	if err := d.ApplyBatch(y, x); err != nil {
 		return nil, err
 	}
-	if train {
-		d.lastX.Reshape(x.Rows, x.Cols)
-		copy(d.lastX.Data, x.Data)
-		d.haveX = true
-	}
+	d.lastX.Reshape(x.Rows, x.Cols)
+	copy(d.lastX.Data, x.Data)
+	d.haveX = true
 	return y, nil
 }
 
@@ -161,7 +147,7 @@ func (d *Dense) ForwardBatch(x *mat.Matrix, train bool) (*mat.Matrix, error) {
 // and returns dX = dY·W.
 func (d *Dense) BackwardBatch(gradOut *mat.Matrix) (*mat.Matrix, error) {
 	if !d.haveX {
-		return nil, fmt.Errorf("nn: Dense.Backward before Forward(train=true)")
+		return nil, fmt.Errorf("nn: Dense.BackwardBatch before ForwardBatch")
 	}
 	if gradOut.Cols != d.W.Rows || gradOut.Rows != d.lastX.Rows {
 		return nil, fmt.Errorf("%w: dense backward grad %dx%d, want %dx%d",
@@ -178,32 +164,6 @@ func (d *Dense) BackwardBatch(gradOut *mat.Matrix) (*mat.Matrix, error) {
 		return nil, err
 	}
 	return gin, nil
-}
-
-// Forward implements Layer as a batch-of-1 wrapper. With train=false it
-// runs the stateless path and is safe for concurrent use.
-func (d *Dense) Forward(x []float64, train bool) ([]float64, error) {
-	if !train {
-		var y mat.Matrix
-		if err := d.ApplyBatch(&y, rowView(x)); err != nil {
-			return nil, err
-		}
-		return y.Data, nil
-	}
-	y, err := d.ForwardBatch(rowView(x), true)
-	if err != nil {
-		return nil, err
-	}
-	return mat.CloneVec(y.Data), nil
-}
-
-// Backward implements Layer as a batch-of-1 wrapper.
-func (d *Dense) Backward(gradOut []float64) ([]float64, error) {
-	gin, err := d.BackwardBatch(rowView(gradOut))
-	if err != nil {
-		return nil, err
-	}
-	return mat.CloneVec(gin.Data), nil
 }
 
 // Params implements Layer.
@@ -308,25 +268,23 @@ func (a *Activation) ApplyBatch(dst, x *mat.Matrix) error {
 }
 
 // ForwardBatch implements Layer.
-func (a *Activation) ForwardBatch(x *mat.Matrix, train bool) (*mat.Matrix, error) {
+func (a *Activation) ForwardBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	out := a.outB.Reshape(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = a.Fn.Apply(v)
 	}
-	if train {
-		a.lastIn.Reshape(x.Rows, x.Cols)
-		copy(a.lastIn.Data, x.Data)
-		a.lastOut.Reshape(x.Rows, x.Cols)
-		copy(a.lastOut.Data, out.Data)
-		a.haveIn = true
-	}
+	a.lastIn.Reshape(x.Rows, x.Cols)
+	copy(a.lastIn.Data, x.Data)
+	a.lastOut.Reshape(x.Rows, x.Cols)
+	copy(a.lastOut.Data, out.Data)
+	a.haveIn = true
 	return out, nil
 }
 
 // BackwardBatch implements Layer.
 func (a *Activation) BackwardBatch(gradOut *mat.Matrix) (*mat.Matrix, error) {
 	if !a.haveIn {
-		return nil, fmt.Errorf("nn: Activation.Backward before Forward(train=true)")
+		return nil, fmt.Errorf("nn: Activation.BackwardBatch before ForwardBatch")
 	}
 	if gradOut.Rows != a.lastIn.Rows || gradOut.Cols != a.lastIn.Cols {
 		return nil, fmt.Errorf("%w: activation backward grad %dx%d, want %dx%d",
@@ -339,139 +297,8 @@ func (a *Activation) BackwardBatch(gradOut *mat.Matrix) (*mat.Matrix, error) {
 	return gin, nil
 }
 
-// Forward implements Layer as a batch-of-1 wrapper. With train=false it
-// runs the stateless path and is safe for concurrent use.
-func (a *Activation) Forward(x []float64, train bool) ([]float64, error) {
-	if !train {
-		var y mat.Matrix
-		if err := a.ApplyBatch(&y, rowView(x)); err != nil {
-			return nil, err
-		}
-		return y.Data, nil
-	}
-	y, err := a.ForwardBatch(rowView(x), true)
-	if err != nil {
-		return nil, err
-	}
-	return mat.CloneVec(y.Data), nil
-}
-
-// Backward implements Layer as a batch-of-1 wrapper.
-func (a *Activation) Backward(gradOut []float64) ([]float64, error) {
-	gin, err := a.BackwardBatch(rowView(gradOut))
-	if err != nil {
-		return nil, err
-	}
-	return mat.CloneVec(gin.Data), nil
-}
-
 // Params implements Layer. Activations are parameter-free.
 func (a *Activation) Params() []Param { return nil }
 
 // OutSize implements Layer.
 func (a *Activation) OutSize(in int) (int, error) { return in, nil }
-
-// Dropout zeroes each input element with probability Rate during training
-// and rescales the survivors by 1/(1−Rate) (inverted dropout), so inference
-// needs no adjustment. The paper applies a 0.3 drop-rate to the LSTM-decoder
-// output before its dense head.
-//
-// Batch semantics: the mask is drawn per element, not per row — every
-// element of the batch flips its own independent coin, in row-major order.
-// A batch of B rows therefore consumes the layer's rng stream exactly as B
-// sequential per-sample passes would, which keeps minibatch training at
-// batch size 1 bit-identical to the legacy per-sample trajectory and gives
-// larger batches the same expected regularisation per element.
-type Dropout struct {
-	Rate float64
-
-	rng    *rand.Rand
-	mask   mat.Matrix
-	outB   mat.Matrix
-	gradIn mat.Matrix
-	masked bool
-}
-
-// NewDropout returns a dropout layer with the given rate in [0, 1), drawing
-// randomness from rng.
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic(fmt.Sprintf("nn: dropout rate %g out of [0,1)", rate))
-	}
-	return &Dropout{Rate: rate, rng: rng}
-}
-
-// ApplyBatch implements Layer: inference-mode (inverted) dropout is the
-// identity, so this is a plain copy drawing no randomness and touching no
-// layer state.
-func (d *Dropout) ApplyBatch(dst, x *mat.Matrix) error {
-	dst.Reshape(x.Rows, x.Cols)
-	copy(dst.Data, x.Data)
-	return nil
-}
-
-// ForwardBatch implements Layer.
-func (d *Dropout) ForwardBatch(x *mat.Matrix, train bool) (*mat.Matrix, error) {
-	out := d.outB.Reshape(x.Rows, x.Cols)
-	if !train || d.Rate == 0 {
-		copy(out.Data, x.Data)
-		return out, nil
-	}
-	keep := 1 - d.Rate
-	mask := d.mask.Reshape(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if d.rng.Float64() < keep {
-			mask.Data[i] = 1 / keep
-			out.Data[i] = v / keep
-		} else {
-			mask.Data[i] = 0
-			out.Data[i] = 0
-		}
-	}
-	d.masked = true
-	return out, nil
-}
-
-// BackwardBatch implements Layer.
-func (d *Dropout) BackwardBatch(gradOut *mat.Matrix) (*mat.Matrix, error) {
-	if !d.masked {
-		return nil, fmt.Errorf("nn: Dropout.Backward before Forward(train=true)")
-	}
-	if gradOut.Rows != d.mask.Rows || gradOut.Cols != d.mask.Cols {
-		return nil, fmt.Errorf("%w: dropout backward grad %dx%d, want %dx%d",
-			mat.ErrShape, gradOut.Rows, gradOut.Cols, d.mask.Rows, d.mask.Cols)
-	}
-	gin := d.gradIn.Reshape(gradOut.Rows, gradOut.Cols)
-	for i, g := range gradOut.Data {
-		gin.Data[i] = g * d.mask.Data[i]
-	}
-	return gin, nil
-}
-
-// Forward implements Layer as a batch-of-1 wrapper. With train=false it
-// runs the stateless path and is safe for concurrent use.
-func (d *Dropout) Forward(x []float64, train bool) ([]float64, error) {
-	if !train || d.Rate == 0 {
-		return mat.CloneVec(x), nil
-	}
-	y, err := d.ForwardBatch(rowView(x), true)
-	if err != nil {
-		return nil, err
-	}
-	return mat.CloneVec(y.Data), nil
-}
-
-// Backward implements Layer as a batch-of-1 wrapper.
-func (d *Dropout) Backward(gradOut []float64) ([]float64, error) {
-	gin, err := d.BackwardBatch(rowView(gradOut))
-	if err != nil {
-		return nil, err
-	}
-	return mat.CloneVec(gin.Data), nil
-}
-
-// Params implements Layer. Dropout is parameter-free.
-func (d *Dropout) Params() []Param { return nil }
-
-// OutSize implements Layer.
-func (d *Dropout) OutSize(in int) (int, error) { return in, nil }

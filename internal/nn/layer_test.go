@@ -48,15 +48,15 @@ func numericalGrad(t *testing.T, net *Sequential, x, y []float64, eps float64) [
 func analyticGrad(t *testing.T, net *Sequential, x, y []float64) [][]float64 {
 	t.Helper()
 	net.ZeroGrads()
-	out, err := net.Forward(x, true)
+	out, err := net.ForwardBatch(rowView(x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g, err := MSELoss(out, y)
+	_, g, err := MSELoss(out.Data, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Backward(g); err != nil {
+	if _, err := net.BackwardBatch(rowView(g)); err != nil {
 		t.Fatal(err)
 	}
 	var grads [][]float64
@@ -112,22 +112,23 @@ func TestDeepNetGradientCheck(t *testing.T) {
 func TestDenseBackwardBeforeForwardErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense(2, 2, rng)
-	if _, err := d.Backward([]float64{1, 1}); err == nil {
-		t.Fatal("Backward before Forward must error")
+	if _, err := d.BackwardBatch(rowView([]float64{1, 1})); err == nil {
+		t.Fatal("BackwardBatch before ForwardBatch must error")
 	}
 }
 
 func TestDenseShapeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense(3, 2, rng)
-	if _, err := d.Forward([]float64{1}, false); err == nil {
-		t.Fatal("Forward with wrong width must error")
+	var y mat.Matrix
+	if err := d.ApplyBatch(&y, rowView([]float64{1})); err == nil {
+		t.Fatal("ApplyBatch with wrong width must error")
 	}
-	if _, err := d.Forward([]float64{1, 2, 3}, true); err != nil {
+	if _, err := d.ForwardBatch(rowView([]float64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Backward([]float64{1, 2, 3}); err == nil {
-		t.Fatal("Backward with wrong width must error")
+	if _, err := d.BackwardBatch(rowView([]float64{1, 2, 3})); err == nil {
+		t.Fatal("BackwardBatch with wrong width must error")
 	}
 	if n, err := d.OutSize(3); err != nil || n != 2 {
 		t.Fatalf("OutSize(3) = %d, %v", n, err)
@@ -159,72 +160,6 @@ func TestActivationValues(t *testing.T) {
 	}
 	if got := ActSigmoid.Apply(-1000); got != 0 {
 		t.Errorf("sigmoid(-1000) = %g, want 0", got)
-	}
-}
-
-func TestDropoutTrainEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDropout(0.5, rng)
-	x := make([]float64, 1000)
-	for i := range x {
-		x[i] = 1
-	}
-	// Eval mode: identity.
-	out, err := d.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out {
-		if v != 1 {
-			t.Fatal("eval-mode dropout must be identity")
-		}
-	}
-	// Train mode: ~half zeroed, survivors scaled to 2, expectation preserved.
-	out, err = d.Forward(x, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros, sum := 0, 0.0
-	for _, v := range out {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(v-2) > 1e-12 {
-			t.Fatalf("survivor scaled to %g, want 2", v)
-		}
-		sum += v
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("zeroed %d of 1000, want ≈500", zeros)
-	}
-	if mean := sum / 1000; math.Abs(mean-1) > 0.15 {
-		t.Fatalf("inverted dropout mean = %g, want ≈1", mean)
-	}
-	// Backward masks consistently with forward.
-	g := make([]float64, 1000)
-	for i := range g {
-		g[i] = 1
-	}
-	gin, err := d.Backward(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range gin {
-		if (out[i] == 0) != (gin[i] == 0) {
-			t.Fatal("backward mask must match forward mask")
-		}
-	}
-}
-
-func TestDropoutZeroRateIsIdentityInTraining(t *testing.T) {
-	d := NewDropout(0, rand.New(rand.NewSource(1)))
-	out, err := d.Forward([]float64{1, 2, 3}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != float64(i+1) {
-			t.Fatalf("rate-0 dropout altered input: %v", out)
-		}
 	}
 }
 

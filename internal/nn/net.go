@@ -16,18 +16,24 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs the network on x. With train=true, intermediate state needed
-// for Backward is cached in the layers.
+// Forward runs the network on the single sample x as a batch of one and
+// returns a slice the caller owns: InferBatch when train is false (safe for
+// concurrent use), ForwardBatch when it is true.
 func (n *Sequential) Forward(x []float64, train bool) ([]float64, error) {
-	cur := x
-	for i, l := range n.Layers {
-		var err error
-		cur, err = l.Forward(cur, train)
+	xm := rowView(x)
+	if train {
+		y, err := n.ForwardBatch(xm)
 		if err != nil {
-			return nil, fmt.Errorf("layer %d: %w", i, err)
+			return nil, err
 		}
+		return mat.CloneVec(y.Data), nil
 	}
-	return cur, nil
+	var ws BatchScratch
+	y, err := n.InferBatch(&ws, xm)
+	if err != nil {
+		return nil, err
+	}
+	return y.Data, nil
 }
 
 // BatchScratch is the caller-owned workspace of InferBatch: two ping-pong
@@ -44,7 +50,7 @@ type BatchScratch struct {
 // number of goroutines sharing the network, each with its own scratch. The
 // returned matrix aliases ws and is valid until the next InferBatch call
 // with the same scratch. Row i of the result is bit-identical to
-// Forward(row i, false).
+// InferBatch on row i alone.
 func (n *Sequential) InferBatch(ws *BatchScratch, x *mat.Matrix) (*mat.Matrix, error) {
 	cur := x
 	bufs := [2]*mat.Matrix{&ws.a, &ws.b}
@@ -62,26 +68,12 @@ func (n *Sequential) InferBatch(ws *BatchScratch, x *mat.Matrix) (*mat.Matrix, e
 // stateful training path (layer caches and scratch are reused; not safe for
 // concurrent use on one model — see Layer). The returned matrix is scratch
 // owned by the final layer (valid until its next forward call); copy it to
-// retain it. Row i of the result is bit-identical to Forward on row i.
-func (n *Sequential) ForwardBatch(x *mat.Matrix, train bool) (*mat.Matrix, error) {
+// retain it. Row i of the result is bit-identical to InferBatch on row i.
+func (n *Sequential) ForwardBatch(x *mat.Matrix) (*mat.Matrix, error) {
 	cur := x
 	for i, l := range n.Layers {
 		var err error
-		cur, err = l.ForwardBatch(cur, train)
-		if err != nil {
-			return nil, fmt.Errorf("layer %d: %w", i, err)
-		}
-	}
-	return cur, nil
-}
-
-// Backward propagates ∂L/∂output back through the network, accumulating
-// parameter gradients, and returns ∂L/∂input.
-func (n *Sequential) Backward(gradOut []float64) ([]float64, error) {
-	cur := gradOut
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		var err error
-		cur, err = n.Layers[i].Backward(cur)
+		cur, err = l.ForwardBatch(cur)
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", i, err)
 		}

@@ -39,15 +39,15 @@ func trainToy(t *testing.T, opt Optimizer, steps int) (first, last float64) {
 	first = epochLoss()
 	for s := 0; s < steps; s++ {
 		i := s % len(inputs)
-		out, err := net.Forward(inputs[i], true)
+		out, err := net.ForwardBatch(rowView(inputs[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, g, err := MSELoss(out, targets[i])
+		_, g, err := MSELoss(out.Data, targets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Backward(g); err != nil {
+		if _, err := net.BackwardBatch(rowView(g)); err != nil {
 			t.Fatal(err)
 		}
 		if err := opt.Step(net.Params()); err != nil {
@@ -91,12 +91,12 @@ func TestOptimizerRejectsBadLR(t *testing.T) {
 func TestStepZeroesGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := NewSequential(NewDense(2, 2, rng))
-	out, err := net.Forward([]float64{1, 2}, true)
+	out, err := net.ForwardBatch(rowView([]float64{1, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g, _ := MSELoss(out, []float64{0, 0})
-	if _, err := net.Backward(g); err != nil {
+	_, g, _ := MSELoss(out.Data, []float64{0, 0})
+	if _, err := net.BackwardBatch(rowView(g)); err != nil {
 		t.Fatal(err)
 	}
 	if err := NewAdam(0.001).Step(net.Params()); err != nil {

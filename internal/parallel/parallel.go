@@ -1,7 +1,7 @@
 // Package parallel provides the bounded worker-pool primitives shared by
 // the repository's embarrassingly-parallel loops: detector precomputation,
-// scheme evaluation, per-tier model training, REINFORCE rollout batches and
-// Monte-Carlo benchmark repetitions.
+// scheme evaluation, per-tier model training and Monte-Carlo benchmark
+// repetitions.
 //
 // The package makes one determinism promise on which the HEC pipeline
 // relies: work is identified by index and results land at their index, so

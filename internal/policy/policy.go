@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 )
 
 // Cost maps an end-to-end detection delay (milliseconds) to an equivalent
@@ -40,13 +40,29 @@ func Reward(correct bool, alpha, delayMs float64) float64 {
 }
 
 // Network is the policy network: a single hidden layer (the paper uses 100
-// units) with ReLU, and a K-way softmax output over HEC layers.
+// units) with ReLU, and a K-way softmax output over HEC layers. Probs, Greedy
+// and Sample run the network as a batch of one on pooled scratch and are
+// safe for concurrent use; training is not.
 type Network struct {
 	net *nn.Sequential
 	// K is the action count (HEC layer count).
 	K int
 	// StateDim is the context width.
 	StateDim int
+
+	// scratch pools the *decideScratch of Probs, Greedy and Sample.
+	scratch sync.Pool
+	// x and grad are reinforce's 1×StateDim context view and 1×K logit
+	// gradient.
+	x, grad mat.Matrix
+}
+
+// decideScratch is one decision's workspace: the context viewed as a batch
+// of one and the activation buffers, the last of which ends up holding
+// π_θ(·|z).
+type decideScratch struct {
+	x  mat.Matrix
+	ws nn.BatchScratch
 }
 
 // NewNetwork builds a policy network mapping stateDim-wide contexts to K
@@ -63,67 +79,91 @@ func NewNetwork(stateDim, hidden, k int, rng *rand.Rand) (*Network, error) {
 		),
 		K:        k,
 		StateDim: stateDim,
+		scratch:  sync.Pool{New: func() any { return new(decideScratch) }},
 	}, nil
 }
 
-// Probs returns π_θ(·|z): the softmax action distribution for context z.
-func (p *Network) Probs(z []float64) ([]float64, error) {
-	logits, err := p.net.Forward(z, false)
+// decide computes π_θ(·|z) into s and returns it; the slice belongs to s.
+func (p *Network) decide(s *decideScratch, z []float64) ([]float64, error) {
+	s.x = mat.Matrix{Rows: 1, Cols: len(z), Data: z}
+	logits, err := p.net.InferBatch(&s.ws, &s.x)
+	s.x.Data = nil // the scratch outlives the call; the caller's z must not
 	if err != nil {
 		return nil, fmt.Errorf("policy forward: %w", err)
 	}
-	return mat.Softmax(logits), nil
+	if err := mat.SoftmaxInto(logits.Data, logits.Data); err != nil {
+		return nil, err
+	}
+	return logits.Data, nil
+}
+
+// Probs returns π_θ(·|z): the softmax action distribution for context z, in
+// a slice the caller owns.
+func (p *Network) Probs(z []float64) ([]float64, error) {
+	s := p.scratch.Get().(*decideScratch)
+	defer p.scratch.Put(s)
+	probs, err := p.decide(s, z)
+	if err != nil {
+		return nil, err
+	}
+	return mat.CloneVec(probs), nil
 }
 
 // Greedy returns argmax_a π_θ(a|z), the deployment-time action (the paper
 // selects |a| = argmax_k s_k).
 func (p *Network) Greedy(z []float64) (int, error) {
-	probs, err := p.Probs(z)
+	s := p.scratch.Get().(*decideScratch)
+	defer p.scratch.Put(s)
+	probs, err := p.decide(s, z)
 	if err != nil {
 		return 0, err
 	}
 	return mat.ArgMax(probs), nil
 }
 
-// Sample draws an action from π_θ(·|z) for exploration during training,
-// returning the action and the distribution it was drawn from.
-func (p *Network) Sample(z []float64, rng *rand.Rand) (int, []float64, error) {
-	probs, err := p.Probs(z)
+// Sample draws an action from π_θ(·|z) for exploration during training.
+func (p *Network) Sample(z []float64, rng *rand.Rand) (int, error) {
+	s := p.scratch.Get().(*decideScratch)
+	defer p.scratch.Put(s)
+	probs, err := p.decide(s, z)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	r := rng.Float64()
 	var cum float64
 	for a, pr := range probs {
 		cum += pr
 		if r < cum {
-			return a, probs, nil
+			return a, nil
 		}
 	}
-	return len(probs) - 1, probs, nil // numerical tail
+	return len(probs) - 1, nil // numerical tail
 }
 
 // reinforce accumulates the policy gradient for one (z, a, advantage)
 // triple: ∂(−log π(a|z)·A)/∂logits = (π − onehot_a)·A, backpropagated
-// through the network.
+// through the network as a batch of one.
 func (p *Network) reinforce(z []float64, action int, advantage float64) error {
 	if action < 0 || action >= p.K {
 		return fmt.Errorf("policy: action %d out of range %d", action, p.K)
 	}
-	logits, err := p.net.Forward(z, true)
+	p.x = mat.Matrix{Rows: 1, Cols: len(z), Data: z}
+	logits, err := p.net.ForwardBatch(&p.x)
+	p.x.Data = nil
 	if err != nil {
 		return err
 	}
-	probs := mat.Softmax(logits)
-	grad := make([]float64, p.K)
-	for a := range grad {
-		g := probs[a]
+	grad := p.grad.Reshape(1, p.K)
+	if err := mat.SoftmaxInto(grad.Data, logits.Data); err != nil {
+		return err
+	}
+	for a, g := range grad.Data {
 		if a == action {
 			g -= 1
 		}
-		grad[a] = g * advantage
+		grad.Data[a] = g * advantage
 	}
-	_, err = p.net.Backward(grad)
+	_, err = p.net.BackwardBatch(grad)
 	return err
 }
 
@@ -172,7 +212,7 @@ func (t *Trainer) Baseline() float64 { return t.baseline }
 // action — in the HEC system it runs the detector at that layer and scores
 // the outcome.
 func (t *Trainer) Step(z []float64, rewardFn func(action int) (float64, error), rng *rand.Rand) (int, float64, error) {
-	action, _, err := t.Net.Sample(z, rng)
+	action, err := t.Net.Sample(z, rng)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -196,89 +236,4 @@ func (t *Trainer) Step(z []float64, rewardFn func(action int) (float64, error), 
 	}
 	t.baseline += t.Beta * (reward - t.baseline)
 	return action, reward, nil
-}
-
-// StepBatch runs one batched REINFORCE rollout over a batch of contexts:
-// every action is sampled under the current (frozen) policy and its reward
-// evaluated concurrently across workers (the expensive part when the reward
-// runs a detector), then the parameter updates are applied sequentially in
-// index order.
-//
-// Determinism and RNG-sharing contract: the parent rng is never handed to a
-// worker goroutine. It is consumed exactly n times, sequentially in index
-// order, to derive one child seed per rollout item; each worker then samples
-// its item's action from its own child RNG. Because every random draw is
-// attributable to exactly one item regardless of which goroutine runs it —
-// and the reward function receives (index, action) so it can replay
-// precomputed outcomes — a fixed parent rng yields a fixed training
-// trajectory for any worker count. This is pinned (under -race) by
-// TestStepBatchWorkerCountInvariant and hec's
-// TestTrainPolicyRolloutDeterministic.
-//
-// A single-item batch delegates to Step on the parent rng, so StepBatch
-// degenerates to Step exactly. The gradient for item i uses the policy as
-// updated by items 0..i−1 while its action was sampled under the batch-start
-// policy; for the small batches used here that off-policy drift is
-// negligible, and it vanishes at batch size 1.
-func (t *Trainer) StepBatch(zs [][]float64, rewardFn func(i, action int) (float64, error), workers int, rng *rand.Rand) ([]int, []float64, error) {
-	n := len(zs)
-	if n == 0 {
-		return nil, nil, fmt.Errorf("policy: empty rollout batch")
-	}
-	if n == 1 {
-		action, reward, err := t.Step(zs[0], func(a int) (float64, error) { return rewardFn(0, a) }, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []int{action}, []float64{reward}, nil
-	}
-	// One child seed per item, drawn sequentially from the parent stream.
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	type rollout struct {
-		action int
-		reward float64
-	}
-	// Sampling and reward evaluation fan out together: policy inference is
-	// read-only on the network, each item draws only from its child RNG.
-	outs, err := parallel.Map(workers, n, func(i int) (rollout, error) {
-		child := rand.New(rand.NewSource(seeds[i]))
-		action, _, err := t.Net.Sample(zs[i], child)
-		if err != nil {
-			return rollout{}, err
-		}
-		rw, err := rewardFn(i, action)
-		if err != nil {
-			return rollout{}, fmt.Errorf("policy: reward for rollout %d action %d: %w", i, action, err)
-		}
-		if math.IsNaN(rw) || math.IsInf(rw, 0) {
-			return rollout{}, fmt.Errorf("policy: non-finite reward %g for rollout %d", rw, i)
-		}
-		return rollout{action: action, reward: rw}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	actions := make([]int, n)
-	rewards := make([]float64, n)
-	for i, o := range outs {
-		actions[i], rewards[i] = o.action, o.reward
-	}
-	for i := 0; i < n; i++ {
-		if !t.initialised {
-			t.baseline = rewards[i]
-			t.initialised = true
-		}
-		advantage := rewards[i] - t.baseline
-		if err := t.Net.reinforce(zs[i], actions[i], advantage); err != nil {
-			return nil, nil, err
-		}
-		if err := t.Opt.Step(t.Net.Params()); err != nil {
-			return nil, nil, err
-		}
-		t.baseline += t.Beta * (rewards[i] - t.baseline)
-	}
-	return actions, rewards, nil
 }

@@ -3,7 +3,6 @@ package policy
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -131,7 +130,7 @@ func TestSampleFollowsDistribution(t *testing.T) {
 	counts := make([]int, 3)
 	const n = 20000
 	for i := 0; i < n; i++ {
-		a, _, err := net.Sample(z, rng)
+		a, err := net.Sample(z, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,169 +289,5 @@ func TestReinforcementComparisonSpeedsConvergence(t *testing.T) {
 	without := run(false)
 	if with <= without {
 		t.Fatalf("baseline did not help: with %g vs without %g", with, without)
-	}
-}
-
-// TestStepBatchSingletonMatchesStep pins StepBatch to Step: with batch
-// size 1 the two paths draw the same rng stream and apply the same update,
-// so two identically seeded trainers must stay numerically identical.
-func TestStepBatchSingletonMatchesStep(t *testing.T) {
-	build := func() (*Network, *Trainer) {
-		rng := rand.New(rand.NewSource(21))
-		net, err := NewNetwork(2, 8, 3, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewTrainer(net, nn.NewAdam(2e-3), 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net, tr
-	}
-	netA, trA := build()
-	netB, trB := build()
-	rngA := rand.New(rand.NewSource(33))
-	rngB := rand.New(rand.NewSource(33))
-	reward := func(a int) float64 { return float64(a) * 0.5 }
-	for i := 0; i < 50; i++ {
-		z := []float64{float64(i%2) - 0.5, 0.25}
-		aA, rA, err := trA.Step(z, func(a int) (float64, error) { return reward(a), nil }, rngA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acts, rews, err := trB.StepBatch([][]float64{z}, func(_, a int) (float64, error) { return reward(a), nil }, 1, rngB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aA != acts[0] || rA != rews[0] {
-			t.Fatalf("step %d: Step (%d, %g) vs StepBatch (%d, %g)", i, aA, rA, acts[0], rews[0])
-		}
-	}
-	pa, pb := netA.Params(), netB.Params()
-	for i := range pa {
-		for j, v := range pa[i].Value.Data {
-			if v != pb[i].Value.Data[j] {
-				t.Fatalf("param %s[%d] diverged: %g vs %g", pa[i].Name, j, v, pb[i].Value.Data[j])
-			}
-		}
-	}
-	if trA.Baseline() != trB.Baseline() {
-		t.Fatalf("baselines diverged: %g vs %g", trA.Baseline(), trB.Baseline())
-	}
-}
-
-// TestStepBatchLearnsContextualBandit mirrors the Step convergence test
-// through the batched-rollout path with concurrent reward evaluation.
-func TestStepBatchLearnsContextualBandit(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	net, err := NewNetwork(2, 16, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTrainer(net, nn.NewAdam(5e-3), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	contexts := [][]float64{{1, 0}, {0, 1}}
-	rewardFor := func(ctx []float64, a int) float64 {
-		switch {
-		case ctx[0] == 1 && a == 0:
-			return 1
-		case ctx[1] == 1 && a == 2:
-			return 1
-		case a == 1:
-			return 0.3
-		default:
-			return 0
-		}
-	}
-	const batch = 16
-	for i := 0; i < 300; i++ {
-		zs := make([][]float64, batch)
-		for k := range zs {
-			zs[k] = contexts[rng.Intn(2)]
-		}
-		if _, _, err := tr.StepBatch(zs, func(k, a int) (float64, error) {
-			return rewardFor(zs[k], a), nil
-		}, 4, rng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a0, err := net.Greedy(contexts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := net.Greedy(contexts[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a0 != 0 || a1 != 2 {
-		t.Fatalf("batched policy learned (%d, %d), want (0, 2)", a0, a1)
-	}
-}
-
-func TestStepBatchValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	net, _ := NewNetwork(2, 8, 3, rng)
-	tr, _ := NewTrainer(net, nn.NewAdam(1e-3), 0.1)
-	if _, _, err := tr.StepBatch(nil, nil, 1, rng); err == nil {
-		t.Fatal("empty batch must be rejected")
-	}
-	if _, _, err := tr.StepBatch([][]float64{{1, 0}}, func(int, int) (float64, error) {
-		return math.Inf(1), nil
-	}, 2, rng); err == nil {
-		t.Fatal("non-finite reward must be rejected")
-	}
-}
-
-// TestStepBatchWorkerCountInvariant locks in the rollout RNG contract: the
-// shared parent rng is consumed only sequentially (one child seed per item),
-// every worker samples from its own child RNG, and updates apply in index
-// order — so the trained network must be bit-identical at any worker count.
-// Run under -race (as CI does) this also proves no worker touches the
-// parent rng concurrently.
-func TestStepBatchWorkerCountInvariant(t *testing.T) {
-	train := func(workers int) (*Network, *Trainer, []int) {
-		rng := rand.New(rand.NewSource(77))
-		net, err := NewNetwork(3, 10, 3, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewTrainer(net, nn.NewAdam(2e-3), 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream := rand.New(rand.NewSource(101))
-		var actions []int
-		for step := 0; step < 20; step++ {
-			zs := make([][]float64, 16)
-			for i := range zs {
-				zs[i] = []float64{float64(i%3) - 1, float64(step % 2), 0.5}
-			}
-			acts, _, err := tr.StepBatch(zs, func(i, a int) (float64, error) {
-				return float64((a+i)%3) * 0.4, nil
-			}, workers, stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			actions = append(actions, acts...)
-		}
-		return net, tr, actions
-	}
-	netA, trA, actsA := train(1)
-	netB, trB, actsB := train(8)
-	if !reflect.DeepEqual(actsA, actsB) {
-		t.Fatal("sampled actions depend on worker count")
-	}
-	pa, pb := netA.Params(), netB.Params()
-	for i := range pa {
-		for j, v := range pa[i].Value.Data {
-			if v != pb[i].Value.Data[j] {
-				t.Fatalf("param %s[%d] diverged across worker counts: %g vs %g", pa[i].Name, j, v, pb[i].Value.Data[j])
-			}
-		}
-	}
-	if trA.Baseline() != trB.Baseline() {
-		t.Fatalf("baselines diverged: %g vs %g", trA.Baseline(), trB.Baseline())
 	}
 }

@@ -1,12 +1,17 @@
 package repro
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/hec"
+	"repro/internal/policy"
 	"repro/internal/transport"
 )
 
@@ -14,9 +19,14 @@ import (
 // univariate pipeline at reduced scale: data generation, three AE models,
 // FP16 compression, policy training, and Table I/II regeneration.
 func TestBuildUnivariateFast(t *testing.T) {
-	sys, err := Build(Univariate, WithFast())
+	sys, err := Build(Univariate, WithFast(), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runtime.GOARCH == "amd64" {
+		if got := policyParamsHash(sys.Policy); got != fastUniPolicyHash {
+			t.Errorf("policy trained to %s, want %s", got, fastUniPolicyHash)
+		}
 	}
 	if sys.Kind != Univariate {
 		t.Fatalf("kind = %v", sys.Kind)
@@ -88,6 +98,28 @@ var fastMultiTierVersions = [hec.NumLayers]string{
 	"35ea3bdfe284eb4d5d45ad697839cb5864329813dcaf93d8ddf199f43e6275a1", // BiLSTM-seq2seq-Cloud
 }
 
+// fastUniPolicyHash and fastMultiPolicyHash pin the policy networks that
+// Build(Univariate|Multivariate, WithFast(), WithSeed(1)) trains, as
+// policyParamsHash reports them.
+const (
+	fastUniPolicyHash   = "19059e5c57e82c96b5892ea2e9ad425395a79a67884b4dd313b7701c0bedadd0"
+	fastMultiPolicyHash = "85930c7b0d58aa1572644f175dcddbcf720a7407001420bfa6bac05c99550362"
+)
+
+// policyParamsHash is a SHA-256 over the bits of every policy parameter, in
+// Params order, so a change to any trained policy bit moves it.
+func policyParamsHash(p *policy.Network) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, prm := range p.Params() {
+		for _, v := range prm.Value.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestBuildMultivariateFast is the multivariate pipeline's integration test
 // at reduced scale, and the pin on what training produces.
 func TestBuildMultivariateFast(t *testing.T) {
@@ -114,6 +146,9 @@ func TestBuildMultivariateFast(t *testing.T) {
 			if man.Version != fastMultiTierVersions[l] {
 				t.Errorf("%s tier trained to version %s, want %s", layer, man.Version, fastMultiTierVersions[l])
 			}
+		}
+		if got := policyParamsHash(sys.Policy); got != fastMultiPolicyHash {
+			t.Errorf("policy trained to %s, want %s", got, fastMultiPolicyHash)
 		}
 	}
 	models, err := sys.ModelRows()
