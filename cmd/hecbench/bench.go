@@ -294,7 +294,7 @@ func benchRouting(reps, requests int) (BenchResult, error) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < per; i++ {
-						if _, err := set.Detect(frames); err != nil {
+						if _, err := set.DetectContext(context.Background(), frames); err != nil {
 							errs <- err
 							return
 						}

@@ -155,13 +155,13 @@ func runDistBench(path string, fast bool) error {
 	fmt.Fprintf(os.Stderr, "hecbench: model distribution on %s (%d params, int8), %d reps per path...\n",
 		m.Name(), m.NumParams(), reps)
 	if out.ChunkedFetchMs, err = timeIt(reps, func() error {
-		_, err := cli.FetchModelContext(ctx)
+		_, _, err := transport.RefreshModel(ctx, cli, nil)
 		return err
 	}); err != nil {
 		return fmt.Errorf("dist bench: chunked fetch: %w", err)
 	}
 	if out.ProbeUpToDateMs, err = timeIt(reps, func() error {
-		_, upToDate, err := cli.RefreshModelContext(ctx, snap)
+		_, upToDate, err := transport.RefreshModel(ctx, cli, snap)
 		if err == nil && !upToDate {
 			return fmt.Errorf("steady-state refresh was not a version match")
 		}
@@ -173,7 +173,7 @@ func runDistBench(path string, fast bool) error {
 		return fmt.Errorf("dist bench: %w", err)
 	}
 	if out.DeltaRefreshMs, err = timeIt(reps, func() error {
-		got, upToDate, err := cli.RefreshModelContext(ctx, snap)
+		got, upToDate, err := transport.RefreshModel(ctx, cli, snap)
 		if err != nil {
 			return err
 		}

@@ -122,7 +122,7 @@ func run(layerName, data, addr string, seed int64, save, load, fetch string, wat
 		// multi-megabyte cloud snapshot transfers on loopback or LAN well
 		// inside this budget.
 		fetchCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		snap, err = cli.FetchModelContext(fetchCtx)
+		snap, _, err = transport.RefreshModel(fetchCtx, cli, nil)
 		cancel()
 		cli.Close()
 		if err != nil {
@@ -250,7 +250,7 @@ func watchPeer(done <-chan struct{}, peer string, l hec.Layer, srv *transport.Se
 			cli = c
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		snap, upToDate, err := cli.RefreshModelContext(ctx, base)
+		snap, upToDate, err := transport.RefreshModel(ctx, cli, base)
 		cancel()
 		if err != nil {
 			fmt.Printf("hecnode: watch: refresh from %s: %v\n", peer, err)

@@ -12,9 +12,11 @@
 // validate that the live metrics can tell a good policy from a bad one,
 // then retrains the edge detector mid-stream and pushes it to the live
 // replicas as a content-addressed delta update (zero dropped windows, zero
-// restarts), kills an edge replica mid-stream to demonstrate transparent
-// failover, and finishes with a serialized-vs-pipelined transport
-// comparison.
+// restarts), and kills an edge replica mid-stream to demonstrate
+// transparent failover. Every model pull — the shipped-model check over
+// one connection and the device's fetch and delta refresh over the edge
+// replica set — runs through transport.RefreshModel. Any failed check
+// exits non-zero.
 //
 // Two-terminal usage against external nodes (same -seed everywhere):
 //
@@ -298,8 +300,7 @@ func run(ctx context.Context, devices, rounds, scale, poolSize, replicas int, po
 			return err
 		}
 	}
-
-	return compareTransports(edgeAddrs[len(edgeAddrs)-1], testSamples[0].Frames, scale)
+	return nil
 }
 
 // runScenario replaces the per-scheme sweep with the scenario engine: a
@@ -465,7 +466,7 @@ func runAutoscale(ctx context.Context, dev *cluster.Device, cloudSet *routing.Re
 // observable: the cranked threshold flips the post-swap edge verdict.
 func distributionDemo(ctx context.Context, dev *cluster.Device, edgeSet *routing.ReplicaSet, edgeSrvs []*transport.Server, samples []hec.Sample) error {
 	// A device joins the fleet: full chunked fetch of the current model.
-	base, _, err := edgeSet.RefreshModelContext(ctx, nil)
+	base, _, err := transport.RefreshModel(ctx, edgeSet, nil)
 	if err != nil {
 		return fmt.Errorf("distribution demo: initial fetch: %w", err)
 	}
@@ -542,7 +543,7 @@ waitRoll:
 
 	// The device catches up: version probe, then a delta carrying only the
 	// changed tensor, hash-verified against the fleet's advertised version.
-	refreshed, upToDate, err := edgeSet.RefreshModelContext(ctx, base)
+	refreshed, upToDate, err := transport.RefreshModel(ctx, edgeSet, base)
 	if err != nil || upToDate {
 		return fmt.Errorf("distribution demo: delta refresh: upToDate=%v err=%v", upToDate, err)
 	}
@@ -655,7 +656,7 @@ func verifyShippedModel(addr string, original anomaly.Detector, sample dataset.U
 		return err
 	}
 	defer cli.Close()
-	snap, err := cli.FetchModel()
+	snap, _, err := transport.RefreshModel(context.Background(), cli, nil)
 	if err != nil {
 		return fmt.Errorf("fetching model: %w", err)
 	}
@@ -677,56 +678,6 @@ func verifyShippedModel(addr string, original anomaly.Detector, sample dataset.U
 	}
 	fmt.Printf("model-shipping RPC verified: fetched %s/%s (%d params) reproduces the remote's verdicts\n",
 		snap.Kind, snap.Tier, restored.NumParams())
-	return nil
-}
-
-// compareTransports measures what request-ID pipelining buys: 8 workers
-// push windows through one shared connection, first with the legacy
-// serialized client (which holds an exclusive lock across the injected
-// delays), then with the pipelined one.
-func compareTransports(addr string, frames [][]float64, scale int) error {
-	const workers, perWorker = 8, 8
-	oneWay := 125 * time.Millisecond / time.Duration(scale)
-	throughput := func(serial bool) (float64, error) {
-		cli, err := transport.DialWith(addr, transport.DialOptions{OneWay: oneWay, Serial: serial})
-		if err != nil {
-			return 0, err
-		}
-		defer cli.Close()
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < perWorker; i++ {
-					if _, err := cli.Detect(frames); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-		return float64(workers*perWorker) / time.Since(start).Seconds(), nil
-	}
-
-	serialWPS, err := throughput(true)
-	if err != nil {
-		return err
-	}
-	pipelinedWPS, err := throughput(false)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\ntransport comparison (%d workers, one shared connection, %v one-way delay):\n", workers, oneWay)
-	fmt.Printf("  serialized: %7.1f windows/s\n", serialWPS)
-	fmt.Printf("  pipelined:  %7.1f windows/s (%.1f× faster)\n", pipelinedWPS, pipelinedWPS/serialWPS)
 	return nil
 }
 

@@ -79,7 +79,7 @@ func TestSetActuatorScalesAndDrains(t *testing.T) {
 	}
 	// The spawned replicas actually serve.
 	for i := 0; i < 8; i++ {
-		if _, err := set.Detect([][]float64{{0.5}}); err != nil {
+		if _, err := set.DetectContext(context.Background(), [][]float64{{0.5}}); err != nil {
 			t.Fatalf("detect on scaled set: %v", err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestSetActuatorScalesAndDrains(t *testing.T) {
 	if got := set.Size(); got != 1 {
 		t.Fatalf("set size after actuator close = %d, want the seed 1", got)
 	}
-	if _, err := set.Detect([][]float64{{0.5}}); err != nil {
+	if _, err := set.DetectContext(context.Background(), [][]float64{{0.5}}); err != nil {
 		t.Fatalf("seed replica unusable after close: %v", err)
 	}
 }
@@ -231,11 +231,14 @@ func TestControllerLoopLeakFree(t *testing.T) {
 // TestNewValidates: a controller without all three stages is refused.
 func TestNewValidates(t *testing.T) {
 	set, _ := newSet(t)
+	none := SpawnFunc(func(context.Context) (string, func() error, error) {
+		return "", nil, errors.New("no standby")
+	})
 	cases := []Config{
 		{},
 		{Collector: CollectSet(set), Policy: &TargetUtilization{TargetInFlight: 1}},
-		{Collector: CollectSet(set), Actuator: NewSetActuator(set, PoolSpawner())},
-		{Policy: &TargetUtilization{TargetInFlight: 1}, Actuator: NewSetActuator(set, PoolSpawner())},
+		{Collector: CollectSet(set), Actuator: NewSetActuator(set, none)},
+		{Policy: &TargetUtilization{TargetInFlight: 1}, Actuator: NewSetActuator(set, none)},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -244,31 +247,12 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-// TestPoolSpawner: hands out standbys in order, then reports exhaustion.
-func TestPoolSpawner(t *testing.T) {
-	sp := PoolSpawner("a:1", "b:2")
-	ctx := context.Background()
-	a, stop, err := sp.Spawn(ctx)
-	if err != nil || a != "a:1" {
-		t.Fatalf("first spawn = %q, %v", a, err)
-	}
-	if err := stop(); err != nil {
-		t.Fatalf("pool stop: %v", err)
-	}
-	if b, _, err := sp.Spawn(ctx); err != nil || b != "b:2" {
-		t.Fatalf("second spawn = %q, %v", b, err)
-	}
-	if _, _, err := sp.Spawn(ctx); err == nil {
-		t.Fatal("exhausted pool kept spawning")
-	}
-}
-
 // TestCollectSet: the built-in collector aggregates membership, health
 // and load signals from the set's status.
 func TestCollectSet(t *testing.T) {
 	set, _ := newSet(t)
 	for i := 0; i < 4; i++ {
-		if _, err := set.Detect([][]float64{{0.5}}); err != nil {
+		if _, err := set.DetectContext(context.Background(), [][]float64{{0.5}}); err != nil {
 			t.Fatal(err)
 		}
 	}

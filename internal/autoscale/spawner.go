@@ -1,15 +1,7 @@
 package autoscale
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"fmt"
-	"io"
-	"os/exec"
-	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/anomaly"
@@ -53,125 +45,5 @@ func ServeSpawner(det anomaly.Detector, opt transport.ServerOptions) Spawner {
 			return nil
 		}
 		return srv.Addr(), stop, nil
-	})
-}
-
-// ExecSpawner shells out to the hecnode binary (or any command printing
-// the transport's "serving on <addr>" line) for process-level replicas —
-// the deployment-shaped actuator. Each Spawn starts one child on an
-// ephemeral port, waits for the serving line on stdout, and returns a
-// stop that SIGTERMs the child (triggering hecnode's graceful drain) and
-// reaps it.
-type ExecSpawner struct {
-	// Command is the binary to run (e.g. a built hecnode); Args its
-	// arguments. Pass "-addr 127.0.0.1:0" style args so children never
-	// collide on ports.
-	Command string
-	Args    []string
-	// StartTimeout bounds the wait for the serving line (default 60 s —
-	// a hecnode that trains at startup needs real time; -load/-fetch
-	// nodes come up in milliseconds).
-	StartTimeout time.Duration
-	// StopTimeout bounds the SIGTERM-to-reaped window before the child
-	// is killed (default 15 s).
-	StopTimeout time.Duration
-}
-
-// Spawn implements Spawner.
-func (e *ExecSpawner) Spawn(ctx context.Context) (string, func() error, error) {
-	startTO := e.StartTimeout
-	if startTO <= 0 {
-		startTO = 60 * time.Second
-	}
-	cmd := exec.Command(e.Command, e.Args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if i := strings.Index(line, "serving on "); i >= 0 {
-				select {
-				case addrCh <- strings.TrimSpace(line[i+len("serving on "):]):
-				default:
-				}
-			}
-		}
-		// Keep draining so the child never blocks on a full stdout pipe.
-		io.Copy(io.Discard, stdout)
-	}()
-
-	timer := time.NewTimer(startTO)
-	defer timer.Stop()
-	select {
-	case addr := <-addrCh:
-		return addr, func() error { return e.stop(cmd) }, nil
-	case <-ctx.Done():
-		cmd.Process.Kill()
-		cmd.Wait()
-		return "", nil, ctx.Err()
-	case <-timer.C:
-		cmd.Process.Kill()
-		cmd.Wait()
-		return "", nil, fmt.Errorf("autoscale: %s did not report a serving address within %v", e.Command, startTO)
-	}
-}
-
-func (e *ExecSpawner) stop(cmd *exec.Cmd) error {
-	stopTO := e.StopTimeout
-	if stopTO <= 0 {
-		stopTO = 15 * time.Second
-	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		cmd.Process.Kill()
-		return cmd.Wait()
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	timer := time.NewTimer(stopTO)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		var exitErr *exec.ExitError
-		if errors.As(err, &exitErr) {
-			// SIGTERM-driven exits are the expected drain path.
-			return nil
-		}
-		return err
-	case <-timer.C:
-		cmd.Process.Kill()
-		<-done
-		return fmt.Errorf("autoscale: %s ignored SIGTERM for %v; killed", e.Command, stopTO)
-	}
-}
-
-// poolSpawner is a Spawner over a fixed address pool — handy in tests
-// where the replicas already exist and "spawning" means admitting the
-// next standby.
-type poolSpawner struct {
-	mu    sync.Mutex
-	addrs []string
-}
-
-// PoolSpawner returns a Spawner that hands out the given addresses in
-// order and fails when they run out. Stops are no-ops: the standbys
-// outlive their membership.
-func PoolSpawner(addrs ...string) Spawner {
-	p := &poolSpawner{addrs: append([]string(nil), addrs...)}
-	return SpawnFunc(func(ctx context.Context) (string, func() error, error) {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if len(p.addrs) == 0 {
-			return "", nil, errors.New("autoscale: standby pool exhausted")
-		}
-		addr := p.addrs[0]
-		p.addrs = p.addrs[1:]
-		return addr, func() error { return nil }, nil
 	})
 }

@@ -162,7 +162,7 @@ func TestAutoscaleSpikeScaleUpDrainDown(t *testing.T) {
 		t.Fatalf("drain to 1 took %d scale-downs, want ≥ 3", st.ScaleDowns)
 	}
 	// The drained tier still serves on the seed replica.
-	if _, err := set.Detect(window); err != nil {
+	if _, err := set.DetectContext(context.Background(), window); err != nil {
 		t.Fatalf("tier unusable after drain-down: %v", err)
 	}
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -86,12 +87,12 @@ func TestBusyFailoverExactCounters(t *testing.T) {
 	defer holder.Close()
 	holderDone := make(chan error, 2)
 	go func() {
-		_, err := holder.Detect([][]float64{{-1}})
+		_, err := holder.DetectContext(context.Background(), [][]float64{{-1}})
 		holderDone <- err
 	}()
 	pollStats(t, srvA, "holder running", func(st sched.Stats) bool { return st.Running == 1 })
 	go func() {
-		_, err := holder.Detect([][]float64{{-1}})
+		_, err := holder.DetectContext(context.Background(), [][]float64{{-1}})
 		holderDone <- err
 	}()
 	pollStats(t, srvA, "one queued", func(st sched.Stats) bool { return st.Queued == 1 })
@@ -106,7 +107,7 @@ func TestBusyFailoverExactCounters(t *testing.T) {
 	}
 	defer set.Close()
 
-	res, err := set.Detect([][]float64{{2}})
+	res, err := set.DetectContext(context.Background(), [][]float64{{2}})
 	if err != nil {
 		t.Fatalf("detect against saturated-A must fail over to B, got %v", err)
 	}
@@ -150,7 +151,7 @@ func TestBusyFailoverExactCounters(t *testing.T) {
 	}
 
 	// With capacity back, the same set must reach A directly again.
-	if _, err := set.Detect([][]float64{{0.5}}); err != nil {
+	if _, err := set.DetectContext(context.Background(), [][]float64{{0.5}}); err != nil {
 		t.Fatalf("detect after release: %v", err)
 	}
 	for _, st := range set.Status() {

@@ -44,7 +44,7 @@ func TestAddReceivesTraffic(t *testing.T) {
 	}
 	defer set.Close()
 
-	if _, err := set.Detect(window()); err != nil {
+	if _, err := set.DetectContext(context.Background(), window()); err != nil {
 		t.Fatal(err)
 	}
 	if err := set.Add(srvB.Addr()); err != nil {
@@ -54,7 +54,7 @@ func TestAddReceivesTraffic(t *testing.T) {
 		t.Fatalf("size after add = %d, want 2", got)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := set.Detect(window()); err != nil {
+		if _, err := set.DetectContext(context.Background(), window()); err != nil {
 			t.Fatalf("detect %d after add: %v", i, err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestRemoveDrainsInFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := set.Detect(window()); err != nil {
+				if _, err := set.DetectContext(context.Background(), window()); err != nil {
 					t.Errorf("detect during drain: %v", err)
 					fail.Add(1)
 					return
@@ -171,7 +171,7 @@ func TestRemoveLastReplicaRefused(t *testing.T) {
 	if err := set.Remove(srv.Addr()); err == nil {
 		t.Fatal("removing the last replica succeeded")
 	}
-	if _, err := set.Detect(window()); err != nil {
+	if _, err := set.DetectContext(context.Background(), window()); err != nil {
 		t.Fatalf("set unusable after refused remove: %v", err)
 	}
 }
@@ -204,7 +204,7 @@ func TestMembershipChurnCountersExact(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := set.DetectBatch([][][]float64{window(), window()}); err != nil {
+				if _, err := set.DetectBatchContext(context.Background(), [][][]float64{window(), window()}); err != nil {
 					t.Errorf("batch during churn: %v", err)
 					return
 				}
@@ -243,7 +243,7 @@ func TestResolveReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	if _, err := set.Detect(window()); err != nil {
+	if _, err := set.DetectContext(context.Background(), window()); err != nil {
 		t.Fatal(err)
 	}
 	before := statusOf(set, srvB.Addr())
@@ -289,7 +289,7 @@ func TestResolverCallbackGrowsMembership(t *testing.T) {
 		}
 		time.Sleep(interval / 4)
 	}
-	if _, err := set.Detect(window()); err != nil {
+	if _, err := set.DetectContext(context.Background(), window()); err != nil {
 		t.Fatalf("detect after resolver growth: %v", err)
 	}
 
@@ -317,7 +317,7 @@ func TestServicePercentilesPopulate(t *testing.T) {
 	}
 	defer set.Close()
 	for i := 0; i < 10; i++ {
-		if _, err := set.Detect(window()); err != nil {
+		if _, err := set.DetectContext(context.Background(), window()); err != nil {
 			t.Fatal(err)
 		}
 	}

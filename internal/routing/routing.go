@@ -48,8 +48,7 @@ type Config struct {
 	// replicas start unhealthy and are re-probed by the health checker and
 	// by failover attempts.
 	Addrs []string
-	// Dial is applied to every connection (injected one-way delay, serial
-	// mode).
+	// Dial is applied to every connection (the injected one-way delay).
 	Dial transport.DialOptions
 	// PoolSize is the number of pipelined connections per replica (< 1
 	// means 1).
@@ -603,11 +602,6 @@ func (s *ReplicaSet) DetectContext(ctx context.Context, frames [][]float64) (tra
 	return res, err
 }
 
-// Detect is DetectContext with context.Background().
-func (s *ReplicaSet) Detect(frames [][]float64) (transport.DetectResult, error) {
-	return s.DetectContext(context.Background(), frames)
-}
-
 // DetectBatchContext routes one batch, failing over across replicas within
 // the retry budget. A batch retries as a unit: verdict order and the
 // batch-shared network accounting are preserved across a failover.
@@ -621,90 +615,33 @@ func (s *ReplicaSet) DetectBatchContext(ctx context.Context, windows [][][]float
 	return res, err
 }
 
-// DetectBatch is DetectBatchContext with context.Background().
-func (s *ReplicaSet) DetectBatch(windows [][][]float64) (transport.BatchResult, error) {
-	return s.DetectBatchContext(context.Background(), windows)
+// ModelManifestContext probes a healthy replica for its model's content
+// address, failing over like any other call. With ModelChunkContext it
+// makes the set a transport.ModelPeer, so transport.RefreshModel pulls a
+// model from the fleet.
+func (s *ReplicaSet) ModelManifestContext(ctx context.Context) (*transport.ModelManifest, error) {
+	var man *transport.ModelManifest
+	err := s.do(ctx, func(p *transport.Pool) error {
+		var err error
+		man, err = p.ModelManifestContext(ctx)
+		return err
+	})
+	return man, err
 }
 
-// FetchModelContext fetches the model snapshot from any healthy replica —
-// chunk by chunk, so a replica dying mid-transfer costs one failed chunk,
-// not the transfer: the next chunk resumes at the same byte offset on
-// another replica serving the same content-addressed version. It is
-// RefreshModelContext with no base snapshot.
-func (s *ReplicaSet) FetchModelContext(ctx context.Context) (*transport.ModelSnapshot, error) {
-	snap, _, err := s.RefreshModelContext(ctx, nil)
-	return snap, err
-}
-
-// RefreshModelContext is the version-aware fetch across the replica set:
-// probe any healthy replica for its model's content address, skip the
-// download when base already matches (upToDate true), otherwise ship a
-// delta of the changed tensors (or the full payload) in bounded chunks.
-// Every chunk rides the set's ordinary failover path, so the transfer
-// resumes on another replica if the serving one dies mid-stream; a version
-// swap mid-transfer (the fleet is rolling to a newer model) restarts from
-// a fresh probe. The result is hash-verified against the advertised
-// version before it is returned.
-func (s *ReplicaSet) RefreshModelContext(ctx context.Context, base *transport.ModelSnapshot) (*transport.ModelSnapshot, bool, error) {
-	var baseMan *transport.ModelManifest
-	if base != nil {
-		if m, err := transport.ManifestOf(base); err == nil {
-			baseMan = m
-		}
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		var man *transport.ModelManifest
-		err := s.do(ctx, func(p *transport.Pool) error {
-			var e error
-			man, e = p.ModelManifestContext(ctx)
-			return e
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		if baseMan != nil && baseMan.Version == man.Version {
-			return nil, true, nil
-		}
-		want := man.Diff(baseMan)
-		wantDelta := baseMan != nil
-		payload, version, err := transport.AssembleModel(ctx, func(ctx context.Context, off int) (transport.ModelChunk, error) {
-			var ch transport.ModelChunk
-			err := s.do(ctx, func(p *transport.Pool) error {
-				var e error
-				ch, e = p.ModelChunkContext(ctx, off, 0, want, wantDelta)
-				return e
-			})
-			return ch, err
-		})
-		if errors.Is(err, transport.ErrModelChanged) || (err == nil && version != man.Version) {
-			continue // the fleet rolled to a newer version mid-fetch; re-probe
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		snap, err := transport.DecodeModel(payload)
-		if err != nil {
-			return nil, false, err
-		}
-		if wantDelta {
-			if merged, mergeErr := transport.MergeModel(base, snap); mergeErr == nil {
-				if m2, err := transport.ManifestOf(merged); err == nil && m2.Version == man.Version {
-					return merged, false, nil
-				}
-			}
-			// The delta doesn't reconstruct the advertised version: base
-			// and fleet disagree structurally (architecture change). Retry
-			// as a full fetch.
-			baseMan = nil
-			continue
-		}
-		if m2, err := transport.ManifestOf(snap); err != nil || m2.Version != man.Version {
-			return nil, false, fmt.Errorf("routing: fetched model does not hash to advertised version %.8s (%w)",
-				man.Version, transport.ErrRemote)
-		}
-		return snap, false, nil
-	}
-	return nil, false, fmt.Errorf("routing: model version kept changing during refresh: %w", transport.ErrModelChanged)
+// ModelChunkContext fetches one CRC-verified slice of the model payload
+// from a healthy replica. Every chunk rides the set's failover path, so a
+// replica dying mid-transfer costs one failed chunk, not the transfer: the
+// next attempt resumes at the same byte offset on another replica serving
+// the same content-addressed version.
+func (s *ReplicaSet) ModelChunkContext(ctx context.Context, offset, size int, want []string, wantDelta bool) (transport.ModelChunk, error) {
+	var ch transport.ModelChunk
+	err := s.do(ctx, func(p *transport.Pool) error {
+		var err error
+		ch, err = p.ModelChunkContext(ctx, offset, size, want, wantDelta)
+		return err
+	})
+	return ch, err
 }
 
 // PolicyName returns the routing policy's name.

@@ -354,7 +354,7 @@ func TestNewRequiresOneReachable(t *testing.T) {
 	if st[0].Healthy || !st[1].Healthy {
 		t.Fatalf("startup health wrong: %+v", st)
 	}
-	if _, err := set.Detect([][]float64{{2}}); err != nil {
+	if _, err := set.DetectContext(context.Background(), [][]float64{{2}}); err != nil {
 		t.Fatalf("detection through the live replica: %v", err)
 	}
 }
@@ -369,7 +369,7 @@ func TestHealthLoopLeakFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let a few probes run
-	if _, err := set.Detect([][]float64{{2}}); err != nil {
+	if _, err := set.DetectContext(context.Background(), [][]float64{{2}}); err != nil {
 		t.Fatal(err)
 	}
 	set.Close()

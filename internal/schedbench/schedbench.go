@@ -127,7 +127,7 @@ func RunBurst(policy sched.Policy) (Result, error) {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		_, _ = cli.Detect([][]float64{{-1}})
+		_, _ = cli.DetectContext(context.Background(), [][]float64{{-1}})
 	}()
 	if err := pollStats(srv, "holder running", func(st sched.Stats) bool { return st.Running == 1 }); err != nil {
 		return Result{}, err

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func batchWindows(vals ...float64) [][][]float64 {
 func TestDetectBatchRoundTrip(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
-	res, err := cli.DetectBatch(batchWindows(0.5, 2, 0.1, 3))
+	res, err := cli.DetectBatchContext(context.Background(), batchWindows(0.5, 2, 0.1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +47,12 @@ func TestDetectBatchMatchesPerWindowDetect(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
 	windows := batchWindows(0.2, 1.5, 0.9, 4, 0.01)
-	batch, err := cli.DetectBatch(windows)
+	batch, err := cli.DetectBatchContext(context.Background(), windows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range windows {
-		single, err := cli.Detect(w)
+		single, err := cli.DetectContext(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,11 +67,11 @@ func TestDetectBatchMatchesPerWindowDetect(t *testing.T) {
 
 // TestDetectBatchAmortisesInjectedDelay is the point of the batch RPC: with
 // an injected one-way delay, N windows in one batch pay the link once,
-// where N per-window requests on a serial connection pay it N times.
+// where N per-window requests sent one after another pay it N times.
 func TestDetectBatchAmortisesInjectedDelay(t *testing.T) {
 	srv := startServer(t)
 	const oneWay = 30 * time.Millisecond
-	cli, err := DialWith(srv.Addr(), DialOptions{OneWay: oneWay, Serial: true})
+	cli, err := Dial(srv.Addr(), oneWay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +79,14 @@ func TestDetectBatchAmortisesInjectedDelay(t *testing.T) {
 
 	windows := batchWindows(1, 2, 3, 4, 5, 6, 7, 8)
 	start := time.Now()
-	if _, err := cli.DetectBatch(windows); err != nil {
+	if _, err := cli.DetectBatchContext(context.Background(), windows); err != nil {
 		t.Fatal(err)
 	}
 	batchWall := time.Since(start)
 
 	start = time.Now()
 	for _, w := range windows {
-		if _, err := cli.Detect(w); err != nil {
+		if _, err := cli.DetectContext(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,17 +103,17 @@ func TestDetectBatchAmortisesInjectedDelay(t *testing.T) {
 func TestDetectBatchErrorPaths(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
-	if _, err := cli.DetectBatch(nil); err == nil || !strings.Contains(err.Error(), "empty") {
+	if _, err := cli.DetectBatchContext(context.Background(), nil); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("empty batch error = %v", err)
 	}
 	// One bad window fails the whole batch server-side; the connection
 	// stays usable.
 	bad := batchWindows(0.5)
 	bad = append(bad, [][]float64{})
-	if _, err := cli.DetectBatch(bad); err == nil {
+	if _, err := cli.DetectBatchContext(context.Background(), bad); err == nil {
 		t.Fatal("bad window must fail the batch")
 	}
-	if _, err := cli.DetectBatch(batchWindows(0.5)); err != nil {
+	if _, err := cli.DetectBatchContext(context.Background(), batchWindows(0.5)); err != nil {
 		t.Fatalf("connection unusable after batch error: %v", err)
 	}
 }
@@ -123,7 +124,7 @@ func TestDetectBatchErrorPaths(t *testing.T) {
 func TestDetectBatchWithoutComputeModel(t *testing.T) {
 	srv := startServerWith(t, ServerOptions{})
 	cli := dialT(t, srv.Addr(), 0)
-	res, err := cli.DetectBatch(batchWindows(1, 2))
+	res, err := cli.DetectBatchContext(context.Background(), batchWindows(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestPoolDetectBatch(t *testing.T) {
 	}
 	t.Cleanup(func() { pool.Close() })
 	for i := 0; i < 6; i++ {
-		res, err := pool.DetectBatch(batchWindows(2, 0.5))
+		res, err := pool.DetectBatchContext(context.Background(), batchWindows(2, 0.5))
 		if err != nil {
 			t.Fatal(err)
 		}

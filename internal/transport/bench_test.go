@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -8,11 +9,11 @@ import (
 	"repro/internal/anomaly"
 )
 
-// benchThroughput pushes total windows through one shared client from
-// `workers` goroutines and reports windows/sec — the number the live load
-// generator cares about.
-func benchThroughput(b *testing.B, serial bool, oneWay time.Duration) {
-	b.Helper()
+// BenchmarkPipelinedClient pushes windows through one shared client from 8
+// goroutines over a 2 ms one-way delay and reports windows/s — the number
+// the live load generator cares about. The workers overlap their injected
+// delays on the same connection.
+func BenchmarkPipelinedClient(b *testing.B) {
 	srv, err := Serve("127.0.0.1:0", thresholdDetector{}, func(frames int) float64 {
 		return float64(frames) * 0.5
 	})
@@ -20,7 +21,7 @@ func benchThroughput(b *testing.B, serial bool, oneWay time.Duration) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := DialWith(srv.Addr(), DialOptions{OneWay: oneWay, Serial: serial})
+	cli, err := Dial(srv.Addr(), 2*time.Millisecond)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func benchThroughput(b *testing.B, serial bool, oneWay time.Duration) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := cli.Detect(frames); err != nil {
+				if _, err := cli.DetectContext(context.Background(), frames); err != nil {
 					b.Error(err)
 					return
 				}
@@ -47,19 +48,6 @@ func benchThroughput(b *testing.B, serial bool, oneWay time.Duration) {
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(per*workers)/time.Since(start).Seconds(), "windows/s")
-}
-
-// BenchmarkSerializedClient is the legacy transport: one request at a time,
-// the injected delay held under an exclusive lock. With a 2 ms one-way
-// delay every window costs ≥ 4 ms of wall clock regardless of concurrency.
-func BenchmarkSerializedClient(b *testing.B) {
-	benchThroughput(b, true, 2*time.Millisecond)
-}
-
-// BenchmarkPipelinedClient is the multiplexed transport: 8 workers overlap
-// their injected delays on the same connection.
-func BenchmarkPipelinedClient(b *testing.B) {
-	benchThroughput(b, false, 2*time.Millisecond)
 }
 
 // benchBatch builds the hot-RPC benchmark workload: a DetectBatch request

@@ -303,15 +303,15 @@ func TestBinaryCodecRejectsCorruptPayloads(t *testing.T) {
 }
 
 // TestBinaryConnectionStillShipsModels checks one live connection carries
-// both kinds of traffic: Detect, then a chunked FetchModel.
+// both kinds of traffic: a detection, then a chunked model fetch.
 func TestBinaryConnectionStillShipsModels(t *testing.T) {
 	snap := &ModelSnapshot{Kind: "autoencoder", Tier: "Edge", InputDim: 4, Weights: &nn.Snapshot{}}
 	srv := startServerWith(t, ServerOptions{Model: snap})
 	cli := dialT(t, srv.Addr(), 0)
-	if _, err := cli.Detect([][]float64{{2}}); err != nil {
+	if _, err := cli.DetectContext(context.Background(), [][]float64{{2}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cli.FetchModel()
+	got, _, err := RefreshModel(context.Background(), cli, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestNegotiationFailureTaxonomy(t *testing.T) {
 		}
 		lis := silentListener(t)
 		start := time.Now()
-		_, err := DialWith(lis.Addr().String(), DialOptions{})
+		_, err := Dial(lis.Addr().String(), 0)
 		if err == nil {
 			t.Fatal("dialing a silent peer must fail the hello")
 		}

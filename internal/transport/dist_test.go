@@ -362,7 +362,7 @@ func TestChunkedFetchInterleavesWithDetections(t *testing.T) {
 			}
 		}
 	}()
-	got, err := cli.FetchModelContext(ctx)
+	got, _, err := RefreshModel(ctx, cli, nil)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -379,7 +379,7 @@ func TestSmallChunkAssembly(t *testing.T) {
 	cli := dialT(t, srv.Addr(), 0)
 	ctx := context.Background()
 
-	payload, version, err := AssembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
+	payload, version, err := assembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
 		return cli.ModelChunkContext(ctx, off, 64, nil, false)
 	})
 	if err != nil {
@@ -411,13 +411,13 @@ func TestRefreshModelVersionAware(t *testing.T) {
 	cli := dialT(t, srv.Addr(), 0)
 	ctx := context.Background()
 
-	base, upToDate, err := cli.RefreshModelContext(ctx, nil)
+	base, upToDate, err := RefreshModel(ctx, cli, nil)
 	if err != nil || upToDate {
 		t.Fatalf("first refresh: snap=%v upToDate=%v err=%v", base != nil, upToDate, err)
 	}
 	sameSnapshot(t, base, snap)
 
-	if _, upToDate, err = cli.RefreshModelContext(ctx, base); err != nil || !upToDate {
+	if _, upToDate, err = RefreshModel(ctx, cli, base); err != nil || !upToDate {
 		t.Fatalf("steady-state refresh: upToDate=%v err=%v, want true nil", upToDate, err)
 	}
 
@@ -427,7 +427,7 @@ func TestRefreshModelVersionAware(t *testing.T) {
 	if err := srv.UpdateModel(thresholdDetector{}, nil, next); err != nil {
 		t.Fatal(err)
 	}
-	refreshed, upToDate, err := cli.RefreshModelContext(ctx, base)
+	refreshed, upToDate, err := RefreshModel(ctx, cli, base)
 	if err != nil || upToDate {
 		t.Fatalf("post-update refresh: upToDate=%v err=%v", upToDate, err)
 	}
@@ -446,7 +446,7 @@ func TestModelSwapMidTransfer(t *testing.T) {
 	next := bigSnapshot(50_000)
 	next.Weights.Values[0][7] = 42
 	swapped := false
-	_, _, err := AssembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
+	_, _, err := assembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
 		if off > 0 && !swapped {
 			swapped = true
 			if err := srv.UpdateModel(thresholdDetector{}, nil, next); err != nil {
@@ -459,11 +459,83 @@ func TestModelSwapMidTransfer(t *testing.T) {
 		t.Fatalf("mid-transfer swap: err = %v, want ErrModelChanged", err)
 	}
 
-	got, upToDate, err := cli.RefreshModelContext(ctx, snap)
+	got, upToDate, err := RefreshModel(ctx, cli, snap)
 	if err != nil || upToDate {
 		t.Fatalf("refresh after swap: upToDate=%v err=%v", upToDate, err)
 	}
 	sameSnapshot(t, got, next)
+}
+
+// swappingPeer serves models from memory in 64-byte chunks. While swaps
+// remain, a full-payload chunk past offset 0 first rolls the peer to its
+// next model, so that transfer sees a mid-stream version change.
+type swappingPeer struct {
+	models []*ModelSnapshot
+	cur    int
+	swaps  int
+}
+
+func (p *swappingPeer) ModelManifestContext(context.Context) (*ModelManifest, error) {
+	return ManifestOf(p.models[p.cur])
+}
+
+func (p *swappingPeer) ModelChunkContext(_ context.Context, offset, _ int, want []string, wantDelta bool) (ModelChunk, error) {
+	if !wantDelta && offset > 0 && p.swaps > 0 {
+		p.swaps--
+		p.cur++
+	}
+	snap := p.models[p.cur]
+	man, err := ManifestOf(snap)
+	if err != nil {
+		return ModelChunk{}, err
+	}
+	if !wantDelta {
+		want = nil
+	}
+	payload, err := EncodeModel(snap, want)
+	if err != nil {
+		return ModelChunk{}, err
+	}
+	end := min(offset+64, len(payload))
+	return ModelChunk{Version: man.Version, Offset: offset, Total: len(payload), Data: payload[offset:end]}, nil
+}
+
+// TestRefreshModelSwapBudget pins how RefreshModel spends its three
+// restarts: an unmergeable delta falls back to a full fetch without using
+// one, so a fallback followed by two mid-transfer swaps still lands the
+// newest model, and a third swap fails with ErrModelChanged.
+func TestRefreshModelSwapBudget(t *testing.T) {
+	base := distSnapshot()
+	// The architecture changes: "dense" is reshaped and moved behind
+	// "gain", so the delta merged over base's order cannot rebuild it.
+	arch := distSnapshot()
+	w := arch.Weights
+	w.Names[0], w.Names[1] = w.Names[1], w.Names[0]
+	w.Shapes[0], w.Shapes[1] = w.Shapes[1], [2]int{4, 1}
+	w.Values[0], w.Values[1] = w.Values[1], w.Values[0]
+	rolled := func(v float64) *ModelSnapshot {
+		s := distSnapshot()
+		*s.Weights = nn.Snapshot{
+			Names:  append([]string(nil), w.Names...),
+			Shapes: append([][2]int(nil), w.Shapes...),
+			Values: [][]float64{w.Values[0], w.Values[1], append([]float64{v}, w.Values[2][1:]...)},
+		}
+		return s
+	}
+	models := []*ModelSnapshot{arch, rolled(0.5), rolled(-0.5), rolled(0.75)}
+	ctx := context.Background()
+
+	peer := &swappingPeer{models: models, swaps: 2}
+	got, upToDate, err := RefreshModel(ctx, peer, base)
+	if err != nil || upToDate {
+		t.Fatalf("fallback plus two swaps: upToDate=%v err=%v", upToDate, err)
+	}
+	sameSnapshot(t, got, models[2])
+
+	peer = &swappingPeer{models: models, swaps: 3}
+	if _, _, err := RefreshModel(ctx, peer, base); !errors.Is(err, ErrModelChanged) {
+		t.Fatalf("fallback plus three swaps: err = %v, want ErrModelChanged", err)
+	}
 }
 
 // TestUpdateModelRejectsBadSnapshot: a snapshot the canonical codec cannot

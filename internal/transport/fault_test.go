@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func TestFaultDelayInflatesServiceTime(t *testing.T) {
 	cli := dialT(t, srv.Addr(), 0)
 
 	win := [][]float64{{2}, {0}}
-	if _, err := cli.Detect(win); err != nil {
+	if _, err := cli.DetectContext(context.Background(), win); err != nil {
 		t.Fatal(err)
 	}
 
@@ -26,7 +27,7 @@ func TestFaultDelayInflatesServiceTime(t *testing.T) {
 		t.Fatalf("FaultDelay = %v, want %v", got, lag)
 	}
 	start := time.Now()
-	res, err := cli.Detect(win)
+	res, err := cli.DetectContext(context.Background(), win)
 	if err != nil {
 		t.Fatalf("straggling server must still answer: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestFaultDelayInflatesServiceTime(t *testing.T) {
 	if got := srv.FaultDelay(); got != 0 {
 		t.Fatalf("negative fault delay stored as %v, want 0", got)
 	}
-	if _, err := cli.Detect(win); err != nil {
+	if _, err := cli.DetectContext(context.Background(), win); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,7 +55,7 @@ func TestPartitionSeversAndHeals(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
 	win := [][]float64{{2}, {0}}
-	if _, err := cli.Detect(win); err != nil {
+	if _, err := cli.DetectContext(context.Background(), win); err != nil {
 		t.Fatal(err)
 	}
 
@@ -62,13 +63,13 @@ func TestPartitionSeversAndHeals(t *testing.T) {
 	if !srv.Partitioned() {
 		t.Fatal("Partitioned() = false after Partition(true)")
 	}
-	if _, err := cli.Detect(win); !errors.Is(err, ErrConn) {
+	if _, err := cli.DetectContext(context.Background(), win); !errors.Is(err, ErrConn) {
 		t.Fatalf("detect over severed conn = %v, want ErrConn", err)
 	}
 	// New connections are refused while partitioned: either the dial fails
 	// outright or the first request dies on the closed socket.
 	if cli2, err := Dial(srv.Addr(), 0); err == nil {
-		if _, err := cli2.Detect(win); err == nil {
+		if _, err := cli2.DetectContext(context.Background(), win); err == nil {
 			t.Fatal("detect through a partitioned server succeeded")
 		}
 		cli2.Close()
@@ -79,7 +80,7 @@ func TestPartitionSeversAndHeals(t *testing.T) {
 		t.Fatal("Partitioned() = true after heal")
 	}
 	healed := dialT(t, srv.Addr(), 0)
-	res, err := healed.Detect(win)
+	res, err := healed.DetectContext(context.Background(), win)
 	if err != nil {
 		t.Fatalf("detect after heal: %v", err)
 	}

@@ -29,17 +29,12 @@ type Pool struct {
 }
 
 // DialPool opens size connections to addr, each with the same injected
-// one-way delay.
+// one-way delay. It is DialPoolContext with context.Background().
 func DialPool(addr string, oneWay time.Duration, size int) (*Pool, error) {
-	return DialPoolWith(addr, DialOptions{OneWay: oneWay}, size)
+	return DialPoolContext(context.Background(), addr, DialOptions{OneWay: oneWay}, size)
 }
 
-// DialPoolWith is DialPool with full per-connection options.
-func DialPoolWith(addr string, opt DialOptions, size int) (*Pool, error) {
-	return DialPoolContext(context.Background(), addr, opt, size)
-}
-
-// DialPoolContext is DialPoolWith bounded by ctx. The connections are
+// DialPoolContext is DialPool bounded by ctx. The connections are
 // dialed concurrently, so pool setup costs one dial's latency, not the
 // sum — and against an unreachable server it fails after one timeout.
 func DialPoolContext(ctx context.Context, addr string, opt DialOptions, size int) (*Pool, error) {
@@ -152,10 +147,10 @@ func (p *Pool) pick(ctx context.Context) (*Client, error) {
 
 // pickIdle returns the healthy pooled client with the shallowest pipeline
 // (fewest calls in flight), falling back to pick when no slot is alive.
-// Streaming model fetches ride it so a multi-chunk transfer never queues
+// Model-transfer calls ride it so a multi-chunk transfer never queues
 // behind a connection whose pipeline is deep with detection work — the
 // round-robin cursor is left untouched, so detection traffic keeps
-// spreading over every socket including the one the fetch chose.
+// spreading over every socket including the one the transfer chose.
 func (p *Pool) pickIdle(ctx context.Context) (*Client, error) {
 	p.mu.Lock()
 	var best *Client
@@ -197,11 +192,6 @@ func (p *Pool) evictOnErr(c *Client, err error) {
 	}
 }
 
-// Detect runs one detection on the next pooled connection.
-func (p *Pool) Detect(frames [][]float64) (DetectResult, error) {
-	return p.DetectContext(context.Background(), frames)
-}
-
 // DetectContext runs one cancellable detection on the next pooled
 // connection (see Client.DetectContext).
 func (p *Pool) DetectContext(ctx context.Context, frames [][]float64) (DetectResult, error) {
@@ -216,11 +206,6 @@ func (p *Pool) DetectContext(ctx context.Context, frames [][]float64) (DetectRes
 	return res, err
 }
 
-// DetectBatch ships one batch on the next pooled connection.
-func (p *Pool) DetectBatch(windows [][][]float64) (BatchResult, error) {
-	return p.DetectBatchContext(context.Background(), windows)
-}
-
 // DetectBatchContext ships one cancellable batch on the next pooled
 // connection (see Client.DetectBatchContext).
 func (p *Pool) DetectBatchContext(ctx context.Context, windows [][][]float64) (BatchResult, error) {
@@ -233,40 +218,6 @@ func (p *Pool) DetectBatchContext(ctx context.Context, windows [][][]float64) (B
 		p.evictOnErr(c, err)
 	}
 	return res, err
-}
-
-// FetchModel fetches the server's model snapshot over one pooled connection.
-func (p *Pool) FetchModel() (*ModelSnapshot, error) {
-	return p.FetchModelContext(context.Background())
-}
-
-// FetchModelContext is FetchModel with cancellation. The fetch prefers the
-// idlest pooled connection — provisioning must not queue behind a deep
-// detect pipeline (see Client.FetchModelContext).
-func (p *Pool) FetchModelContext(ctx context.Context) (*ModelSnapshot, error) {
-	c, err := p.pickIdle(ctx)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := c.FetchModelContext(ctx)
-	if err != nil {
-		p.evictOnErr(c, err)
-	}
-	return snap, err
-}
-
-// RefreshModelContext is the version-aware fetch over the idlest pooled
-// connection (see Client.RefreshModelContext).
-func (p *Pool) RefreshModelContext(ctx context.Context, base *ModelSnapshot) (*ModelSnapshot, bool, error) {
-	c, err := p.pickIdle(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	snap, upToDate, err := c.RefreshModelContext(ctx, base)
-	if err != nil {
-		p.evictOnErr(c, err)
-	}
-	return snap, upToDate, err
 }
 
 // ModelManifestContext probes the server's model content address over the
@@ -285,8 +236,9 @@ func (p *Pool) ModelManifestContext(ctx context.Context) (*ModelManifest, error)
 
 // ModelChunkContext fetches one CRC-verified slice of the server's
 // canonical model payload over the idlest pooled connection (see
-// Client.ModelChunkContext). Routing layers drive their own chunk loop
-// through it so a transfer can resume on another replica mid-stream.
+// Client.ModelChunkContext). Each chunk picks the idlest connection afresh,
+// so a transfer driven by RefreshModel never stays on a connection that
+// has since filled with detection work.
 func (p *Pool) ModelChunkContext(ctx context.Context, offset, size int, want []string, wantDelta bool) (ModelChunk, error) {
 	c, err := p.pickIdle(ctx)
 	if err != nil {

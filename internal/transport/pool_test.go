@@ -22,7 +22,7 @@ func TestPoolEvictsDeadConnections(t *testing.T) {
 	}
 	defer pool.Close()
 	for i := 0; i < 6; i++ {
-		if _, err := pool.Detect([][]float64{{2}}); err != nil {
+		if _, err := pool.DetectContext(context.Background(), [][]float64{{2}}); err != nil {
 			t.Fatalf("pre-bounce request %d: %v", i, err)
 		}
 	}
@@ -41,10 +41,10 @@ func TestPoolEvictsDeadConnections(t *testing.T) {
 	// layer's job); every subsequent request must succeed via redialed
 	// connections.
 	for i := 0; i < 3; i++ {
-		_, _ = pool.Detect([][]float64{{2}})
+		_, _ = pool.DetectContext(context.Background(), [][]float64{{2}})
 	}
 	for i := 0; i < 9; i++ {
-		if _, err := pool.Detect([][]float64{{2}}); err != nil {
+		if _, err := pool.DetectContext(context.Background(), [][]float64{{2}}); err != nil {
 			t.Fatalf("request %d after heal: %v — dead connection still in rotation", i, err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestPoolAllReplicasDown(t *testing.T) {
 	srv.Close()
 	var lastErr error
 	for i := 0; i < 4; i++ {
-		if _, lastErr = pool.Detect([][]float64{{2}}); lastErr == nil {
+		if _, lastErr = pool.DetectContext(context.Background(), [][]float64{{2}}); lastErr == nil {
 			t.Fatal("detect against a dead server must fail")
 		}
 	}
@@ -96,7 +96,7 @@ func TestServerShutdownDrains(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := cli.Detect([][]float64{{2}})
+			_, err := cli.DetectContext(context.Background(), [][]float64{{2}})
 			errs <- err
 		}()
 	}
@@ -137,7 +137,7 @@ func TestServerShutdownDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	go func() { _, _ = cli.Detect([][]float64{{2}}) }()
+	go func() { _, _ = cli.DetectContext(context.Background(), [][]float64{{2}}) }()
 	time.Sleep(50 * time.Millisecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

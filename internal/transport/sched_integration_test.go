@@ -91,13 +91,13 @@ func TestBusyResponseTaxonomy(t *testing.T) {
 		holderDone := make(chan struct{})
 		go func() {
 			defer close(holderDone)
-			if _, err := cli.Detect([][]float64{{-1}}); err != nil {
+			if _, err := cli.DetectContext(context.Background(), [][]float64{{-1}}); err != nil {
 				t.Errorf("holder detect: %v", err)
 			}
 		}()
 		pollSched(t, srv, "running=1", func(st sched.Stats) bool { return st.Running == 1 })
 
-		_, err := cli.Detect([][]float64{{0}})
+		_, err := cli.DetectContext(context.Background(), [][]float64{{0}})
 		if !errors.Is(err, ErrBusy) {
 			t.Fatalf("detect at capacity = %v, want ErrBusy", err)
 		}
@@ -115,7 +115,7 @@ func TestBusyResponseTaxonomy(t *testing.T) {
 		// request (after capacity frees) succeeds.
 		close(det.release)
 		<-holderDone
-		if _, err := cli.Detect([][]float64{{0}}); err != nil {
+		if _, err := cli.DetectContext(context.Background(), [][]float64{{0}}); err != nil {
 			t.Fatalf("detect after capacity freed: %v", err)
 		}
 	})
@@ -130,10 +130,10 @@ func TestBatchBusyResponse(t *testing.T) {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		_, _ = cli.Detect([][]float64{{-1}})
+		_, _ = cli.DetectContext(context.Background(), [][]float64{{-1}})
 	}()
 	pollSched(t, srv, "running=1", func(st sched.Stats) bool { return st.Running == 1 })
-	_, err := cli.DetectBatch([][][]float64{{{0}}, {{0}}})
+	_, err := cli.DetectBatchContext(context.Background(), [][][]float64{{{0}}, {{0}}})
 	if !errors.Is(err, ErrBusy) || errors.Is(err, ErrConn) {
 		t.Fatalf("batch at capacity = %v, want ErrBusy without ErrConn", err)
 	}
@@ -154,7 +154,7 @@ func TestCancelFreesQueuedCapacity(t *testing.T) {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		if _, err := cli.Detect([][]float64{{-1}}); err != nil {
+		if _, err := cli.DetectContext(context.Background(), [][]float64{{-1}}); err != nil {
 			t.Errorf("holder detect: %v", err)
 		}
 	}()
@@ -191,7 +191,7 @@ func TestCancelFreesQueuedCapacity(t *testing.T) {
 	// the holder releases.
 	okErr := make(chan error, 1)
 	go func() {
-		_, err := cli.Detect([][]float64{{0}})
+		_, err := cli.DetectContext(context.Background(), [][]float64{{0}})
 		okErr <- err
 	}()
 	pollSched(t, srv, "queued=1 again", func(st sched.Stats) bool { return st.Queued == 1 })
@@ -246,7 +246,7 @@ func TestCancelInterruptsRunningRequest(t *testing.T) {
 	}
 	srv.SetFaultDelay(0)
 	// Capacity is genuinely available again.
-	if _, err := cli.Detect([][]float64{{0}}); err != nil {
+	if _, err := cli.DetectContext(context.Background(), [][]float64{{0}}); err != nil {
 		t.Fatalf("detect after running-cancel: %v", err)
 	}
 }
@@ -263,7 +263,7 @@ func TestCancelAgainstUnscheduledServer(t *testing.T) {
 	}
 	cli.sendCancel(12345) // explicit stray cancel: must not disturb the stream
 	for i := 0; i < 3; i++ {
-		if _, err := cli.Detect([][]float64{{0.5}}); err != nil {
+		if _, err := cli.DetectContext(context.Background(), [][]float64{{0.5}}); err != nil {
 			t.Fatalf("detect after stray cancel: %v", err)
 		}
 	}
@@ -285,13 +285,13 @@ func TestPingStatusBacklog(t *testing.T) {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		_, _ = cli.Detect([][]float64{{-1}})
+		_, _ = cli.DetectContext(context.Background(), [][]float64{{-1}})
 	}()
 	pollSched(t, srv, "running=1", func(st sched.Stats) bool { return st.Running == 1 })
 	queuedDone := make(chan struct{})
 	go func() {
 		defer close(queuedDone)
-		_, _ = cli.Detect([][]float64{{0}})
+		_, _ = cli.DetectContext(context.Background(), [][]float64{{0}})
 	}()
 	pollSched(t, srv, "queued=1", func(st sched.Stats) bool { return st.Queued == 1 })
 
@@ -334,7 +334,7 @@ func runOverloadBurst(t *testing.T, policy sched.Policy) int {
 	holderDone := make(chan struct{})
 	go func() {
 		defer close(holderDone)
-		_, _ = cli.Detect([][]float64{{-1}})
+		_, _ = cli.DetectContext(context.Background(), [][]float64{{-1}})
 	}()
 	pollSched(t, srv, "holder running", func(st sched.Stats) bool { return st.Running == 1 })
 

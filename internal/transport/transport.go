@@ -866,14 +866,10 @@ type DetectResult struct {
 	E2EMs float64
 }
 
-// DialOptions configures DialWith.
+// DialOptions configures DialContext and DialPoolContext.
 type DialOptions struct {
 	// OneWay is the emulated per-direction link delay (0 disables emulation).
 	OneWay time.Duration
-	// Serial restores the legacy one-request-at-a-time behaviour, holding an
-	// exclusive lock across the injected delays. It exists so benchmarks and
-	// demos can quantify what pipelining buys; new code should leave it off.
-	Serial bool
 }
 
 // Client is a keep-alive connection to a detection server. Requests carry
@@ -884,11 +880,9 @@ type DialOptions struct {
 type Client struct {
 	conn   net.Conn
 	oneWay time.Duration
-	serial bool
 
-	serialMu sync.Mutex // held across a whole call in Serial mode only
-	wmu      sync.Mutex // serialises request writes; guards encBuf
-	encBuf   []byte     // request encode buffer, guarded by wmu
+	wmu    sync.Mutex // serialises request writes; guards encBuf
+	encBuf []byte     // request encode buffer, guarded by wmu
 
 	mu      sync.Mutex // guards pending, nextID, err
 	pending map[uint64]chan *DetectResponse
@@ -896,24 +890,17 @@ type Client struct {
 	err     error
 }
 
-// Dial connects to a detection server with pipelining enabled. oneWay is
-// the emulated per-direction link delay (0 disables emulation).
+// Dial connects to a detection server, completing the OpHello version
+// check before it returns. oneWay is the emulated per-direction link delay
+// (0 disables emulation). It is DialContext with context.Background(): the
+// dial and the hello are bounded only by their internal 5 s caps.
 func Dial(addr string, oneWay time.Duration) (*Client, error) {
-	return DialWith(addr, DialOptions{OneWay: oneWay})
+	return DialContext(context.Background(), addr, DialOptions{OneWay: oneWay})
 }
 
-// DialWith connects to a detection server with full options, completing
-// the OpHello version check before it returns. It is DialContext with
-// context.Background(): the dial and the hello are bounded only by their
-// internal 5 s caps.
-func DialWith(addr string, opt DialOptions) (*Client, error) {
-	return DialContext(context.Background(), addr, opt)
-}
-
-// DialContext is DialWith bounded by ctx: both the TCP connect and the
-// hello respect the caller's deadline (each additionally capped at 5 s),
-// so a redial on a request path cannot stall past the request's own
-// budget.
+// DialContext is Dial bounded by ctx: both the TCP connect and the hello
+// respect the caller's deadline (each additionally capped at 5 s), so a
+// redial on a request path cannot stall past the request's own budget.
 func DialContext(ctx context.Context, addr string, opt DialOptions) (*Client, error) {
 	if opt.OneWay < 0 {
 		return nil, fmt.Errorf("transport: negative one-way delay %v", opt.OneWay)
@@ -931,7 +918,6 @@ func DialContext(ctx context.Context, addr string, opt DialOptions) (*Client, er
 	c := &Client{
 		conn:    conn,
 		oneWay:  opt.OneWay,
-		serial:  opt.Serial,
 		pending: make(map[uint64]chan *DetectResponse),
 	}
 	go c.readLoop()
@@ -1141,18 +1127,14 @@ func (c *Client) sendCancel(targetID uint64) {
 	c.wmu.Unlock()
 }
 
-// timedDo runs one request under the client's delay-emulation protocol: the
-// serial-mode lock (held across the whole call, sleeps included), the
-// injected one-way delay before the send and again after the response, and
-// the network-time measurement (wall clock minus the server's processing
-// time, clamped at zero). Detect and DetectBatch share it so the protocol
-// cannot drift between the per-window and batch paths. ctx cancellation is
-// honoured during both injected delays and while waiting for the response.
+// timedDo runs one request under the client's delay-emulation protocol:
+// the injected one-way delay before the send and again after the response,
+// and the network-time measurement (wall clock minus the server's
+// processing time, clamped at zero). DetectContext and DetectBatchContext
+// share it so the protocol cannot drift between the per-window and batch
+// paths. ctx cancellation is honoured during both injected delays and while
+// waiting for the response.
 func (c *Client) timedDo(ctx context.Context, req *DetectRequest) (*DetectResponse, float64, error) {
-	if c.serial {
-		c.serialMu.Lock()
-		defer c.serialMu.Unlock()
-	}
 	start := time.Now()
 	if err := parallel.Sleep(ctx, c.oneWay); err != nil {
 		return nil, 0, fmt.Errorf("transport: request abandoned on uplink: %w", err)
@@ -1189,21 +1171,13 @@ func remoteError(op string, resp *DetectResponse) error {
 	return fmt.Errorf("transport: %s: %s (%w)", op, resp.Err, ErrRemote)
 }
 
-// Detect sends one window for remote detection. The injected one-way delay
-// is slept before the request is sent and again after the response arrives,
-// emulating link propagation per call — concurrent callers overlap their
-// delays instead of queueing behind each other.
-//
-// Detect is DetectContext with context.Background(): it cannot be cancelled
-// and propagates no deadline.
-func (c *Client) Detect(frames [][]float64) (DetectResult, error) {
-	return c.DetectContext(context.Background(), frames)
-}
-
-// DetectContext is Detect with cancellation and deadline propagation: a
-// done ctx aborts the injected delays and the response wait with ctx.Err(),
-// and a ctx deadline rides the wire header so the server sheds the request
-// if it arrives already expired.
+// DetectContext sends one window for remote detection. The injected
+// one-way delay is slept before the request is sent and again after the
+// response arrives, emulating link propagation per call — concurrent
+// callers overlap their delays instead of queueing behind each other. A
+// done ctx aborts the injected delays and the response wait with
+// ctx.Err(), and a ctx deadline rides the wire header so the server sheds
+// the request if it arrives already expired.
 func (c *Client) DetectContext(ctx context.Context, frames [][]float64) (DetectResult, error) {
 	resp, netMs, err := c.timedDo(ctx, &DetectRequest{Op: OpDetect, Frames: frames})
 	if err != nil {
@@ -1236,17 +1210,12 @@ type BatchResult struct {
 	NetMs float64
 }
 
-// DetectBatch ships a batch of windows in one request and returns all
-// verdicts — the wire form of the batched tensor engine. The injected
-// one-way delay is slept once per request, not per window. It is
-// DetectBatchContext with context.Background().
-func (c *Client) DetectBatch(windows [][][]float64) (BatchResult, error) {
-	return c.DetectBatchContext(context.Background(), windows)
-}
-
-// DetectBatchContext is DetectBatch with cancellation and deadline
-// propagation (see DetectContext). The deadline covers the whole batch: a
-// server that picks the request up past it sheds all N windows at once.
+// DetectBatchContext ships a batch of windows in one request and returns
+// all verdicts — the wire form of the batched tensor engine. The injected
+// one-way delay is slept once per request, not per window. Cancellation
+// and the deadline work as in DetectContext; the deadline covers the whole
+// batch: a server that picks the request up past it sheds all N windows at
+// once.
 func (c *Client) DetectBatchContext(ctx context.Context, windows [][][]float64) (BatchResult, error) {
 	resp, netMs, err := c.timedDo(ctx, &DetectRequest{Op: OpDetectBatch, Windows: windows})
 	if err != nil {
@@ -1260,43 +1229,6 @@ func (c *Client) DetectBatchContext(ctx context.Context, windows [][][]float64) 
 			len(resp.Verdicts), len(resp.ExecMsEach), len(windows), ErrRemote)
 	}
 	return BatchResult{Verdicts: resp.Verdicts, ExecMsEach: resp.ExecMsEach, NetMs: netMs}, nil
-}
-
-// FetchModel retrieves the server's shipped detector snapshot (the model-
-// shipping RPC): a node that trained once serves its weights, and peers
-// rebuild the detector locally instead of retraining. It is
-// FetchModelContext with context.Background().
-func (c *Client) FetchModel() (*ModelSnapshot, error) {
-	return c.FetchModelContext(context.Background())
-}
-
-// FetchModelContext is FetchModel with cancellation. The snapshot arrives
-// as the canonical binary tensor payload in bounded chunks — CRC-checked,
-// hash-verified against its content address, and interleaved with any
-// detection traffic pipelined on the same connection. A version swap
-// mid-transfer restarts the assembly (bounded). The wire deadline is not
-// used for shedding here because provisioning work is still useful to a
-// retrying caller.
-func (c *Client) FetchModelContext(ctx context.Context) (*ModelSnapshot, error) {
-	for attempt := 0; ; attempt++ {
-		payload, version, err := AssembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
-			return c.ModelChunkContext(ctx, off, 0, nil, false)
-		})
-		if errors.Is(err, ErrModelChanged) && attempt < 2 {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if hexDigest(payload) != version {
-			if attempt < 2 {
-				continue
-			}
-			return nil, fmt.Errorf("transport: assembled payload hashes to %.8s, peer advertised %.8s (%w)",
-				hexDigest(payload), version, ErrRemote)
-		}
-		return DecodeModel(payload)
-	}
 }
 
 // ErrModelChanged reports that the server's model version changed while a
@@ -1354,14 +1286,94 @@ func (c *Client) ModelChunkContext(ctx context.Context, offset, size int, want [
 	return ModelChunk{Version: resp.ModelVersion, Offset: resp.ChunkOffset, Total: resp.ChunkTotal, Data: resp.Chunk}, nil
 }
 
-// AssembleModel drives a chunked transfer to completion: fetch is called
-// with the next byte offset until the assembled payload reaches the total,
-// resuming wherever the previous chunk left off — across calls, and (when
-// fetch routes through a failover layer) across replicas, since the server
-// keeps no per-transfer state. A chunk carrying a different version than
-// the assembly started with fails with ErrModelChanged; the caller
-// re-probes and restarts.
-func AssembleModel(ctx context.Context, fetch func(ctx context.Context, offset int) (ModelChunk, error)) ([]byte, string, error) {
+// ModelPeer is the pair of RPCs the model-transfer protocol rides: a
+// manifest probe and a chunk fetch. *Client, *Pool and routing's
+// ReplicaSet all satisfy it, so RefreshModel pulls a model from a single
+// connection, a pool, or a health-checked replica set whose every call
+// fails over.
+type ModelPeer interface {
+	ModelManifestContext(ctx context.Context) (*ModelManifest, error)
+	ModelChunkContext(ctx context.Context, offset, size int, want []string, wantDelta bool) (ModelChunk, error)
+}
+
+// RefreshModel is the version-aware model fetch, and the only one: given
+// the snapshot the caller runs (nil for none) it returns the peer's
+// current model, or reports upToDate when base already is that model.
+//
+//   - With a nil base it ships the full canonical payload without a probe
+//     and checks the assembled bytes against the version their chunks
+//     carry.
+//   - With a base it probes the peer's manifest first. A matching version
+//     costs nothing more (upToDate true, nil snapshot); otherwise only the
+//     tensors whose digests differ are shipped, merged over base, and the
+//     merge is checked against the probed version. A delta that does not
+//     rebuild that version (the architecture changed under the same tensor
+//     names) is dropped and the loop retries as a full fetch.
+//
+// A peer that swaps models mid-transfer restarts the transfer, at most
+// three times; the full-fetch fallback does not count as one of them. The
+// peer keeps no per-transfer state, so when its chunk calls fail over (a
+// ReplicaSet) the transfer resumes at the same byte offset on another
+// replica serving the same content-addressed version.
+func RefreshModel(ctx context.Context, peer ModelPeer, base *ModelSnapshot) (*ModelSnapshot, bool, error) {
+	var baseMan *ModelManifest
+	if base != nil {
+		if m, err := ManifestOf(base); err == nil {
+			baseMan = m
+		}
+	}
+	for swaps := 0; swaps < 3; {
+		var man *ModelManifest // the probed target; nil for a full fetch
+		var want []string
+		if baseMan != nil {
+			var err error
+			if man, err = peer.ModelManifestContext(ctx); err != nil {
+				return nil, false, err
+			}
+			if man.Version == baseMan.Version {
+				return nil, true, nil
+			}
+			want = man.Diff(baseMan)
+		}
+		payload, version, err := assembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
+			return peer.ModelChunkContext(ctx, off, 0, want, man != nil)
+		})
+		if errors.Is(err, ErrModelChanged) || (err == nil && man != nil && version != man.Version) {
+			swaps++
+			continue // the peer swapped models mid-transfer; start over
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		if man == nil {
+			if got := hexDigest(payload); got != version {
+				return nil, false, fmt.Errorf("transport: assembled payload hashes to %.8s, peer advertised %.8s (%w)",
+					got, version, ErrRemote)
+			}
+			snap, err := DecodeModel(payload)
+			return snap, false, err
+		}
+		delta, err := DecodeModel(payload)
+		if err != nil {
+			return nil, false, err
+		}
+		if merged, err := MergeModel(base, delta); err == nil {
+			if m, err := ManifestOf(merged); err == nil && m.Version == man.Version {
+				return merged, false, nil
+			}
+		}
+		// The delta does not rebuild the probed version: base and peer
+		// disagree structurally. A full fetch is always sound.
+		baseMan = nil
+	}
+	return nil, false, fmt.Errorf("transport: model version kept changing during transfer: %w", ErrModelChanged)
+}
+
+// assembleModel drives one chunked transfer to completion: fetch is called
+// with the next byte offset until the assembled payload reaches the total.
+// A chunk carrying a different version than the assembly started with
+// fails with ErrModelChanged; RefreshModel restarts the transfer.
+func assembleModel(ctx context.Context, fetch func(ctx context.Context, offset int) (ModelChunk, error)) ([]byte, string, error) {
 	var buf []byte
 	version := ""
 	total := -1
@@ -1388,66 +1400,6 @@ func AssembleModel(ctx context.Context, fetch func(ctx context.Context, offset i
 			return buf, version, nil
 		}
 	}
-}
-
-// RefreshModelContext is the version-aware fetch: given the snapshot the
-// caller currently runs (nil for none), it probes the peer's content
-// address and either skips the download entirely (versions match —
-// upToDate true, nil snapshot), ships a delta of only the changed tensors
-// merged over base, or falls back to a full fetch (first provisioning or an
-// architecture change). The returned snapshot is always hash-verified
-// against the peer's advertised version.
-func (c *Client) RefreshModelContext(ctx context.Context, base *ModelSnapshot) (*ModelSnapshot, bool, error) {
-	var baseMan *ModelManifest
-	if base != nil {
-		if m, err := ManifestOf(base); err == nil {
-			baseMan = m
-		}
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		man, err := c.ModelManifestContext(ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if baseMan != nil && man.Version == baseMan.Version {
-			return nil, true, nil
-		}
-		want := man.Diff(baseMan)
-		wantDelta := baseMan != nil
-		payload, version, err := AssembleModel(ctx, func(ctx context.Context, off int) (ModelChunk, error) {
-			return c.ModelChunkContext(ctx, off, 0, want, wantDelta)
-		})
-		if errors.Is(err, ErrModelChanged) || (err == nil && version != man.Version) {
-			continue // the server swapped models mid-fetch; re-probe
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		snap, err := DecodeModel(payload)
-		if err != nil {
-			return nil, false, err
-		}
-		if wantDelta {
-			merged, mergeErr := MergeModel(base, snap)
-			if mergeErr == nil {
-				if man2, err := ManifestOf(merged); err == nil && man2.Version == man.Version {
-					return merged, false, nil
-				}
-			}
-			// The delta doesn't reconstruct the advertised version (the
-			// architecture changed under the same tensor names, or base
-			// and server disagree structurally): a full fetch is always
-			// sound.
-			snap, err := c.FetchModelContext(ctx)
-			return snap, false, err
-		}
-		if man2, err := ManifestOf(snap); err != nil || man2.Version != man.Version {
-			return nil, false, fmt.Errorf("transport: fetched model does not hash to advertised version %.8s (%w)",
-				man.Version, ErrRemote)
-		}
-		return snap, false, nil
-	}
-	return nil, false, fmt.Errorf("transport: model version kept changing during refresh: %w", ErrModelChanged)
 }
 
 // Ping verifies the peer is alive and answering: it sends an OpHello and

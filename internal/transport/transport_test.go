@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -125,7 +126,7 @@ func TestDetectRoundTrip(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
 
-	res, err := cli.Detect([][]float64{{2}, {0}})
+	res, err := cli.DetectContext(context.Background(), [][]float64{{2}, {0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestDetectRoundTrip(t *testing.T) {
 		t.Fatalf("e2e = %g, want NetMs+ExecMs = %g", res.E2EMs, want)
 	}
 
-	res, err = cli.Detect([][]float64{{0.1}})
+	res, err = cli.DetectContext(context.Background(), [][]float64{{0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestKeepAliveConnectionReuse(t *testing.T) {
 	cli := dialT(t, srv.Addr(), 0)
 	// Many requests over one connection.
 	for i := 0; i < 50; i++ {
-		if _, err := cli.Detect([][]float64{{float64(i)}}); err != nil {
+		if _, err := cli.DetectContext(context.Background(), [][]float64{{float64(i)}}); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -165,11 +166,11 @@ func TestKeepAliveConnectionReuse(t *testing.T) {
 func TestRemoteErrorPropagates(t *testing.T) {
 	srv := startServer(t)
 	cli := dialT(t, srv.Addr(), 0)
-	if _, err := cli.Detect(nil); err == nil {
+	if _, err := cli.DetectContext(context.Background(), nil); err == nil {
 		t.Fatal("server-side detection error must propagate")
 	}
 	// The connection must survive an application-level error.
-	if _, err := cli.Detect([][]float64{{0}}); err != nil {
+	if _, err := cli.DetectContext(context.Background(), [][]float64{{0}}); err != nil {
 		t.Fatalf("connection unusable after remote error: %v", err)
 	}
 	// And an in-flight error must not poison concurrent successes.
@@ -178,7 +179,7 @@ func TestRemoteErrorPropagates(t *testing.T) {
 		wg.Add(1)
 		go func(bad bool) {
 			defer wg.Done()
-			_, err := cli.Detect(map[bool][][]float64{true: nil, false: {{0.5}}}[bad])
+			_, err := cli.DetectContext(context.Background(), map[bool][][]float64{true: nil, false: {{0.5}}}[bad])
 			if bad && err == nil {
 				t.Error("bad request must error")
 			}
@@ -194,7 +195,7 @@ func TestInjectedLatency(t *testing.T) {
 	srv := startServer(t)
 	const oneWay = 30 * time.Millisecond
 	cli := dialT(t, srv.Addr(), oneWay)
-	res, err := cli.Detect([][]float64{{0}})
+	res, err := cli.DetectContext(context.Background(), [][]float64{{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPipelinedSharedClientNotSerialized(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := cli.Detect([][]float64{{0.5}}); err != nil {
+			if _, err := cli.DetectContext(context.Background(), [][]float64{{0.5}}); err != nil {
 				errs <- err
 			}
 		}()
@@ -238,35 +239,6 @@ func TestPipelinedSharedClientNotSerialized(t *testing.T) {
 	}
 	if elapsed > 6*oneWay { // serialized behaviour would need 16×oneWay
 		t.Fatalf("8 concurrent detections took %v; injected delays are serializing", elapsed)
-	}
-}
-
-// TestSerialModeSerializes pins the legacy semantics that the throughput
-// benchmark compares against: in Serial mode concurrent callers queue
-// through the injected delays one at a time.
-func TestSerialModeSerializes(t *testing.T) {
-	srv := startServer(t)
-	const oneWay = 20 * time.Millisecond
-	cli, err := DialWith(srv.Addr(), DialOptions{OneWay: oneWay, Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := cli.Detect([][]float64{{0.5}}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed < 4*2*oneWay {
-		t.Fatalf("4 serialized detections took %v, want ≥ %v", elapsed, 4*2*oneWay)
 	}
 }
 
@@ -287,7 +259,7 @@ func TestResponsesRoutedByID(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := cli.Detect([][]float64{{float64(i) * 0.1}})
+			res, err := cli.DetectContext(context.Background(), [][]float64{{float64(i) * 0.1}})
 			if err != nil {
 				t.Error(err)
 				return
@@ -336,10 +308,10 @@ func TestMidStreamDisconnect(t *testing.T) {
 	}
 	defer cli.Close()
 	<-accepted
-	if _, err := cli.Detect([][]float64{{1}}); err == nil {
+	if _, err := cli.DetectContext(context.Background(), [][]float64{{1}}); err == nil {
 		t.Fatal("detection over a dropped connection must fail")
 	}
-	_, err = cli.Detect([][]float64{{1}})
+	_, err = cli.DetectContext(context.Background(), [][]float64{{1}})
 	if err == nil {
 		t.Fatal("client must stay failed after the connection dropped")
 	}
@@ -370,7 +342,7 @@ func TestServerCloseFailsPending(t *testing.T) {
 			<-start
 			// The server waits for in-flight handlers on Close, so these
 			// either complete or fail — they must not hang.
-			_, _ = cli.Detect([][]float64{{0.5}})
+			_, _ = cli.DetectContext(context.Background(), [][]float64{{0.5}})
 		}()
 	}
 	close(start)
@@ -406,7 +378,7 @@ func TestModelFetchRPC(t *testing.T) {
 	srv := startServerWith(t, ServerOptions{Model: snap})
 	cli := dialT(t, srv.Addr(), 0)
 
-	got, err := cli.FetchModel()
+	got, _, err := RefreshModel(context.Background(), cli, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,10 +393,10 @@ func TestModelFetchRPC(t *testing.T) {
 	// connection must survive it.
 	bare := startServer(t)
 	cli2 := dialT(t, bare.Addr(), 0)
-	if _, err := cli2.FetchModel(); err == nil {
+	if _, _, err := RefreshModel(context.Background(), cli2, nil); err == nil {
 		t.Fatal("fetching from a model-less node must fail")
 	}
-	if _, err := cli2.Detect([][]float64{{0}}); err != nil {
+	if _, err := cli2.DetectContext(context.Background(), [][]float64{{0}}); err != nil {
 		t.Fatalf("connection unusable after failed model fetch: %v", err)
 	}
 }
@@ -447,7 +419,7 @@ func TestPoolRoundRobin(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := pool.Detect([][]float64{{float64(i%2) * 2}})
+			res, err := pool.DetectContext(context.Background(), [][]float64{{float64(i%2) * 2}})
 			if err != nil {
 				t.Error(err)
 				return
@@ -496,14 +468,14 @@ func TestManyClientsOneServerStress(t *testing.T) {
 				var err error
 				switch {
 				case g%4 == 3:
-					_, err = own.Detect([][]float64{{float64(g%2) * 2}})
+					_, err = own.DetectContext(context.Background(), [][]float64{{float64(g%2) * 2}})
 				case g%4 == 2:
-					_, err = pool.Detect([][]float64{{float64(g%2) * 2}})
+					_, err = pool.DetectContext(context.Background(), [][]float64{{float64(g%2) * 2}})
 				case i%10 == 9:
-					_, err = shared.FetchModel()
+					_, _, err = RefreshModel(context.Background(), shared, nil)
 				default:
 					var res DetectResult
-					res, err = shared.Detect([][]float64{{float64(g%2) * 2}})
+					res, err = shared.DetectContext(context.Background(), [][]float64{{float64(g%2) * 2}})
 					if err == nil && res.Verdict.Anomaly != (g%2 == 1) {
 						err = fmt.Errorf("goroutine %d: wrong verdict %v", g, res.Verdict.Anomaly)
 					}
@@ -546,7 +518,7 @@ func TestMessageSizeLimit(t *testing.T) {
 	cli := dialT(t, srv.Addr(), 0)
 	// A >16 MB window must be rejected client-side before hitting the wire.
 	huge := [][]float64{make([]float64, (maxMessageBytes/8)+1024)}
-	err := func() error { _, err := cli.Detect(huge); return err }()
+	err := func() error { _, err := cli.DetectContext(context.Background(), huge); return err }()
 	if err == nil {
 		t.Fatal("oversized message must be rejected")
 	}
@@ -560,7 +532,7 @@ func TestMessageSizeLimit(t *testing.T) {
 		t.Fatalf("err = %v, want ErrRemote", err)
 	}
 	// The rejection must not poison the connection: nothing was written.
-	if _, err := cli.Detect([][]float64{{0}}); err != nil {
+	if _, err := cli.DetectContext(context.Background(), [][]float64{{0}}); err != nil {
 		t.Fatalf("connection unusable after oversized-message rejection: %v", err)
 	}
 }

@@ -279,8 +279,9 @@ func WithPoolSize(n int) SessionOption {
 
 // Spawner provisions one more replica for an autoscaled tier: it returns
 // the new replica's address and a stop function invoked after the tier
-// has drained it. autoscale.ServeSpawner (in-process transport.Servers)
-// and autoscale.ExecSpawner (hecnode child processes) are the built-ins.
+// has drained it. autoscale.ServeSpawner (in-process transport.Servers) is
+// the built-in; SpawnerFunc adapts anything else, such as a launcher of
+// hecnode processes.
 type Spawner = autoscale.Spawner
 
 // SpawnerFunc adapts a function to the Spawner interface.
@@ -595,21 +596,15 @@ func (s *Session) DetectBatch(ctx context.Context, windows [][][]float64) ([]Det
 	return dets, nil
 }
 
-// modelRefresher is the version-aware fetch shape RefreshModel rides:
-// *transport.Client, *transport.Pool and *routing.ReplicaSet all satisfy
-// it, so a session can refresh from a single connection, a pool, or a
-// whole health-checked replica set with mid-transfer failover.
-type modelRefresher interface {
-	RefreshModelContext(ctx context.Context, base *transport.ModelSnapshot) (*transport.ModelSnapshot, bool, error)
-}
-
 // RefreshModel asks the given tier for its current detector snapshot and
 // hot-swaps the session's local (IoT-tier) detector when the tier holds a
 // different version. The fetch is content-addressed and incremental: the
 // session remembers the last snapshot it applied, so an unchanged tier
 // costs one version probe and a changed tier ships only the tensors whose
-// hashes differ (servers predating the distribution protocol degrade to a
-// whole-snapshot fetch). The swap is atomic and restart-free — windows
+// hashes differ; the first refresh ships the whole snapshot. The tier may
+// be a single connection, a pool, or a health-checked replica set whose
+// chunks fail over mid-transfer: any transport.ModelPeer, driven by
+// transport.RefreshModel. The swap is atomic and restart-free — windows
 // streaming through Detect/DetectBatch keep flowing, in-flight ones
 // finishing on the old detector — and the refreshed detector's simulated
 // execution time is recalibrated from the topology model. Returns whether
@@ -623,7 +618,7 @@ func (s *Session) RefreshModel(ctx context.Context, from Layer) (bool, error) {
 		return false, badInput("refresh model", "layer %v cannot serve models (only %v and %v can)",
 			from, hec.LayerEdge, hec.LayerCloud)
 	}
-	ref, ok := s.dev.Remotes[from].(modelRefresher)
+	peer, ok := s.dev.Remotes[from].(transport.ModelPeer)
 	if !ok {
 		return false, badInput("refresh model", "layer %v is served in-process and has no model endpoint", from)
 	}
@@ -632,7 +627,7 @@ func (s *Session) RefreshModel(ctx context.Context, from Layer) (bool, error) {
 	s.mu.Lock()
 	base := s.baseSnap
 	s.mu.Unlock()
-	snap, upToDate, err := ref.RefreshModelContext(ctx, base)
+	snap, upToDate, err := transport.RefreshModel(ctx, peer, base)
 	if err != nil {
 		return false, wrapErr("refresh model", err)
 	}
