@@ -128,6 +128,17 @@ func DefaultTrainConfig() TrainConfig {
 	return TrainConfig{Epochs: 40, LR: 1e-3, WeightDecay: 1e-4, ScorerReg: 1e-6}
 }
 
+// newOptimizer returns the optimiser Fit trains with. Adam converges
+// markedly faster than RMSProp on the deeper AE stacks at these widths; the
+// paper's AE training details live in its ref [3], so the optimiser choice
+// is ours to make.
+func newOptimizer(cfg TrainConfig) *nn.Adam {
+	opt := nn.NewAdam(cfg.LR)
+	opt.WeightDecay = cfg.WeightDecay
+	opt.ClipNorm = 5
+	return opt
+}
+
 // Fit trains the autoencoder on normal weeks (each a slice of inputDim
 // standardised readings), then fits the logPD scorer and threshold on the
 // training reconstruction errors. It returns the final mean training loss.
@@ -154,12 +165,7 @@ func (m *Model) Fit(train [][]float64, cfg TrainConfig, rng *rand.Rand) (float64
 			return 0, fmt.Errorf("%w: training week %d has %d readings, want %d", mat.ErrShape, i, len(x), m.inputDim)
 		}
 	}
-	// Adam converges markedly faster than RMSProp on the deeper AE stacks
-	// at these widths; the paper's AE training details live in its ref [3],
-	// so the optimiser choice is ours to make.
-	opt := nn.NewAdam(cfg.LR)
-	opt.WeightDecay = cfg.WeightDecay
-	opt.ClipNorm = 5
+	opt := newOptimizer(cfg)
 
 	order := make([]int, len(train))
 	for i := range order {

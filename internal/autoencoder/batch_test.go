@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/anomaly"
+	"repro/internal/mat"
 	"repro/internal/nn"
 )
 
@@ -254,3 +256,50 @@ func BenchmarkFitPerSample(b *testing.B) { benchFit(b, 1) }
 // BenchmarkFitBatch32 is minibatch SGD at the paper-scale batch: one
 // batch-averaged step per 32 samples through the blocked kernels.
 func BenchmarkFitBatch32(b *testing.B) { benchFit(b, 32) }
+
+// BenchmarkFitCloudStep times one per-sample training step of AE-Cloud
+// (672-336-112-32-112-336-672, Fit's optimiser) split into its three
+// phases, reported as fwd_us, bwd_us and opt_us per step.
+func BenchmarkFitCloudStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	weeks := trainWeeks(16, 672, rng)
+	m, err := New(TierCloud, 672, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := newOptimizer(DefaultTrainConfig())
+	params := m.Net.Params()
+	xb := mat.New(1, 672)
+	grad := new(mat.Matrix)
+	var fwd, bwd, upd time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(xb.Data, weeks[i%len(weeks)])
+		t0 := time.Now()
+		out, err := m.Net.ForwardBatch(xb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if _, err := nn.MSELossBatch(out, xb, grad); err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		if _, err := m.Net.BackwardBatch(grad); err != nil {
+			b.Fatal(err)
+		}
+		t3 := time.Now()
+		if err := opt.Step(params); err != nil {
+			b.Fatal(err)
+		}
+		t4 := time.Now()
+		fwd += t1.Sub(t0)
+		bwd += t3.Sub(t2)
+		upd += t4.Sub(t3)
+	}
+	n := float64(b.N)
+	b.ReportMetric(fwd.Seconds()*1e6/n, "fwd_us")
+	b.ReportMetric(bwd.Seconds()*1e6/n, "bwd_us")
+	b.ReportMetric(upd.Seconds()*1e6/n, "opt_us")
+}

@@ -15,6 +15,12 @@ import (
 // traffic entirely and is what unlocks the 8-wide AVX2 micro-kernel, whose
 // panel would otherwise overflow the on-the-fly path's stack buffer budget.
 //
+// Packing pays only when the panels are reused. Inference and minibatch
+// training consume weights through a PanelCache. Per-sample training does
+// not: every optimiser step invalidates the panels, so packing for one row
+// would copy every weight to use it once, and nn.Dense.ForwardBatch on a
+// lone row calls MulBTInto on the weight matrix instead (bit-identical).
+//
 // Layout: the rows of the packed matrix b (the weight matrix, one row per
 // output column of dst) are grouped `width` at a time. Group g occupies
 // data[g·width·k : (g+1)·width·k] with element [kk·width + c] holding

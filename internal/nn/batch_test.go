@@ -395,3 +395,59 @@ func aeCloudShaped(rng *rand.Rand) *Sequential {
 	}
 	return NewSequential(layers...)
 }
+
+// TestForwardBatchLoneRowDoesNotPack pins the per-sample training forward:
+// after an optimiser step has invalidated W's panels, a one-row
+// ForwardBatch multiplies W directly — it leaves the panel cache empty and
+// matches the packed ApplyBatch bit for bit — while a two-row batch still
+// packs. The 45 outputs cover the 1×32, 1×8 and tail kernels of the packed
+// path.
+func TestForwardBatchLoneRowDoesNotPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	d := NewDense(37, 45, rng)
+	cache := d.Params()[0].Cache
+	x := randBatch(2, 37, rng)
+	if _, err := d.ForwardBatch(x); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Cached() == nil {
+		t.Fatal("two-row ForwardBatch did not pack W")
+	}
+	if _, err := d.BackwardBatch(randBatch(2, 45, rng)); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewAdam(1e-2).Step(d.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Cached() != nil {
+		t.Fatal("optimiser step left W's panels in the cache")
+	}
+	row := &mat.Matrix{Rows: 1, Cols: 37, Data: x.Data[:37]}
+	y, err := d.ForwardBatch(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Cached() != nil {
+		t.Fatal("one-row ForwardBatch packed W")
+	}
+	got := y.Clone()
+	var want mat.Matrix
+	if err := d.ApplyBatch(&want, row); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Cached() == nil {
+		t.Fatal("ApplyBatch did not pack W")
+	}
+	for j := range want.Data {
+		if math.Float64bits(got.Data[j]) != math.Float64bits(want.Data[j]) {
+			t.Fatalf("output %d: lone-row forward %v, packed %v", j, got.Data[j], want.Data[j])
+		}
+	}
+	cache.Invalidate()
+	if _, err := d.ForwardBatch(x); err != nil {
+		t.Fatal(err)
+	}
+	if cache.Cached() == nil {
+		t.Fatal("two-row ForwardBatch after a step did not pack W")
+	}
+}

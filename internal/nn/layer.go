@@ -121,20 +121,34 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 // is lock-free (atomic pointer swaps, concurrent first calls may pack
 // twice) and the method remains safe for concurrent use.
 func (d *Dense) ApplyBatch(dst, x *mat.Matrix) error {
+	return d.apply(dst, x, &d.cache)
+}
+
+// apply computes dst = X·Wᵀ + b, consuming W through c (nil: straight from
+// W, neither reading nor filling the panel cache).
+func (d *Dense) apply(dst, x *mat.Matrix, c *mat.PanelCache) error {
 	if x.Cols != d.W.Cols {
 		return fmt.Errorf("%w: dense forward input width %d, want %d", mat.ErrShape, x.Cols, d.W.Cols)
 	}
 	dst.Reshape(x.Rows, d.W.Rows)
-	if err := mat.MulBTCachedInto(dst, x, d.W, &d.cache); err != nil {
+	if err := mat.MulBTCachedInto(dst, x, d.W, c); err != nil {
 		return fmt.Errorf("dense forward: %w", err)
 	}
 	return dst.AddRowWise(d.B)
 }
 
-// ForwardBatch implements Layer: Y = X·Wᵀ + b, one sample per row.
+// ForwardBatch implements Layer: Y = X·Wᵀ + b, one sample per row. A
+// batch of two or more rows goes through the packed-panel cache like
+// ApplyBatch. A lone row multiplies W directly: in per-sample training
+// every optimiser step invalidates the panels, so packing W for one row
+// would copy every weight to use it once. Both products are bit-identical.
 func (d *Dense) ForwardBatch(x *mat.Matrix) (*mat.Matrix, error) {
+	c := &d.cache
+	if x.Rows == 1 {
+		c = nil
+	}
 	y := &d.outB
-	if err := d.ApplyBatch(y, x); err != nil {
+	if err := d.apply(y, x, c); err != nil {
 		return nil, err
 	}
 	d.lastX.Reshape(x.Rows, x.Cols)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -276,6 +277,245 @@ func TestQuantizeParamsFP16PreservesInference(t *testing.T) {
 	for i := range before {
 		if math.Abs(before[i]-after[i]) > 0.05 {
 			t.Fatalf("output %d moved %g after quantisation", i, math.Abs(before[i]-after[i]))
+		}
+	}
+}
+
+// refApplyDecay, refClipGrad and refStep are the reference optimiser step
+// that the fused one must reproduce: weight decay over every tensor, then
+// the global norm and the clip scale over every tensor, then the per-tensor
+// update, then Grad.Zero — each a pass of its own.
+func refApplyDecay(params []Param, lambda float64) {
+	if lambda == 0 {
+		return
+	}
+	for _, p := range params {
+		if p.WeightDecay {
+			_ = mat.AxpyVec(lambda, p.Value.Data, p.Grad.Data)
+		}
+	}
+}
+
+// refClipGrad scales the gradients down to a global L2 norm of maxNorm and
+// reports whether it had to.
+func refClipGrad(params []Param, maxNorm float64) bool {
+	if maxNorm <= 0 {
+		return false
+	}
+	var sq float64
+	for _, p := range params {
+		for _, g := range p.Grad.Data {
+			sq += g * g
+		}
+	}
+	norm := math.Sqrt(sq)
+	if norm <= maxNorm {
+		return false
+	}
+	for _, p := range params {
+		p.Grad.Scale(maxNorm / norm)
+	}
+	return true
+}
+
+// refState is the reference optimiser's per-tensor state: SGD's velocity,
+// RMSProp's cache, or Adam's moments (a, b) and step count.
+type refState struct {
+	a, b []*mat.Matrix
+	t    int
+}
+
+// refStep applies one step of the optimiser configured like cfg to params,
+// keeping its state in st, and reports whether clipping fired.
+func refStep(t *testing.T, cfg Optimizer, params []Param, st *refState) bool {
+	t.Helper()
+	if st.a == nil {
+		for _, p := range params {
+			st.a = append(st.a, mat.New(p.Grad.Rows, p.Grad.Cols))
+			st.b = append(st.b, mat.New(p.Grad.Rows, p.Grad.Cols))
+		}
+	}
+	var fired bool
+	switch o := cfg.(type) {
+	case *SGD:
+		refApplyDecay(params, o.WeightDecay)
+		fired = refClipGrad(params, o.ClipNorm)
+		for i, p := range params {
+			for j, g := range p.Grad.Data {
+				if o.Momentum != 0 {
+					v := st.a[i]
+					v.Data[j] = o.Momentum*v.Data[j] - o.LR*g
+					p.Value.Data[j] += v.Data[j]
+				} else {
+					p.Value.Data[j] -= o.LR * g
+				}
+			}
+		}
+	case *RMSProp:
+		refApplyDecay(params, o.WeightDecay)
+		fired = refClipGrad(params, o.ClipNorm)
+		for i, p := range params {
+			c := st.a[i]
+			for j, g := range p.Grad.Data {
+				c.Data[j] = flushTiny(o.Rho*c.Data[j] + (1-o.Rho)*g*g)
+				p.Value.Data[j] = flushTiny(p.Value.Data[j] - o.LR*g/(math.Sqrt(c.Data[j])+o.Eps))
+			}
+		}
+	case *Adam:
+		refApplyDecay(params, o.WeightDecay)
+		fired = refClipGrad(params, o.ClipNorm)
+		st.t++
+		c1 := 1 - math.Pow(o.Beta1, float64(st.t))
+		c2 := 1 - math.Pow(o.Beta2, float64(st.t))
+		for i, p := range params {
+			if err := mat.AdamUpdate(p.Value.Data, p.Grad.Data, st.a[i].Data, st.b[i].Data,
+				o.Beta1, o.Beta2, c1, c2, o.LR, o.Eps); err != nil {
+				t.Fatal(err)
+			}
+		}
+	default:
+		t.Fatalf("no reference step for %T", cfg)
+	}
+	for _, p := range params {
+		p.Grad.Zero()
+	}
+	return fired
+}
+
+// optimizerState returns the fused optimiser's per-tensor state in the
+// order refState holds it (nil entries where the optimiser keeps none).
+func optimizerState(o Optimizer) (a, b []*mat.Matrix) {
+	switch o := o.(type) {
+	case *SGD:
+		return o.vel, nil
+	case *RMSProp:
+		return o.cache, nil
+	case *Adam:
+		return o.m, o.v
+	}
+	return nil, nil
+}
+
+// stepParams returns two identical parameter sets: small weights with panel
+// caches, biases without decay, and one tensor of 70 031 elements — above
+// tailFanOut, and a multiple of neither 4 nor tailChunk.
+func stepParams(rng *rand.Rand) (fused, ref []Param) {
+	shapes := []struct {
+		rows, cols int
+		weight     bool
+	}{{5, 7, true}, {1, 5, false}, {13, 5387, true}, {1, 13, false}}
+	for i, s := range shapes {
+		v := mat.New(s.rows, s.cols)
+		for j := range v.Data {
+			v.Data[j] = rng.NormFloat64()
+		}
+		for _, set := range []*[]Param{&fused, &ref} {
+			p := Param{Name: fmt.Sprint(i), Value: v.Clone(), Grad: mat.New(s.rows, s.cols), WeightDecay: s.weight}
+			if s.weight {
+				p.Cache = new(mat.PanelCache)
+			}
+			*set = append(*set, p)
+		}
+	}
+	if fused[2].Value.Rows*fused[2].Value.Cols < tailFanOut {
+		panic("stepParams: large tensor below tailFanOut")
+	}
+	return fused, ref
+}
+
+// TestOptimizerStepMatchesUnfused pins the fused optimiser step (one
+// decay-and-norm prologue, then a chunked scale-update-zero tail that fans
+// large tensors out over the worker pool) to the reference sequence of
+// separate passes: after five steps the weights and the optimiser state are
+// bit-equal, the gradients are zero and every panel cache is invalidated.
+func TestOptimizerStepMatchesUnfused(t *testing.T) {
+	optimizers := []struct {
+		name string
+		make func() Optimizer
+	}{
+		{"SGD", func() Optimizer { return NewSGD(0.05) }},
+		{"SGD momentum", func() Optimizer { return &SGD{LR: 0.05, Momentum: 0.9} }},
+		{"RMSProp", func() Optimizer { return NewRMSProp(2e-3) }},
+		{"Adam", func() Optimizer { return NewAdam(1e-3) }},
+	}
+	regimes := []struct {
+		name        string
+		clip, decay float64
+		fires       bool
+	}{
+		{"clip fires", 1, 1e-3, true},
+		{"clip quiet", 1e9, 1e-3, false},
+		{"decay only", 0, 1e-3, false},
+		{"neither", 0, 0, false},
+	}
+	for _, oc := range optimizers {
+		for _, rc := range regimes {
+			t.Run(oc.name+"/"+rc.name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(11))
+				fused, ref := stepParams(rng)
+				opt, cfg := oc.make(), oc.make()
+				for _, o := range []Optimizer{opt, cfg} {
+					switch o := o.(type) {
+					case *SGD:
+						o.ClipNorm, o.WeightDecay = rc.clip, rc.decay
+					case *RMSProp:
+						o.ClipNorm, o.WeightDecay = rc.clip, rc.decay
+					case *Adam:
+						o.ClipNorm, o.WeightDecay = rc.clip, rc.decay
+					}
+				}
+				var st refState
+				for step := 0; step < 5; step++ {
+					for i, p := range fused {
+						for j := range p.Grad.Data {
+							g := rng.NormFloat64()
+							p.Grad.Data[j], ref[i].Grad.Data[j] = g, g
+						}
+						if p.Cache != nil {
+							x := mat.New(1, p.Value.Cols)
+							if err := mat.MulBTCachedInto(mat.New(1, p.Value.Rows), x, p.Value, p.Cache); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if err := opt.Step(fused); err != nil {
+						t.Fatal(err)
+					}
+					if fired := refStep(t, cfg, ref, &st); fired != rc.fires {
+						t.Fatalf("step %d: clipping fired = %v, want %v", step, fired, rc.fires)
+					}
+					for i, p := range fused {
+						if p.Grad.MaxAbs() != 0 {
+							t.Fatalf("step %d: tensor %d keeps a gradient", step, i)
+						}
+						if p.Cache != nil && p.Cache.Cached() != nil {
+							t.Fatalf("step %d: tensor %d keeps stale panels", step, i)
+						}
+					}
+				}
+				for i, p := range fused {
+					assertBitsEqual(t, fmt.Sprintf("tensor %d weights", i), p.Value.Data, ref[i].Value.Data)
+				}
+				a, b := optimizerState(opt)
+				for i := range a {
+					assertBitsEqual(t, fmt.Sprintf("tensor %d state", i), a[i].Data, st.a[i].Data)
+				}
+				for i := range b {
+					assertBitsEqual(t, fmt.Sprintf("tensor %d second moment", i), b[i].Data, st.b[i].Data)
+				}
+			})
+		}
+	}
+}
+
+func assertBitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: element %d = %v, want %v", what, j, got[j], want[j])
 		}
 	}
 }

@@ -24,6 +24,7 @@ func TestBuildUnivariateFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	if runtime.GOARCH == "amd64" {
+		checkTierVersions(t, sys, fastUniTierVersions)
 		if got := policyParamsHash(sys.Policy); got != fastUniPolicyHash {
 			t.Errorf("policy trained to %s, want %s", got, fastUniPolicyHash)
 		}
@@ -98,6 +99,36 @@ var fastMultiTierVersions = [hec.NumLayers]string{
 	"35ea3bdfe284eb4d5d45ad697839cb5864329813dcaf93d8ddf199f43e6275a1", // BiLSTM-seq2seq-Cloud
 }
 
+// fastUniTierVersions are the HECM content addresses of the three
+// autoencoder tiers that Build(Univariate, WithFast(), WithSeed(1)) trains,
+// pinned the same way as fastMultiTierVersions.
+var fastUniTierVersions = [hec.NumLayers]string{
+	"05526e0e21b0c68451b263d00e554aab27a99e3761c0c52eb0bbf589d78b8e21", // AE-IoT
+	"e037e4f4c1ea8b486cb8f9042033fce039ab4d8601ba3b6a919a02f1d5657f9e", // AE-Edge
+	"cbe5589440cffd5b082dc57643e1d7c07ec8a2448517128e2b868d35d1ed1bcb", // AE-Cloud
+}
+
+// checkTierVersions compares the HECM content address of each of sys's
+// deployed tiers with want. IoT and edge are snapshotted as deployed (fp16),
+// cloud at full precision.
+func checkTierVersions(t *testing.T, sys *System, want [hec.NumLayers]string) {
+	t.Helper()
+	for l, det := range sys.Deployment.Detectors {
+		layer := hec.Layer(l)
+		snap, err := cluster.SnapshotDetector(det, layer.String(), layer != hec.LayerCloud)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := transport.ManifestOf(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.Version != want[l] {
+			t.Errorf("%s tier trained to version %s, want %s", layer, man.Version, want[l])
+		}
+	}
+}
+
 // fastUniPolicyHash and fastMultiPolicyHash pin the policy networks that
 // Build(Univariate|Multivariate, WithFast(), WithSeed(1)) trains, as
 // policyParamsHash reports them.
@@ -133,20 +164,7 @@ func TestBuildMultivariateFast(t *testing.T) {
 	// math.Exp and math.Tanh are assembly on some architectures, so the
 	// trained bits are pinned on amd64 only.
 	if runtime.GOARCH == "amd64" {
-		for l, det := range sys.Deployment.Detectors {
-			layer := hec.Layer(l)
-			snap, err := cluster.SnapshotDetector(det, layer.String(), layer != hec.LayerCloud)
-			if err != nil {
-				t.Fatal(err)
-			}
-			man, err := transport.ManifestOf(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if man.Version != fastMultiTierVersions[l] {
-				t.Errorf("%s tier trained to version %s, want %s", layer, man.Version, fastMultiTierVersions[l])
-			}
-		}
+		checkTierVersions(t, sys, fastMultiTierVersions)
 		if got := policyParamsHash(sys.Policy); got != fastMultiPolicyHash {
 			t.Errorf("policy trained to %s, want %s", got, fastMultiPolicyHash)
 		}
