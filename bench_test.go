@@ -3,7 +3,9 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -62,35 +64,28 @@ func multivariateSystem(b *testing.B) *System {
 	return multiSys
 }
 
+// logView logs one study view of sys, rendered as hecbench prints it.
+func logView(b *testing.B, sys *System, view func(StudyResult, io.Writer) error) {
+	b.Helper()
+	run, err := sys.studyRun(context.Background(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out strings.Builder
+	if err := view(StudyResult{Runs: []StudyRun{run}}, &out); err != nil {
+		b.Fatal(err)
+	}
+	b.Log("\n" + strings.TrimRight(out.String(), "\n"))
+}
+
 func printTableIOnce(b *testing.B, sys *System, printed *sync.Once) {
 	b.Helper()
-	printed.Do(func() {
-		rows, err := sys.ModelRows()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("TABLE I (%v)", sys.Kind)
-		for _, r := range rows {
-			b.Logf("%-22s layer=%-5s params=%7d acc=%6.2f%% f1=%.3f exec=%7.1fms",
-				r.Name, r.Layer, r.NumParams, r.Accuracy*100, r.F1, r.ExecMs)
-		}
-	})
+	printed.Do(func() { logView(b, sys, StudyResult.WriteTableI) })
 }
 
 func printTableIIOnce(b *testing.B, sys *System, printed *sync.Once) {
 	b.Helper()
-	printed.Do(func() {
-		rows, err := sys.SchemeRows()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("TABLE II (%v, alpha=%g)", sys.Kind, sys.Alpha)
-		for _, r := range rows {
-			b.Logf("%-12s f1=%.3f acc=%6.2f%% delay=%8.2fms reward=%8.2f shares=%.2f/%.2f/%.2f",
-				r.Scheme, r.F1, r.Accuracy*100, r.MeanDelayMs, r.RewardSum,
-				r.LayerShares[0], r.LayerShares[1], r.LayerShares[2])
-		}
-	})
+	printed.Do(func() { logView(b, sys, StudyResult.WriteTableII) })
 }
 
 var (
@@ -109,9 +104,7 @@ func BenchmarkTableIUnivariate(b *testing.B) {
 	printTableIOnce(b, sys, &tableIUniPrinted)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ModelRows(); err != nil {
-			b.Fatal(err)
-		}
+		_ = sys.ModelRows()
 	}
 }
 
@@ -121,9 +114,7 @@ func BenchmarkTableIMultivariate(b *testing.B) {
 	printTableIOnce(b, sys, &tableIMultiPrinted)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ModelRows(); err != nil {
-			b.Fatal(err)
-		}
+		_ = sys.ModelRows()
 	}
 }
 
@@ -455,10 +446,7 @@ func BenchmarkSeq2SeqTrainStep(b *testing.B) {
 // failing the bench (shape is asserted strictly in EXPERIMENTS.md runs).
 func BenchmarkShapeChecks(b *testing.B) {
 	sys := univariateSystem(b)
-	rows, err := sys.ModelRows()
-	if err != nil {
-		b.Fatal(err)
-	}
+	rows := sys.ModelRows()
 	if !(rows[0].NumParams < rows[1].NumParams && rows[1].NumParams < rows[2].NumParams) {
 		b.Errorf("univariate params not increasing: %d %d %d", rows[0].NumParams, rows[1].NumParams, rows[2].NumParams)
 	}

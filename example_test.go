@@ -17,10 +17,7 @@ func ExampleBuild() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	models, err := sys.ModelRows() // Table I
-	if err != nil {
-		log.Fatal(err)
-	}
+	models := sys.ModelRows() // Table I
 	for _, m := range models {
 		fmt.Println(m.Layer, m.Name)
 	}

@@ -1,70 +1,35 @@
 // MHEALTH scenario: the paper's multivariate evaluation — 18-channel
-// body-sensor windows, the LSTM-seq2seq suite, and a per-activity
-// detection breakdown under the adaptive scheme.
+// body-sensor windows, the LSTM-seq2seq suite, and a per-hardness
+// detection breakdown (each activity is graded by its similarity to the
+// walking gait).
 package main
 
 import (
-	"fmt"
+	"context"
 	"log"
+	"os"
 
 	"repro"
-	"repro/internal/dataset"
-	"repro/internal/hec"
 )
 
 func main() {
 	// The fast profile keeps pure-Go BPTT to a few seconds; drop WithFast
 	// (or raise Subjects/Epochs via WithMultivariate) for the full-scale
 	// run.
-	sys, err := repro.Build(repro.Multivariate, repro.WithFast())
+	res, err := repro.Study{
+		Kinds:   []repro.Kind{repro.Multivariate},
+		Options: []repro.Option{repro.WithFast()},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("built multivariate system: %d test windows, alpha=%g\n\n",
-		len(sys.TestSamples), sys.Alpha)
-
-	models, err := sys.ModelRows()
-	if err != nil {
+	if err := res.WriteTableI(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("model comparison (Table I):")
-	for _, m := range models {
-		fmt.Printf("  %-22s %7d params  acc %6.2f%%  f1 %.3f  exec %6.1f ms\n",
-			m.Name, m.NumParams, m.Accuracy*100, m.F1, m.ExecMs)
-	}
-
-	rows, err := sys.SchemeRows()
-	if err != nil {
+	if err := res.WriteTableII(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nscheme comparison (Table II):")
-	for _, r := range rows {
-		fmt.Printf("  %-11s f1=%.3f acc=%6.2f%% delay=%8.1fms reward=%8.2f\n",
-			r.Scheme, r.F1, r.Accuracy*100, r.MeanDelayMs, r.RewardSum)
-	}
-
-	// Per-activity detection rates under the adaptive scheme.
-	res, err := sys.ResultPanel(hec.Adaptive{Policy: sys.Policy})
-	if err != nil {
+	if err := res.WriteHardness(os.Stdout); err != nil {
 		log.Fatal(err)
-	}
-	detected := map[dataset.Activity][2]int{}
-	for i, pred := range res.Predictions {
-		a := sys.TestMeta[i].Activity
-		d := detected[a]
-		if pred {
-			d[0]++
-		}
-		d[1]++
-		detected[a] = d
-	}
-	fmt.Println("\nadaptive-scheme detection rate by activity:")
-	for a := 0; a < dataset.NumActivities; a++ {
-		act := dataset.Activity(a)
-		d := detected[act]
-		if d[1] == 0 {
-			continue
-		}
-		fmt.Printf("  %-16s (%-6v) flagged %3d/%3d\n", act, act.Hardness(), d[0], d[1])
 	}
 }

@@ -1,61 +1,35 @@
 // Power-demand scenario: the paper's univariate evaluation end to end,
-// including a per-hardness breakdown of which HEC layer the adaptive policy
-// routes each anomaly grade to — the behaviour the contextual bandit is
-// supposed to learn (easy anomalies stay on-device, subtle ones go up).
+// including a per-hardness breakdown of which HEC layer each scheme
+// resolves each anomaly grade at — for Our Method, the behaviour the
+// contextual bandit is supposed to learn (easy anomalies stay on-device,
+// subtle ones go up).
 package main
 
 import (
-	"fmt"
+	"context"
 	"log"
+	"os"
 
 	"repro"
-	"repro/internal/dataset"
-	"repro/internal/hec"
 )
 
 func main() {
-	sys, err := repro.Build(repro.Univariate, repro.WithFast(),
-		// A denser test year makes the routing statistics readable.
-		repro.WithUnivariate(func(opt *repro.UnivariateOptions) {
-			opt.Data.TestWeeks = 104
-			opt.Data.PolicyWeeks = 104
-		}))
+	res, err := repro.Study{
+		Kinds: []repro.Kind{repro.Univariate},
+		Options: []repro.Option{repro.WithFast(),
+			// A denser test year makes the routing statistics readable.
+			repro.WithUnivariate(func(opt *repro.UnivariateOptions) {
+				opt.Data.TestWeeks = 104
+				opt.Data.PolicyWeeks = 104
+			})},
+	}.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("built univariate system: %d test weeks, alpha=%g\n\n",
-		len(sys.TestSamples), sys.Alpha)
-
-	rows, err := sys.SchemeRows()
-	if err != nil {
+	if err := res.WriteTableII(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("scheme comparison (Table II):")
-	for _, r := range rows {
-		fmt.Printf("  %-11s f1=%.3f acc=%6.2f%% delay=%8.1fms reward=%8.2f\n",
-			r.Scheme, r.F1, r.Accuracy*100, r.MeanDelayMs, r.RewardSum)
-	}
-
-	// Routing breakdown: which layer does the policy pick per anomaly grade?
-	res, err := sys.ResultPanel(hec.Adaptive{Policy: sys.Policy})
-	if err != nil {
+	if err := res.WriteHardness(os.Stdout); err != nil {
 		log.Fatal(err)
-	}
-	counts := map[dataset.Hardness][hec.NumLayers]int{}
-	for i, l := range res.Layers {
-		h := sys.TestMeta[i].Hardness
-		c := counts[h]
-		c[l]++
-		counts[h] = c
-	}
-	fmt.Println("\nadaptive routing by anomaly hardness (IoT/Edge/Cloud):")
-	for _, h := range []dataset.Hardness{dataset.HardnessNone, dataset.HardnessEasy, dataset.HardnessMedium, dataset.HardnessHard} {
-		c := counts[h]
-		total := c[0] + c[1] + c[2]
-		if total == 0 {
-			continue
-		}
-		fmt.Printf("  %-7s %3d samples -> %2d/%2d/%2d\n", h, total, c[0], c[1], c[2])
 	}
 }

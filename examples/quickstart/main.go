@@ -23,10 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	models, err := sys.ModelRows()
-	if err != nil {
-		log.Fatal(err)
-	}
+	models := sys.ModelRows()
 	fmt.Println("Table I — AD models:")
 	for _, m := range models {
 		fmt.Printf("  %-10s %7d params  acc %.2f%%  f1 %.3f  exec %.1f ms\n",

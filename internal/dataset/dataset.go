@@ -34,6 +34,9 @@ const (
 	HardnessEasy
 	HardnessMedium
 	HardnessHard
+
+	// NumHardness is the number of grades, HardnessNone included.
+	NumHardness
 )
 
 // String implements fmt.Stringer.

@@ -167,6 +167,7 @@ func buildMultivariate(ctx context.Context, opt MultivariateOptions, eng engineO
 
 	return &System{
 		Kind:        Multivariate,
+		Seed:        opt.Seed,
 		Deployment:  dep,
 		Policy:      pol,
 		Extractor:   ext,

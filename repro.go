@@ -16,6 +16,13 @@
 //	rows, err := sys.SchemeRows()   // Table II
 //	models := sys.ModelRows()       // Table I
 //
+// Quick start — the paper's tables over several seeds (Study builds each
+// seed and keeps only the rows; its views print mean ± std):
+//
+//	res, err := repro.Study{Kinds: []repro.Kind{repro.Univariate},
+//		Seeds: []int64{1, 2, 3}, Options: []repro.Option{repro.WithFast()}}.Run(ctx)
+//	err = res.WriteTableII(os.Stdout)
+//
 // Quick start — online detection:
 //
 //	sess, err := sys.Open(repro.SchemeAdaptive)
@@ -80,7 +87,9 @@ const (
 // deployed across the hierarchy, a trained policy network, and the
 // evaluation splits, ready to regenerate the paper's tables and figures.
 type System struct {
-	Kind       Kind
+	Kind Kind
+	// Seed is the one seed the build derived every stream from.
+	Seed       int64
 	Deployment *hec.Deployment
 	Policy     *policy.Network
 	Extractor  features.Extractor
@@ -104,29 +113,29 @@ type SampleMeta struct {
 
 // ModelRow is one row of the paper's Table I.
 type ModelRow struct {
-	Layer     hec.Layer
-	Name      string
-	NumParams int
-	Accuracy  float64
-	F1        float64
+	Layer     hec.Layer `json:"layer"`
+	Name      string    `json:"name"`
+	NumParams int       `json:"num_params"`
+	Accuracy  float64   `json:"accuracy"`
+	F1        float64   `json:"f1"`
 	// ExecMs is the model's execution time on its own layer's device.
-	ExecMs float64
+	ExecMs float64 `json:"exec_ms"`
 }
 
 // SchemeRow is one row of the paper's Table II.
 type SchemeRow struct {
-	Scheme string
-	F1     float64
+	Scheme string  `json:"scheme"`
+	F1     float64 `json:"f1"`
 	// Accuracy is in [0,1].
-	Accuracy float64
+	Accuracy float64 `json:"accuracy"`
 	// MeanDelayMs is the average end-to-end detection delay.
-	MeanDelayMs float64
+	MeanDelayMs float64 `json:"mean_delay_ms"`
 	// RewardSum is the summed per-sample reward (the Table II form).
-	RewardSum float64
+	RewardSum float64 `json:"reward_sum"`
 	// LayerShares is the fraction of samples resolved per layer.
-	LayerShares [hec.NumLayers]float64
+	LayerShares [hec.NumLayers]float64 `json:"layer_shares"`
 	// Result retains the full per-sample series (Fig. 3b panels).
-	Result *hec.Result
+	Result *hec.Result `json:"-"`
 }
 
 // Precomputed exposes the cached test-split detections for custom analyses.
@@ -135,7 +144,7 @@ func (s *System) Precomputed() *hec.Precomputed { return s.testPC }
 // ModelRows regenerates Table I for this system: per-model parameter count,
 // standalone accuracy and F1 on the test split, and execution time at the
 // model's home layer.
-func (s *System) ModelRows() ([]ModelRow, error) {
+func (s *System) ModelRows() []ModelRow {
 	rows := make([]ModelRow, 0, hec.NumLayers)
 	for l := hec.Layer(0); l < hec.NumLayers; l++ {
 		det := s.Deployment.Detectors[l]
@@ -156,7 +165,7 @@ func (s *System) ModelRows() ([]ModelRow, error) {
 			ExecMs:    exec,
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // SchemeRows regenerates Table II: the five schemes evaluated on the test

@@ -32,10 +32,7 @@ func TestBuildUnivariateFast(t *testing.T) {
 	if sys.Kind != Univariate {
 		t.Fatalf("kind = %v", sys.Kind)
 	}
-	models, err := sys.ModelRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := sys.ModelRows()
 	if len(models) != hec.NumLayers {
 		t.Fatalf("%d model rows", len(models))
 	}
@@ -169,10 +166,7 @@ func TestBuildMultivariateFast(t *testing.T) {
 			t.Errorf("policy trained to %s, want %s", got, fastMultiPolicyHash)
 		}
 	}
-	models, err := sys.ModelRows()
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := sys.ModelRows()
 	if !(models[0].NumParams < models[1].NumParams && models[1].NumParams < models[2].NumParams) {
 		t.Errorf("params not increasing: %d %d %d",
 			models[0].NumParams, models[1].NumParams, models[2].NumParams)

@@ -150,6 +150,7 @@ func buildUnivariate(ctx context.Context, opt UnivariateOptions, eng engineOptio
 
 	return &System{
 		Kind:        Univariate,
+		Seed:        opt.Seed,
 		Deployment:  dep,
 		Policy:      pol,
 		Extractor:   ext,
