@@ -45,11 +45,9 @@ const (
 // fall back to a direct (closure-free, allocation-free) call when the
 // product is too small to amortise the goroutines.
 func fanOutRows(rows, workers int, body func(r0, r1 int)) {
-	// A few blocks per worker so a slow block does not straggle.
-	blockRows := rows / (4 * workers)
-	if blockRows < 8 {
-		blockRows = 8
-	}
+	// A few blocks per worker so a slow block does not straggle, each a
+	// multiple of 4 rows so gemmKernel's 4-row tiles cover it whole.
+	blockRows := max(8, (rows/(4*workers)+3)&^3)
 	blocks := (rows + blockRows - 1) / blockRows
 	_ = parallel.ForEach(0, blocks, func(bi int) error {
 		r0 := bi * blockRows
@@ -108,7 +106,10 @@ func MulInto(dst, a, b *Matrix) error {
 // mulRange computes rows [r0, r1) of dst = a·b with k/j tiling: a
 // mulBlockK×mulBlockJ tile of b is reused across every row of the block
 // before moving on. k-blocks ascend, so each element still accumulates the
-// shared dimension in ascending order.
+// shared dimension in ascending order. Within a tile, gemmKernel takes the
+// rows in blocks of 4 under avx2 (a·b is its A·b with sa = 1, ra = k) and
+// the axpy loop takes the rest — one axpy per nonzero a[i,kk], the
+// reference the kernel matches bit for bit.
 func mulRange(dst, a, b *Matrix, r0, r1 int) {
 	k, n := a.Cols, b.Cols
 	for i := r0; i < r1; i++ {
@@ -127,7 +128,9 @@ func mulRange(dst, a, b *Matrix, r0, r1 int) {
 			if k1 > k {
 				k1 = k
 			}
-			for i := r0; i < r1; i++ {
+			i := r0 + gemmKernel(dst.Data[r0*n+j0:], n, a.Data[r0*k+k0:], 1, k,
+				b.Data[k0*n+j0:], n, r1-r0, k1-k0, j1-j0)
+			for ; i < r1; i++ {
 				arow := a.Data[i*k : (i+1)*k]
 				orow := dst.Data[i*n+j0 : i*n+j1]
 				for kk := k0; kk < k1; kk++ {
@@ -283,9 +286,13 @@ func mulT(dst, a, b *Matrix, add bool) error {
 	return nil
 }
 
-// mulTRange computes dst rows [r0, r1) of aᵀ·b. The shared dimension (the
-// rows of a and b) runs in the outer loop so every dst element accumulates
-// samples in ascending order no matter how the rows are blocked.
+// mulTRange computes dst rows [r0, r1) of aᵀ·b. Under avx2 gemmKernel takes
+// the rows in blocks of 4 (aᵀ·b is its A·b with sa = a.Cols, ra = 1); the
+// axpy loop takes the rest, and every row at the other levels. That loop
+// runs the shared dimension (the rows of a and b) outermost and adds
+// a[s,i]·b[s] to dst row i for every nonzero a[s,i], so every dst element
+// accumulates samples in ascending order no matter how the rows are
+// blocked — the reference the kernel matches bit for bit.
 func mulTRange(dst, a, b *Matrix, add bool, r0, r1 int) {
 	k, n := a.Rows, b.Cols
 	if !add {
@@ -295,6 +302,10 @@ func mulTRange(dst, a, b *Matrix, add bool, r0, r1 int) {
 				orow[j] = 0
 			}
 		}
+	}
+	r0 += gemmKernel(dst.Data[r0*n:], n, a.Data[r0:], a.Cols, 1, b.Data, n, r1-r0, k, n)
+	if r0 == r1 {
+		return
 	}
 	for s := 0; s < k; s++ {
 		arow := a.Data[s*a.Cols : (s+1)*a.Cols]

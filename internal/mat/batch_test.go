@@ -108,9 +108,119 @@ func TestMulTIntoMatchesMulT(t *testing.T) {
 	if err := MulTInto(got, a, b); err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(want, got, 1e-12) {
+	if !Equal(want, got, 0) {
 		t.Fatal("MulTInto diverges from Mul(aᵀ, b)")
 	}
+}
+
+// TestTiledGEMMMatchesReference pins MulInto, MulTInto and MulTAddInto at
+// every dispatch level, bit for bit, against Mul and per-sample OuterAdd on
+// shapes that straddle every edge of avx2's 4×8 tile (and one that fans
+// out). Every a is sparse, and its exact zeros sit over +Inf, −Inf and NaN
+// in b and over −0 in a MulTAddInto destination: there, and only there,
+// skipping a zero term differs from adding 0·b.
+func TestTiledGEMMMatchesReference(t *testing.T) {
+	type shape struct{ m, k, n int } // dst m×n, shared dimension k
+	var shapes []shape
+	for _, m := range []int{1, 3, 4, 5, 97} {
+		for _, n := range []int{1, 4, 7, 8, 9, 18, 24} {
+			for _, k := range []int{1, 3, 4, 512} {
+				shapes = append(shapes, shape{m, k, n})
+			}
+		}
+	}
+	shapes = append(shapes, shape{300, 400, 350}) // fans out over the worker pool
+	for _, name := range AvailableKernels() {
+		withKernel(t, name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(6))
+			for _, sh := range shapes {
+				// MulInto: dst (m×n) = a (m×k) · b (k×n).
+				a, b := sparseSpecials(sh.m, sh.k, sh.n, rng, false)
+				want, err := Mul(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := New(sh.m, sh.n)
+				got.Fill(42)
+				if err := MulInto(got, a, b); err != nil {
+					t.Fatal(err)
+				}
+				bitEqual(t, fmt.Sprintf("MulInto %v", sh), got, want)
+
+				// MulTInto and MulTAddInto: dst (m×n) = aᵀ·b, a k×m, b k×n.
+				a, b = sparseSpecials(sh.m, sh.k, sh.n, rng, true)
+				if want, err = Mul(a.T(), b); err != nil {
+					t.Fatal(err)
+				}
+				got.Fill(-3)
+				if err := MulTInto(got, a, b); err != nil {
+					t.Fatal(err)
+				}
+				bitEqual(t, fmt.Sprintf("MulTInto %v", sh), got, want)
+
+				want = randMatrix(sh.m, sh.n, rng)
+				for i := range want.Data {
+					if rng.Intn(3) == 0 {
+						want.Data[i] = math.Copysign(0, -1)
+					}
+				}
+				got = want.Clone()
+				for s := 0; s < sh.k; s++ {
+					if err := want.OuterAdd(a.Row(s), b.Row(s)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := MulTAddInto(got, a, b); err != nil {
+					t.Fatal(err)
+				}
+				bitEqual(t, fmt.Sprintf("MulTAddInto %v", sh), got, want)
+			}
+		})
+	}
+}
+
+// sparseSpecials returns the operands of a product A·b with A m×k and b
+// k×n; a holds A, or Aᵀ (k×m) when transposed. About a quarter of A is ±0,
+// and so is all of some of its rows, which leaves those dst rows at their
+// initial value, and all of some of its columns s, whose row s of b holds
+// only +Inf, −Inf and NaN. Those never reach the reference sum, so a kernel
+// that added 0·b instead of skipping it would show as a NaN or a lost −0.
+func sparseSpecials(m, k, n int, rng *rand.Rand, transposed bool) (a, b *Matrix) {
+	zeroRow := make([]bool, m)
+	for i := range zeroRow {
+		zeroRow[i] = rng.Intn(8) == 0
+	}
+	zeroStep := make([]bool, k)
+	for s := range zeroStep {
+		zeroStep[s] = rng.Intn(8) == 0
+	}
+	a = New(m, k)
+	if transposed {
+		a = New(k, m)
+	}
+	for i := 0; i < m; i++ {
+		for s := 0; s < k; s++ {
+			v := rng.NormFloat64()
+			if zeroRow[i] || zeroStep[s] || rng.Intn(4) == 0 {
+				v = math.Copysign(0, float64(rng.Intn(2)*2-1))
+			}
+			if transposed {
+				a.Set(s, i, v)
+			} else {
+				a.Set(i, s, v)
+			}
+		}
+	}
+	b = randMatrix(k, n, rng)
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for s, zero := range zeroStep {
+		if zero {
+			for j := range n {
+				b.Set(s, j, specials[rng.Intn(len(specials))])
+			}
+		}
+	}
+	return a, b
 }
 
 // TestMulIntoDstIndependentOfBlocking runs a product large enough for the
@@ -314,5 +424,42 @@ func BenchmarkMulVecLoop32(b *testing.B) {
 		for s := 0; s < 32; s++ {
 			mulVec(w, x.Row(s))
 		}
+	}
+}
+
+// BenchmarkMulTBPTT measures MulTAddInto at the weight-gradient shapes of a
+// fast multivariate BPTT pass, {m, k, n} for dst (m×n) += aᵀ (m×k) · b
+// (k×n): the seq2seq tiers' dW += dzᵀ·x over 512 stacked (window, step) rows.
+func BenchmarkMulTBPTT(b *testing.B) {
+	for _, s := range [][3]int{{96, 512, 24}, {96, 512, 18}, {64, 512, 16}, {32, 512, 8}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			a, x := randMatrix(s[1], s[0], rng), randMatrix(s[1], s[2], rng)
+			dst := New(s[0], s[2])
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := MulTAddInto(dst, a, x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMulIntoBPTT measures MulInto at the BPTT recurrent shapes, {m, k,
+// n}: dh (4×H) = dz (4×4H) · Wh (4H×H) for the 24- and 16-unit tiers.
+func BenchmarkMulIntoBPTT(b *testing.B) {
+	for _, s := range [][3]int{{4, 96, 24}, {4, 64, 16}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			a, w := randMatrix(s[0], s[1], rng), randMatrix(s[1], s[2], rng)
+			dst := New(s[0], s[2])
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := MulInto(dst, a, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -18,9 +18,11 @@ import (
 //	sse2  amd64 baseline: the 2×4 SSE2 micro-kernel (per-lane
 //	      multiply-then-add, bit-identical to the reference)
 //	avx2  amd64 with AVX2: 2×8 / 1×8 / 1×32 micro-kernels over 8-wide
-//	      packed panels plus vectorised axpy/Adam/exp/LSTM-cell kernels
-//	      (still per-lane multiply-then-add — AVX2 is used for width, not
-//	      fusion — so results stay bit-identical to the reference). The
+//	      packed panels, a 4×8 register tile for a·b and aᵀ·b (MulInto,
+//	      MulTInto, MulTAddInto) that keeps the reference's a == 0 skip,
+//	      plus vectorised axpy/Adam/exp/LSTM-cell kernels (still per-lane
+//	      multiply-then-add — AVX2 is used for width, not fusion — so
+//	      results stay bit-identical to the reference). The
 //	      one exception is the exp sequence that ExpInto and the LSTM cell
 //	      kernel share: it fuses exactly where the standard library's
 //	      amd64 math.Exp fuses, and runs only on a CPU with FMA, where

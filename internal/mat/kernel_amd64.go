@@ -9,9 +9,10 @@ import "math"
 //   - sse2: the 2×4 micro-kernel (dotPanel2x4), part of the amd64 baseline,
 //     packing panels on the fly inside mulBTRangeKernel.
 //   - avx2: 8-wide micro-kernels (dotPanel2x8 / dotPanel1x8 / dotPanel1x32)
-//     consumed through the packed-panel cache, plus vectorised axpy, Adam,
-//     exp and LSTM-cell kernels. Detected at init via CPUID + XGETBV (OS must
-//     have enabled YMM state).
+//     consumed through the packed-panel cache, the 4×8 tile of a·b and
+//     aᵀ·b (gemm4Asm), plus vectorised axpy, Adam, exp and LSTM-cell
+//     kernels. Detected at init via CPUID + XGETBV (OS must have enabled
+//     YMM state).
 //
 // Every routine keeps the repository's exactness contract: one vector lane
 // per output element, multiply-then-add in ascending order, no FMA — so
@@ -170,6 +171,38 @@ func axpyKernel(y, x []float64, s float64) bool {
 		y[i] += s * x[i]
 	}
 	return true
+}
+
+// gemm4Asm (AVX2) adds A·b into four dst rows, n columns, over k ≥ 1
+// steps, where element (i, s) of A is a[s·sa + i·ra]. See gemmKernel.
+//
+//go:noescape
+func gemm4Asm(dst *float64, ldd int, a *float64, sa, ra int, b *float64, ldb, k, n int)
+
+// gemmKernel adds A·b into dst rows [0, 4·⌊rows/4⌋) under the avx2 dispatch
+// level and returns how many rows it finished; the caller runs the rest
+// through its axpy loop. Row i of dst starts at dst[i·ldd], element (i, s)
+// of A is a[s·sa + i·ra], and row s of b starts at b[s·ldb]; n columns and
+// k steps. Each 4-row block goes through gemm4Asm, which keeps the
+// accumulation order and the a == 0 skip of the axpy loop, so the result
+// is bit-identical to it.
+//
+// Below four rows there is no full tile, and below four steps too few to
+// amortise loading and storing one, so the axpy loop keeps those products
+// (the lone-row training path, k = 1, among them).
+func gemmKernel(dst []float64, ldd int, a []float64, sa, ra int, b []float64, ldb, rows, k, n int) int {
+	if rows < 4 || k < 4 || ActiveKernel() != KernelAVX2 {
+		return 0
+	}
+	full := rows &^ 3
+	// The assembly reads and writes these extremes; fail here, not there.
+	_ = dst[(full-1)*ldd+n-1]
+	_ = a[(full-1)*ra+(k-1)*sa]
+	_ = b[(k-1)*ldb+n-1]
+	for r := 0; r < full; r += 4 {
+		gemm4Asm(&dst[r*ldd], ldd, &a[r*ra], sa, ra, &b[0], ldb, k, n)
+	}
+	return full
 }
 
 // adamKernel vectorises one Adam update under the avx2 dispatch level and

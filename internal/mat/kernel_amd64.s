@@ -761,6 +761,220 @@ axpyDone:
 	VZEROUPPER
 	RET
 
+// func gemm4Asm(dst *float64, ldd int, a *float64, sa, ra int, b *float64, ldb, k, n int)
+//
+// Four dst rows, n columns: dst[i·ldd + j] += a[s·sa + i·ra] · b[s·ldb + j]
+// for i < 4, j < n and s ascending over k ≥ 1 steps, the term skipped where
+// the a value is ±0 — exactly the axpy loop it replaces, which adds a·b[s]
+// to a dst row for every nonzero a, in ascending s. Strides are in
+// elements, so one routine serves aᵀ·b (sa = a's width, ra = 1) and a·b
+// (sa = 1, ra = a's width).
+//
+// The destination is held as a tile of 4 rows × 8 columns in Y0–Y7 while
+// the k steps run: per step, one 8-wide load of b and one broadcast of a
+// per row. Columns left over from the 8-wide tiles go through a 4-wide tile
+// (Y0–Y3) whose loads and stores are masked to the columns that remain
+// (VMASKMOVPD neither reads nor writes the other lanes).
+//
+// Numerical contract: every lane is its own dst element and takes each
+// term as VMULPD then VADDPD, with the operands in axpyAsm's order, so each
+// element sees the rounding sequence of the axpy loop bit for bit. A step
+// whose four a values are all nonzero adds every term, which is the loop's
+// own arithmetic. A step with a ±0 among them (found by adding each value's
+// bits to themselves, which shifts out the sign and leaves zero only for
+// ±0) takes the blended form instead:
+// VCMPPD (NEQ_UQ: true for NaN, false for ±0) marks the rows whose a value
+// is not zero and VBLENDVPD keeps the old accumulator in the others. That
+// keeps the skip's meaning where adding 0·b would differ from it — b
+// holding ±Inf or NaN, or an accumulator of −0 — while the steps that need
+// no blend, nearly all of them in training, do not pay for one.
+//
+// Registers: DI dst tile, SI a, BX b tile, DX columns left, R8 ldd, R9 sa,
+// R10 ra and R14 3·ra, R11 ldb (all strides in bytes), R13 and AX the a and
+// b cursors, R12 the steps left, CX scratch; Y8/Y9 b, Y10 a, Y11/Y12
+// products, Y13 the blend mask, Y14 the column mask, Y15 zero.
+
+// GEMM_ZERO jumps to the blended form of the step when one of its four a
+// values is ±0.
+#define GEMM_ZERO(blend) \
+	MOVQ (R13), CX; \
+	ADDQ CX, CX; \
+	JZ   blend; \
+	MOVQ (R13)(R10*1), CX; \
+	ADDQ CX, CX; \
+	JZ   blend; \
+	MOVQ (R13)(R10*2), CX; \
+	ADDQ CX, CX; \
+	JZ   blend; \
+	MOVQ (R13)(R14*1), CX; \
+	ADDQ CX, CX; \
+	JZ   blend
+
+#define GEMM_ROW8(aop, acc0, acc1) \
+	VBROADCASTSD aop, Y10; \
+	VMULPD       Y10, Y8, Y11; \
+	VADDPD       acc0, Y11, acc0; \
+	VMULPD       Y10, Y9, Y12; \
+	VADDPD       acc1, Y12, acc1
+
+#define GEMM_ROW8B(aop, acc0, acc1) \
+	VBROADCASTSD aop, Y10; \
+	VCMPPD       $4, Y15, Y10, Y13; \
+	VMULPD       Y10, Y8, Y11; \
+	VADDPD       acc0, Y11, Y11; \
+	VBLENDVPD    Y13, Y11, acc0, acc0; \
+	VMULPD       Y10, Y9, Y12; \
+	VADDPD       acc1, Y12, Y12; \
+	VBLENDVPD    Y13, Y12, acc1, acc1
+
+#define GEMM_ROW4(aop, acc) \
+	VBROADCASTSD aop, Y10; \
+	VMULPD       Y10, Y8, Y11; \
+	VADDPD       acc, Y11, acc
+
+#define GEMM_ROW4B(aop, acc) \
+	VBROADCASTSD aop, Y10; \
+	VCMPPD       $4, Y15, Y10, Y13; \
+	VMULPD       Y10, Y8, Y11; \
+	VADDPD       acc, Y11, Y11; \
+	VBLENDVPD    Y13, Y11, acc, acc
+
+DATA gemmtail<>+0(SB)/8, $-1
+DATA gemmtail<>+8(SB)/8, $-1
+DATA gemmtail<>+16(SB)/8, $-1
+DATA gemmtail<>+24(SB)/8, $-1
+DATA gemmtail<>+32(SB)/8, $0
+DATA gemmtail<>+40(SB)/8, $0
+DATA gemmtail<>+48(SB)/8, $0
+DATA gemmtail<>+56(SB)/8, $0
+GLOBL gemmtail<>(SB), RODATA|NOPTR, $64
+
+TEXT ·gemm4Asm(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ sa+24(FP), R9
+	MOVQ ra+32(FP), R10
+	MOVQ b+40(FP), BX
+	MOVQ ldb+48(FP), R11
+	MOVQ n+64(FP), DX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	LEAQ (R10)(R10*2), R14
+	VXORPD Y15, Y15, Y15
+
+gemmTile8:
+	CMPQ    DX, $8
+	JLT     gemmTile4
+	LEAQ    (DI)(R8*2), AX
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (AX), Y4
+	VMOVUPD 32(AX), Y5
+	VMOVUPD (AX)(R8*1), Y6
+	VMOVUPD 32(AX)(R8*1), Y7
+	MOVQ    SI, R13
+	MOVQ    BX, AX
+	MOVQ    k+56(FP), R12
+
+gemmStep8:
+	GEMM_ZERO(gemmBlend8)
+	VMOVUPD (AX), Y8
+	VMOVUPD 32(AX), Y9
+	GEMM_ROW8((R13), Y0, Y1)
+	GEMM_ROW8((R13)(R10*1), Y2, Y3)
+	GEMM_ROW8((R13)(R10*2), Y4, Y5)
+	GEMM_ROW8((R13)(R14*1), Y6, Y7)
+
+gemmNext8:
+	ADDQ R9, R13
+	ADDQ R11, AX
+	DECQ R12
+	JNZ  gemmStep8
+
+	LEAQ    (DI)(R8*2), AX
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (AX)
+	VMOVUPD Y5, 32(AX)
+	VMOVUPD Y6, (AX)(R8*1)
+	VMOVUPD Y7, 32(AX)(R8*1)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    $8, DX
+	JMP     gemmTile8
+
+gemmBlend8:
+	VMOVUPD (AX), Y8
+	VMOVUPD 32(AX), Y9
+	GEMM_ROW8B((R13), Y0, Y1)
+	GEMM_ROW8B((R13)(R10*1), Y2, Y3)
+	GEMM_ROW8B((R13)(R10*2), Y4, Y5)
+	GEMM_ROW8B((R13)(R14*1), Y6, Y7)
+	JMP gemmNext8
+
+	// The 4-wide tile: Y14 masks the first min(DX, 4) lanes, which is row
+	// 4 − lanes of gemmtail<>.
+gemmTile4:
+	TESTQ      DX, DX
+	JLE        gemmDone
+	MOVQ       $4, R12
+	CMPQ       DX, R12
+	CMOVQLT    DX, R12
+	NEGQ       R12
+	LEAQ       gemmtail<>+32(SB), AX
+	VMOVUPD    (AX)(R12*8), Y14
+	LEAQ       (DI)(R8*2), AX
+	VMASKMOVPD (DI), Y14, Y0
+	VMASKMOVPD (DI)(R8*1), Y14, Y1
+	VMASKMOVPD (AX), Y14, Y2
+	VMASKMOVPD (AX)(R8*1), Y14, Y3
+	MOVQ       SI, R13
+	MOVQ       BX, AX
+	MOVQ       k+56(FP), R12
+
+gemmStep4:
+	GEMM_ZERO(gemmBlend4)
+	VMASKMOVPD (AX), Y14, Y8
+	GEMM_ROW4((R13), Y0)
+	GEMM_ROW4((R13)(R10*1), Y1)
+	GEMM_ROW4((R13)(R10*2), Y2)
+	GEMM_ROW4((R13)(R14*1), Y3)
+
+gemmNext4:
+	ADDQ R9, R13
+	ADDQ R11, AX
+	DECQ R12
+	JNZ  gemmStep4
+
+	LEAQ       (DI)(R8*2), AX
+	VMASKMOVPD Y0, Y14, (DI)
+	VMASKMOVPD Y1, Y14, (DI)(R8*1)
+	VMASKMOVPD Y2, Y14, (AX)
+	VMASKMOVPD Y3, Y14, (AX)(R8*1)
+	ADDQ       $32, DI
+	ADDQ       $32, BX
+	SUBQ       $4, DX
+	JMP        gemmTile4
+
+gemmBlend4:
+	VMASKMOVPD (AX), Y14, Y8
+	GEMM_ROW4B((R13), Y0)
+	GEMM_ROW4B((R13)(R10*1), Y1)
+	GEMM_ROW4B((R13)(R10*2), Y2)
+	GEMM_ROW4B((R13)(R14*1), Y3)
+	JMP gemmNext4
+
+gemmDone:
+	VZEROUPPER
+	RET
+
 // func adamAsm(w, grad, m, v *float64, n int, c *adamConsts)
 //
 // One Adam update over n elements (n a multiple of 4), four lanes at a

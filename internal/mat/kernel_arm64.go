@@ -46,6 +46,11 @@ func dotPanel1x32(a, panel *float64, k int, out *[32]float64) {
 // exist in the arm64 assembler); the scalar loop is used at every level.
 func axpyKernel(y, x []float64, s float64) bool { return false }
 
+// gemmKernel has no arm64 assembly; the axpy loop runs every row.
+func gemmKernel(dst []float64, ldd int, a []float64, sa, ra int, b []float64, ldb, rows, k, n int) int {
+	return 0
+}
+
 // adamKernel has no arm64 assembly; the scalar loop is used at every level.
 func adamKernel(w, g, m, v []float64, beta1, beta2, c1, c2, lr, eps float64) bool {
 	return false

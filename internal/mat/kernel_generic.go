@@ -18,6 +18,11 @@ func mulBTRangeKernel(dst, a, b *Matrix, r0, r1 int) bool {
 // axpyKernel reports false; callers use the scalar loop.
 func axpyKernel(y, x []float64, s float64) bool { return false }
 
+// gemmKernel finishes no rows; the caller's axpy loop runs them all.
+func gemmKernel(dst []float64, ldd int, a []float64, sa, ra int, b []float64, ldb, rows, k, n int) int {
+	return 0
+}
+
 // adamKernel reports false; callers use the scalar loop.
 func adamKernel(w, g, m, v []float64, beta1, beta2, c1, c2, lr, eps float64) bool {
 	return false
