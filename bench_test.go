@@ -149,7 +149,7 @@ func BenchmarkTableIIMultivariate(b *testing.B) {
 func BenchmarkFig3bSeries(b *testing.B) {
 	sys := univariateSystem(b)
 	fig3bPrinted.Do(func() {
-		res, err := sys.ResultPanel(hec.Adaptive{Policy: sys.Policy})
+		res, err := sys.ResultPanel(SchemeAdaptive)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkFig3bSeries(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.ResultPanel(hec.Adaptive{Policy: sys.Policy}); err != nil {
+		if _, err := sys.ResultPanel(SchemeAdaptive); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +186,9 @@ func BenchmarkAblationAlphaSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := hec.Evaluate(context.Background(), hec.Adaptive{Policy: pol}, sys.Precomputed(), a); err != nil {
+			swept := *sys
+			swept.Policy, swept.Alpha = pol, a
+			if _, err := swept.ResultPanel(SchemeAdaptive); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -223,34 +225,6 @@ func benchmarkPrecompute(b *testing.B, opt hec.PrecomputeOptions) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := hec.PrecomputeWith(context.Background(), sys.Deployment, sys.Extractor, sys.TestSamples, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchemeEvaluationSequential evaluates the five Table II schemes
-// one after another; BenchmarkSchemeEvaluationParallel runs them through
-// ParallelEvaluate, the engine behind SchemeRows.
-func BenchmarkSchemeEvaluationSequential(b *testing.B) {
-	sys := univariateSystem(b)
-	schemes := hec.AllSchemes(sys.Policy)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range schemes {
-			if _, err := hec.Evaluate(context.Background(), s, sys.Precomputed(), sys.Alpha); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSchemeEvaluationParallel is the concurrent counterpart.
-func BenchmarkSchemeEvaluationParallel(b *testing.B) {
-	sys := univariateSystem(b)
-	schemes := hec.AllSchemes(sys.Policy)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hec.ParallelEvaluate(context.Background(), schemes, sys.Precomputed(), sys.Alpha); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,8 +41,6 @@ const (
 type buildConfig struct {
 	profile   Profile
 	seed      *int64
-	workers   int
-	batchSize int
 	topology  *hec.Topology
 	quantize  *bool
 	quantMode *QuantMode
@@ -66,18 +64,6 @@ func WithFast() Option { return WithProfile(ProfileFast) }
 // generation, model initialisation and policy training all derive their
 // streams from it, so equal seeds build bit-identical systems.
 func WithSeed(seed int64) Option { return func(c *buildConfig) { c.seed = &seed } }
-
-// WithWorkers bounds the goroutines the build's precompute engine fans
-// detection out over. Values < 1 (the default) mean one worker per
-// available CPU; 1 forces the sequential path. The trained system is
-// identical at any worker count.
-func WithWorkers(n int) Option { return func(c *buildConfig) { c.workers = n } }
-
-// WithBatchSize sets how many samples the precompute engine stacks into
-// one vectorised detection call. Values < 1 (the default) pick
-// hec.DefaultPrecomputeBatch; outcomes are identical at any batch size —
-// this is purely a throughput knob.
-func WithBatchSize(n int) Option { return func(c *buildConfig) { c.batchSize = n } }
 
 // WithTopology overrides the HEC testbed model (device compute curves and
 // link latencies) the system is calibrated against.
@@ -104,18 +90,6 @@ func WithUnivariate(fn func(*UnivariateOptions)) Option {
 // before the build runs; ignored for Univariate builds.
 func WithMultivariate(fn func(*MultivariateOptions)) Option {
 	return func(c *buildConfig) { c.multiMods = append(c.multiMods, fn) }
-}
-
-// engineOptions carries the build knobs that tune the evaluation engine
-// rather than the models; its zero value reproduces the historical
-// builder behaviour exactly.
-type engineOptions struct {
-	workers   int
-	batchSize int
-}
-
-func (e engineOptions) precompute() hec.PrecomputeOptions {
-	return hec.PrecomputeOptions{Workers: e.workers, BatchSize: e.batchSize}
 }
 
 // Build constructs a complete HEC anomaly-detection system of the given
@@ -169,7 +143,6 @@ func BuildContext(ctx context.Context, kind Kind, opts ...Option) (*System, erro
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	eng := engineOptions{workers: cfg.workers, batchSize: cfg.batchSize}
 	switch kind {
 	case Univariate:
 		opt := DefaultUnivariateOptions()
@@ -180,7 +153,7 @@ func BuildContext(ctx context.Context, kind Kind, opts ...Option) (*System, erro
 		for _, fn := range cfg.uniMods {
 			fn(&opt)
 		}
-		return buildUnivariate(ctx, opt, eng)
+		return buildUnivariate(ctx, opt)
 	case Multivariate:
 		opt := DefaultMultivariateOptions()
 		if cfg.profile == ProfileFast {
@@ -190,7 +163,7 @@ func BuildContext(ctx context.Context, kind Kind, opts ...Option) (*System, erro
 		for _, fn := range cfg.multiMods {
 			fn(&opt)
 		}
-		return buildMultivariate(ctx, opt, eng)
+		return buildMultivariate(ctx, opt)
 	default:
 		return nil, badInput("build", "unknown kind %v (want Univariate or Multivariate)", kind)
 	}

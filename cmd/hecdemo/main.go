@@ -33,7 +33,7 @@ import (
 func main() {
 	var (
 		data     = flag.String("data", "univariate", "dataset: univariate | multivariate")
-		scheme   = flag.String("scheme", "adaptive", "scheme: iot | edge | cloud | successive | adaptive")
+		scheme   = flag.String("scheme", "adaptive", "scheme: iot | edge | cloud | successive | adaptive (or ours) | pathological")
 		rate     = flag.Float64("rate", 50, "samples per second to stream (0 = no pacing)")
 		fraction = flag.Float64("anomaly-fraction", -1, "resample the test stream to this anomaly fraction (-1 keeps the split)")
 		fast     = flag.Bool("fast", true, "reduced-scale build")

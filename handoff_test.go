@@ -9,63 +9,6 @@ import (
 	"repro/internal/hec"
 )
 
-// TestSessionAdaptiveMultivariateMatchesResultPanel checks the paper's
-// method on the multivariate system, where the IoT model is both the
-// device's detector and its extractor and a window is encoded once: Detect
-// and DetectBatch must route, judge and bill every test window as the
-// simulator's replay does.
-func TestSessionAdaptiveMultivariateMatchesResultPanel(t *testing.T) {
-	sys := fastMultiSystem(t)
-	res, err := sys.ResultPanel(hec.Adaptive{Policy: sys.Policy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := sys.Open(SchemeAdaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	ctx := context.Background()
-	windows := make([][][]float64, len(sys.TestSamples))
-	perLayer := map[Layer]int{}
-	for i, s := range sys.TestSamples {
-		windows[i] = s.Frames
-		perLayer[res.Layers[i]]++
-	}
-	if len(perLayer) < 2 {
-		t.Fatalf("the policy sends every window to one layer (%v); the test lost its split", perLayer)
-	}
-	batch, err := sess.DetectBatch(ctx, windows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtts := sys.Precomputed().RTTs
-	for i, w := range windows {
-		det, err := sess.Detect(ctx, w)
-		if err != nil {
-			t.Fatalf("sample %d: %v", i, err)
-		}
-		if det.Anomaly != res.Predictions[i] || det.Layer != res.Layers[i] || det.DelayMs != res.DelaysMs[i] {
-			t.Fatalf("sample %d: Detect (%v, %v, %g ms) vs panel (%v, %v, %g ms)",
-				i, det.Anomaly, det.Layer, det.DelayMs, res.Predictions[i], res.Layers[i], res.DelaysMs[i])
-		}
-		b := batch[i]
-		if b.Anomaly != det.Anomaly || b.Confident != det.Confident || b.Layer != det.Layer {
-			t.Fatalf("sample %d: DetectBatch (%v, %v, %v) vs Detect (%v, %v, %v)",
-				i, b.Anomaly, b.Confident, b.Layer, det.Anomaly, det.Confident, det.Layer)
-		}
-		// A batch shares an offload's round trip across the windows that
-		// rode it; a window alone at its layer pays all of it.
-		want := res.DelaysMs[i]
-		if n := perLayer[b.Layer]; b.Layer != LayerIoT && n > 1 {
-			want += rtts[b.Layer]/float64(n) - rtts[b.Layer]
-		}
-		if math.Abs(b.DelayMs-want) > 1e-9 {
-			t.Fatalf("sample %d at %v: DetectBatch delay %g, want %g", i, b.Layer, b.DelayMs, want)
-		}
-	}
-}
-
 // wrappedExtractor hides the extractor's identity, which sends a device down
 // the two-pass path: context first, detection after.
 type wrappedExtractor struct{ features.Extractor }
@@ -120,7 +63,7 @@ func TestSessionAdaptiveMultivariateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	sys := fastMultiSystem(t)
-	res, err := sys.ResultPanel(hec.Adaptive{Policy: sys.Policy})
+	res, err := sys.ResultPanel(SchemeAdaptive)
 	if err != nil {
 		t.Fatal(err)
 	}

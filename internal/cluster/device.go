@@ -1,11 +1,12 @@
-// Package cluster is the live HEC runtime: it runs the paper's model-
-// selection schemes over real TCP connections instead of the precompute-
-// and-replay simulator. A Device plays the paper's IoT node — it hosts the
-// smallest detector locally, runs the trained REINFORCE policy on every
+// Package cluster is the HEC runtime, the one engine that runs the paper's
+// model-selection schemes. A Device plays the paper's IoT node — it hosts
+// the smallest detector locally, runs the trained REINFORCE policy on every
 // incoming window, and dispatches the window to the local detector or a
-// remote layer over keep-alive pipelined connections. A load generator
-// (loadgen.go) streams windows from many concurrent simulated devices and
-// aggregates live accuracy, delay percentiles, routing mix and throughput.
+// remote layer, over keep-alive pipelined TCP connections or to tiers
+// served in-process (Table II runs a Device over replayed detections). A
+// load generator (loadgen.go) streams windows from many concurrent
+// simulated devices and aggregates live accuracy, delay percentiles,
+// routing mix and throughput.
 //
 // Delay accounting is uniform across schemes: execution time is always the
 // calibrated simulated value (local topology model or the server's ExecMs),
@@ -96,6 +97,12 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+}
+
+// PolicyDriven reports whether the scheme routes by the policy, and so
+// charges the policy overhead to every window's delay.
+func (s Scheme) PolicyDriven() bool {
+	return s == SchemeAdaptive || s == SchemePathological
 }
 
 // AllSchemes lists every live scheme in display order.
@@ -282,7 +289,6 @@ type dispatch struct {
 // run applies scheme s's rule, then totals each window's delay.
 func (b *dispatch) run(s Scheme, outs []Outcome) error {
 	var err error
-	var overhead float64
 	switch s {
 	case SchemeIoT:
 		err = b.judge(hec.LayerIoT, nil, outs)
@@ -294,12 +300,15 @@ func (b *dispatch) run(s Scheme, outs []Outcome) error {
 		err = b.escalate(outs)
 	case SchemeAdaptive, SchemePathological:
 		err = b.route(s == SchemePathological, outs)
-		overhead = b.d.PolicyOverheadMs
 	default:
 		err = fmt.Errorf("cluster: unknown scheme %d", int(s))
 	}
 	if err != nil {
 		return err
+	}
+	var overhead float64
+	if s.PolicyDriven() {
+		overhead = b.d.PolicyOverheadMs
 	}
 	for i := range outs {
 		o := &outs[i]

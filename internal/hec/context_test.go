@@ -82,20 +82,3 @@ func TestPrecomputeDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
-
-// TestEvaluateCancelled aborts the replay loop between samples.
-func TestEvaluateCancelled(t *testing.T) {
-	dep := testDeployment(t)
-	pc, err := Precompute(context.Background(), dep, nil, manySamples(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Evaluate(ctx, Fixed{Layer: LayerIoT}, pc, 5e-4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Evaluate err = %v, want context.Canceled", err)
-	}
-	if _, err := ParallelEvaluate(ctx, AllSchemes(nil), pc, 5e-4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ParallelEvaluate err = %v, want context.Canceled", err)
-	}
-}

@@ -28,7 +28,7 @@ type Deployment struct {
 	// PayloadKB is the uplink payload size per offloaded window.
 	PayloadKB float64
 	// PolicyOverheadMs is the cost of running context extraction plus the
-	// policy network on the IoT device, charged to the Adaptive scheme.
+	// policy network on the IoT device, charged to policy-driven schemes.
 	PolicyOverheadMs float64
 }
 
@@ -53,27 +53,6 @@ func (d *Deployment) RTTMs(layer Layer) (float64, error) {
 	return d.Topology.RTTMs(layer, d.PayloadKB)
 }
 
-// Detect runs detection at one layer and returns the verdict plus the
-// end-to-end delay (network round trip + execution).
-func (d *Deployment) Detect(layer Layer, frames [][]float64) (anomaly.Verdict, float64, error) {
-	if layer < 0 || layer >= NumLayers {
-		return anomaly.Verdict{}, 0, fmt.Errorf("hec: layer %d out of range", int(layer))
-	}
-	v, err := d.Detectors[layer].Detect(frames)
-	if err != nil {
-		return anomaly.Verdict{}, 0, fmt.Errorf("hec: detect at %v: %w", layer, err)
-	}
-	exec, err := d.ExecMs(layer, len(frames))
-	if err != nil {
-		return anomaly.Verdict{}, 0, err
-	}
-	rtt, err := d.RTTMs(layer)
-	if err != nil {
-		return anomaly.Verdict{}, 0, err
-	}
-	return v, rtt + exec, nil
-}
-
 // Outcome is a precomputed per-layer detection result for one sample.
 type Outcome struct {
 	Verdict anomaly.Verdict
@@ -85,10 +64,10 @@ type Outcome struct {
 }
 
 // Precomputed caches every (sample, layer) detection outcome plus each
-// sample's policy context. Detection is deterministic, so schemes and
-// policy training replay these outcomes instead of re-running models —
-// the same trick the paper's authors use when training the policy network
-// offline from logged detections.
+// sample's policy context. Detection is deterministic, so policy training
+// and the Table II scheme runs replay these outcomes instead of re-running
+// models — the same trick the paper's authors use when training the policy
+// network offline from logged detections.
 type Precomputed struct {
 	Samples  []Sample
 	Outcomes [][NumLayers]Outcome

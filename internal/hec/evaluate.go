@@ -1,19 +1,17 @@
 package hec
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/policy"
 )
 
-// Result aggregates a scheme's evaluation over a sample set — one row of
-// the paper's Table II plus the per-sample series behind the Fig. 3b demo
-// panel.
+// Result aggregates a scheme's run over a sample set — one row of the
+// paper's Table II plus the per-sample series behind the Fig. 3b demo
+// panel. Add records the samples in order.
 type Result struct {
 	Scheme string
 	// Confusion holds the detection counts; F1/Accuracy derive from it.
@@ -51,51 +49,18 @@ func (r *Result) LayerShares() [NumLayers]float64 {
 	return shares
 }
 
-// Evaluate runs a scheme over the precomputed sample set. alpha is the
-// dataset's delay-cost weight (5e-4 univariate, 3.5e-4 multivariate).
-// Cancelling ctx aborts the replay loop between samples with ctx.Err().
-func Evaluate(ctx context.Context, s Scheme, pc *Precomputed, alpha float64) (*Result, error) {
-	if len(pc.Samples) == 0 {
-		return nil, fmt.Errorf("hec: evaluating %q on an empty sample set", s.Name())
-	}
-	done := ctx.Done()
-	res := &Result{Scheme: s.Name(), Alpha: alpha}
-	var cum metrics.Cumulative
-	for i, sample := range pc.Samples {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		d, err := s.Decide(pc, i)
-		if err != nil {
-			return nil, fmt.Errorf("hec: %q sample %d: %w", s.Name(), i, err)
-		}
-		pred := d.Verdict.Anomaly
-		res.Confusion.Add(pred, sample.Label)
-		res.Delays.Add(d.DelayMs)
-		res.Reward.Add(policy.Reward(pred == sample.Label, alpha, d.DelayMs))
-		res.Predictions = append(res.Predictions, pred)
-		res.Truths = append(res.Truths, sample.Label)
-		res.DelaysMs = append(res.DelaysMs, d.DelayMs)
-		res.Layers = append(res.Layers, d.Final)
-		cum.Add(pred, sample.Label)
-	}
-	res.AccSeries = cum.AccSeries
-	res.F1Series = cum.F1Series
-	return res, nil
-}
-
-// ParallelEvaluate runs each scheme over the precomputed sample set on its
-// own goroutine and returns the results in scheme order. Schemes only read
-// the precomputed outcomes (and, for Adaptive, run read-only forward passes
-// through the policy network), so concurrent evaluation returns exactly
-// what len(schemes) sequential Evaluate calls would. Cancelling ctx aborts
-// every in-flight evaluation and returns ctx.Err().
-func ParallelEvaluate(ctx context.Context, schemes []Scheme, pc *Precomputed, alpha float64) ([]*Result, error) {
-	return parallel.MapCtx(ctx, 0, len(schemes), func(i int) (*Result, error) {
-		return Evaluate(ctx, schemes[i], pc, alpha)
-	})
+// Add records one sample: its prediction against the truth, its end-to-end
+// delay and the layer whose verdict was kept.
+func (r *Result) Add(pred, truth bool, delayMs float64, l Layer) {
+	r.Confusion.Add(pred, truth)
+	r.Delays.Add(delayMs)
+	r.Reward.Add(policy.Reward(pred == truth, r.Alpha, delayMs))
+	r.Predictions = append(r.Predictions, pred)
+	r.Truths = append(r.Truths, truth)
+	r.DelaysMs = append(r.DelaysMs, delayMs)
+	r.Layers = append(r.Layers, l)
+	r.AccSeries = append(r.AccSeries, r.Confusion.Accuracy())
+	r.F1Series = append(r.F1Series, r.Confusion.F1())
 }
 
 // PolicyConfig parameterises adaptive-policy training.
@@ -165,16 +130,4 @@ func TrainPolicy(pc *Precomputed, cfg PolicyConfig, rng *rand.Rand) (*policy.Net
 		}
 	}
 	return net, nil
-}
-
-// AllSchemes returns the paper's five evaluation schemes given a trained
-// policy (Table II rows, in order).
-func AllSchemes(pol *policy.Network) []Scheme {
-	return []Scheme{
-		Fixed{Layer: LayerIoT},
-		Fixed{Layer: LayerEdge},
-		Fixed{Layer: LayerCloud},
-		Successive{},
-		Adaptive{Policy: pol},
-	}
 }

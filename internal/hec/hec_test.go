@@ -151,23 +151,6 @@ func TestNewDeploymentValidation(t *testing.T) {
 	}
 }
 
-func TestDeploymentDetect(t *testing.T) {
-	dep := testDeployment(t)
-	v, delay, err := dep.Detect(LayerCloud, [][]float64{{0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Anomaly {
-		t.Fatal("cloud fake should flag 0.5")
-	}
-	if delay <= 500 {
-		t.Fatalf("cloud delay %g should exceed the 500 ms RTT", delay)
-	}
-	if _, _, err := dep.Detect(Layer(9), [][]float64{{0}}); err == nil {
-		t.Fatal("bad layer must error")
-	}
-}
-
 func TestPrecomputeShapes(t *testing.T) {
 	dep := testDeployment(t)
 	samples := []Sample{sampleWith(0, false), sampleWith(3, true)}
@@ -198,125 +181,34 @@ func TestPrecomputeShapes(t *testing.T) {
 	}
 }
 
-func TestFixedSchemes(t *testing.T) {
-	dep := testDeployment(t)
-	samples := []Sample{sampleWith(0, false), sampleWith(0.7, true), sampleWith(3, true)}
-	pc, err := Precompute(context.Background(), dep, nil, samples)
-	if err != nil {
-		t.Fatal(err)
+// TestResultAddSeries checks Result.Add's bookkeeping: the running accuracy
+// and F1 after each sample, the final counts, and the per-sample series.
+func TestResultAddSeries(t *testing.T) {
+	r := Result{Alpha: 5e-4}
+	r.Add(true, true, 10, LayerIoT)    // acc 1
+	r.Add(false, true, 260, LayerEdge) // acc 0.5
+	r.Add(true, true, 510, LayerCloud) // acc 2/3
+	if len(r.AccSeries) != 3 || len(r.F1Series) != 3 {
+		t.Fatalf("series lengths %d/%d", len(r.AccSeries), len(r.F1Series))
 	}
-	// IoT (skill 1) misses 0.7; cloud (skill 10) catches it.
-	iot, err := Fixed{Layer: LayerIoT}.Decide(pc, 1)
-	if err != nil {
-		t.Fatal(err)
+	if r.AccSeries[0] != 1 || r.AccSeries[1] != 0.5 {
+		t.Fatalf("acc series = %v", r.AccSeries)
 	}
-	if iot.Verdict.Anomaly {
-		t.Fatal("weak IoT detector should miss the subtle anomaly")
+	if math.Abs(r.AccSeries[2]-2.0/3) > 1e-12 {
+		t.Fatalf("acc[2] = %g", r.AccSeries[2])
 	}
-	cloud, err := Fixed{Layer: LayerCloud}.Decide(pc, 1)
-	if err != nil {
-		t.Fatal(err)
+	if r.Confusion.TP != 2 || r.Confusion.FN != 1 {
+		t.Fatalf("final = %+v", r.Confusion)
 	}
-	if !cloud.Verdict.Anomaly {
-		t.Fatal("cloud detector should catch the subtle anomaly")
+	if r.F1Series[2] != r.Confusion.F1() {
+		t.Fatalf("f1 series ends at %g, final F1 %g", r.F1Series[2], r.Confusion.F1())
 	}
-	if cloud.DelayMs <= iot.DelayMs {
-		t.Fatal("cloud delay must exceed IoT delay")
+	if r.Delays.Count() != 3 || r.DelaysMs[1] != 260 || r.Layers[2] != LayerCloud || r.Predictions[1] || !r.Truths[1] {
+		t.Fatalf("per-sample series = %v %v %v %v", r.DelaysMs, r.Layers, r.Predictions, r.Truths)
 	}
-	if (Fixed{Layer: LayerIoT}).Name() != "IoT Device" || (Fixed{Layer: LayerEdge}).Name() != "Edge" {
-		t.Fatal("scheme names must match Table II labels")
-	}
-}
-
-func TestSuccessiveStopsWhenConfident(t *testing.T) {
-	dep := testDeployment(t)
-	// 3.0 is extreme for the IoT fake (>2/skill=2): confident at layer 0.
-	// 0.7 is invisible to IoT and edge isn't confident (0.7 < 2/2): escalates.
-	samples := []Sample{sampleWith(3, true), sampleWith(0.7, true)}
-	pc, err := Precompute(context.Background(), dep, nil, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d0, err := Successive{}.Decide(pc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d0.Final != LayerIoT {
-		t.Fatalf("extreme sample resolved at %v, want IoT", d0.Final)
-	}
-	if d0.DelayMs != pc.Outcomes[0][LayerIoT].ExecMs {
-		t.Fatalf("IoT-resolved successive delay %g should be exec only", d0.DelayMs)
-	}
-	d1, err := Successive{}.Decide(pc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Final == LayerIoT {
-		t.Fatal("subtle sample should escalate past IoT")
-	}
-	// Delay accumulates exec of all tried layers + RTT of the final.
-	var wantExec float64
-	for l := Layer(0); l <= d1.Final; l++ {
-		wantExec += pc.Outcomes[1][l].ExecMs
-	}
-	if math.Abs(d1.DelayMs-(wantExec+pc.RTTs[d1.Final])) > 1e-9 {
-		t.Fatalf("successive delay %g inconsistent with accumulation %g", d1.DelayMs, wantExec+pc.RTTs[d1.Final])
-	}
-}
-
-func TestAdaptiveRequiresPolicyAndContexts(t *testing.T) {
-	dep := testDeployment(t)
-	pc, err := Precompute(context.Background(), dep, nil, []Sample{sampleWith(0, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (Adaptive{}).Decide(pc, 0); err == nil {
-		t.Fatal("adaptive without a policy must error")
-	}
-	rng := rand.New(rand.NewSource(1))
-	net, err := policy.NewNetwork(1, 8, NumLayers, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (Adaptive{Policy: net}).Decide(pc, 0); err == nil {
-		t.Fatal("adaptive without contexts must error")
-	}
-}
-
-func TestEvaluateAggregates(t *testing.T) {
-	dep := testDeployment(t)
-	samples := []Sample{
-		sampleWith(0, false), sampleWith(0.5, false), sampleWith(3, true), sampleWith(0.7, true),
-	}
-	pc, err := Precompute(context.Background(), dep, nil, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Evaluate(context.Background(), Fixed{Layer: LayerCloud}, pc, 5e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Confusion.Total() != 4 {
-		t.Fatalf("total = %d", res.Confusion.Total())
-	}
-	// Cloud fake flags |v| > 0.1: sample 0.5 becomes a false positive.
-	if res.Confusion.FP != 1 || res.Confusion.TP != 2 || res.Confusion.TN != 1 {
-		t.Fatalf("confusion = %+v", res.Confusion)
-	}
-	if res.Delays.Count() != 4 || len(res.AccSeries) != 4 {
-		t.Fatal("per-sample series incomplete")
-	}
-	// Reward sum: each sample contributes acc − C(delay) with acc ∈ {0,1}.
-	perfect := 3.0 // 3 correct of 4
-	if res.Reward.Sum() >= perfect {
-		t.Fatalf("reward sum %g must be below %g (delay cost)", res.Reward.Sum(), perfect)
-	}
-	shares := res.LayerShares()
-	if shares[LayerCloud] != 1 {
-		t.Fatalf("layer shares = %v, want all cloud", shares)
-	}
-	if _, err := Evaluate(context.Background(), Fixed{Layer: LayerIoT}, &Precomputed{}, 5e-4); err == nil {
-		t.Fatal("empty sample set must error")
+	want := policy.Reward(true, 5e-4, 10) + policy.Reward(false, 5e-4, 260) + policy.Reward(true, 5e-4, 510)
+	if math.Abs(r.Reward.Sum()-want) > 1e-12 {
+		t.Fatalf("reward sum %g, want %g", r.Reward.Sum(), want)
 	}
 }
 
@@ -351,23 +243,32 @@ func TestTrainPolicyLearnsHardnessRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	adaptive, err := Evaluate(context.Background(), Adaptive{Policy: pol}, pc, cfg.Alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixedSchemes := []Scheme{Fixed{LayerIoT}, Fixed{LayerEdge}, Fixed{LayerCloud}}
-	for _, s := range fixedSchemes {
-		fixed, err := Evaluate(context.Background(), s, pc, cfg.Alpha)
+	// Replay the greedy policy and each fixed layer over the training
+	// outcomes: summed reward, mean delay and the policy's layer shares.
+	var adaptive, adaptiveDelay float64
+	var fixed, fixedDelay [NumLayers]float64
+	var shares [NumLayers]float64
+	for i, sample := range pc.Samples {
+		a, err := pol.Greedy(pc.Contexts[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if adaptive.Reward.Sum() <= fixed.Reward.Sum() {
-			t.Fatalf("adaptive reward %g not above %s reward %g",
-				adaptive.Reward.Sum(), s.Name(), fixed.Reward.Sum())
+		o := pc.Outcomes[i][a]
+		delay := pc.PolicyOverheadMs + o.E2EMs
+		adaptive += policy.Reward(o.Verdict.Anomaly == sample.Label, cfg.Alpha, delay)
+		adaptiveDelay += delay / float64(len(pc.Samples))
+		shares[a] += 1 / float64(len(pc.Samples))
+		for l, o := range pc.Outcomes[i] {
+			fixed[l] += policy.Reward(o.Verdict.Anomaly == sample.Label, cfg.Alpha, o.E2EMs)
+			fixedDelay[l] += o.E2EMs / float64(len(pc.Samples))
+		}
+	}
+	for l := Layer(0); l < NumLayers; l++ {
+		if adaptive <= fixed[l] {
+			t.Fatalf("adaptive reward %g not above %v reward %g", adaptive, l, fixed[l])
 		}
 	}
 	// The policy should use more than one layer.
-	shares := adaptive.LayerShares()
 	used := 0
 	for _, sh := range shares {
 		if sh > 0.05 {
@@ -378,10 +279,8 @@ func TestTrainPolicyLearnsHardnessRouting(t *testing.T) {
 		t.Fatalf("policy collapsed to one layer: shares %v", shares)
 	}
 	// And its delay should be far below always-cloud.
-	cloud, _ := Evaluate(context.Background(), Fixed{LayerCloud}, pc, cfg.Alpha)
-	if adaptive.Delays.Mean() >= cloud.Delays.Mean() {
-		t.Fatalf("adaptive mean delay %g not below cloud %g",
-			adaptive.Delays.Mean(), cloud.Delays.Mean())
+	if adaptiveDelay >= fixedDelay[LayerCloud] {
+		t.Fatalf("adaptive mean delay %g not below cloud %g", adaptiveDelay, fixedDelay[LayerCloud])
 	}
 }
 
@@ -399,21 +298,6 @@ func TestTrainPolicyValidation(t *testing.T) {
 	bad.Epochs = 0
 	if _, err := TrainPolicy(pc, bad, rng); err == nil {
 		t.Fatal("zero epochs must be rejected")
-	}
-}
-
-func TestAllSchemes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	net, _ := policy.NewNetwork(1, 4, NumLayers, rng)
-	schemes := AllSchemes(net)
-	if len(schemes) != 5 {
-		t.Fatalf("%d schemes, want 5", len(schemes))
-	}
-	names := []string{"IoT Device", "Edge", "Cloud", "Successive", "Our Method"}
-	for i, s := range schemes {
-		if s.Name() != names[i] {
-			t.Fatalf("scheme %d = %q, want %q", i, s.Name(), names[i])
-		}
 	}
 }
 

@@ -86,42 +86,3 @@ func TestPrecomputeParallelPropagatesErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelEvaluateMatchesSequential checks the five schemes evaluated
-// concurrently return exactly the sequential results, in order.
-func TestParallelEvaluateMatchesSequential(t *testing.T) {
-	dep := testDeployment(t)
-	samples := manySamples(300)
-	pc, err := Precompute(context.Background(), dep, constExtractor{}, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	cfg := DefaultPolicyConfig(5e-4)
-	cfg.Epochs = 3
-	pol, err := TrainPolicy(pc, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := AllSchemes(pol)
-	want := make([]*Result, len(schemes))
-	for i, s := range schemes {
-		r, err := Evaluate(context.Background(), s, pc, cfg.Alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-	got, err := ParallelEvaluate(context.Background(), schemes, pc, cfg.Alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("scheme %q diverges under parallel evaluation", schemes[i].Name())
-		}
-	}
-}

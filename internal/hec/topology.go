@@ -1,8 +1,9 @@
 // Package hec models the paper's three-layer hierarchical edge computing
 // testbed — IoT device (Raspberry Pi 3), edge server (Jetson TX2) and cloud
-// (GPU Devbox) — and implements the five model-selection schemes evaluated
-// in Table II: IoT Device, Edge, Cloud, Successive, and the proposed
-// Adaptive scheme.
+// (GPU Devbox) — deploys one detector per layer, precomputes every
+// (sample, layer) detection, and trains the proposed scheme's policy by
+// REINFORCE over those detections. The schemes themselves run in
+// internal/cluster, the one engine behind both Table II and live serving.
 //
 // Execution times come from a calibrated compute model (per-model FLOPs ÷
 // per-device throughput); network delays come from a per-hop latency model

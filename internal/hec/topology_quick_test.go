@@ -63,34 +63,3 @@ func TestQuickExecTimeLinearInFlops(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: for any outcome set, the Successive scheme's delay is at least
-// the IoT execution time and at most the sum of all executions plus the
-// top-layer RTT.
-func TestQuickSuccessiveDelayBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pc := &Precomputed{
-			Samples:  []Sample{{Frames: [][]float64{{0}}, Label: rng.Intn(2) == 0}},
-			Outcomes: make([][NumLayers]Outcome, 1),
-		}
-		var execSum float64
-		for l := 0; l < NumLayers; l++ {
-			exec := rng.Float64() * 100
-			execSum += exec
-			pc.Outcomes[0][l] = Outcome{ExecMs: exec}
-			pc.Outcomes[0][l].Verdict.Confident = rng.Intn(2) == 0
-			pc.RTTs[l] = float64(l) * 250
-		}
-		d, err := (Successive{}).Decide(pc, 0)
-		if err != nil {
-			return false
-		}
-		lo := pc.Outcomes[0][LayerIoT].ExecMs
-		hi := execSum + pc.RTTs[NumLayers-1]
-		return d.DelayMs >= lo-1e-9 && d.DelayMs <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

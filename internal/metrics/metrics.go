@@ -1,7 +1,6 @@
 // Package metrics provides the evaluation measures reported in the paper's
-// tables and demo panel: accuracy, F1-score, detection-delay statistics,
-// the summed reward of Table II, and cumulative trackers for the streaming
-// result panel (Fig. 3b).
+// tables and demo panel: accuracy, F1-score, detection-delay statistics and
+// the summed reward of Table II.
 package metrics
 
 import (
@@ -170,24 +169,6 @@ func (d *DelayStats) Percentile(p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Cumulative tracks the streaming accuracy/F1 series displayed on the demo
-// result panel: after every sample it snapshots the running metrics.
-type Cumulative struct {
-	conf      Confusion
-	AccSeries []float64
-	F1Series  []float64
-}
-
-// Add records one prediction and appends the running metrics to the series.
-func (c *Cumulative) Add(predicted, actual bool) {
-	c.conf.Add(predicted, actual)
-	c.AccSeries = append(c.AccSeries, c.conf.Accuracy())
-	c.F1Series = append(c.F1Series, c.conf.F1())
-}
-
-// Final returns the confusion matrix after all samples.
-func (c *Cumulative) Final() Confusion { return c.conf }
 
 // RewardSum accumulates the per-sample rewards whose total is the paper's
 // Table II "Reward" column (see DESIGN.md §3).

@@ -89,26 +89,6 @@ func TestDelayStats(t *testing.T) {
 	}
 }
 
-func TestCumulativeSeries(t *testing.T) {
-	var c Cumulative
-	c.Add(true, true)  // acc 1
-	c.Add(false, true) // acc 0.5
-	c.Add(true, true)  // acc 2/3
-	if len(c.AccSeries) != 3 || len(c.F1Series) != 3 {
-		t.Fatalf("series lengths %d/%d", len(c.AccSeries), len(c.F1Series))
-	}
-	if c.AccSeries[0] != 1 || c.AccSeries[1] != 0.5 {
-		t.Fatalf("acc series = %v", c.AccSeries)
-	}
-	if math.Abs(c.AccSeries[2]-2.0/3) > 1e-12 {
-		t.Fatalf("acc[2] = %g", c.AccSeries[2])
-	}
-	final := c.Final()
-	if final.TP != 2 || final.FN != 1 {
-		t.Fatalf("final = %+v", final)
-	}
-}
-
 func TestRewardSum(t *testing.T) {
 	var r RewardSum
 	if r.Mean() != 0 {

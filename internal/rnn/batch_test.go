@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/mat"
@@ -151,7 +152,11 @@ func TestInferenceAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The best of several rounds: a goroutine that moves to another P
-			// misses its pooled scratch now and then.
+			// misses its pooled scratch now and then. The collector is off
+			// while counting: each cycle empties the sync.Pools, and the
+			// per-P arrays they rebuild on the next Get would count against
+			// the call — at batch 32 a round spans a cycle or more.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			const rounds, runs = 5, 5
 			best := uint64(math.MaxUint64)
 			for range rounds {

@@ -74,9 +74,9 @@ func fastMultivariateOptions() MultivariateOptions {
 // buildMultivariate is the unified builder's multivariate backend: it
 // generates the MHEALTH-like dataset, trains the three seq2seq detectors,
 // deploys them across the HEC topology, trains the adaptive policy, and
-// precomputes test-split detections; see buildUnivariate for the ctx and
-// engine-option contract.
-func buildMultivariate(ctx context.Context, opt MultivariateOptions, eng engineOptions) (*System, error) {
+// precomputes test-split detections; see buildUnivariate for the ctx
+// contract.
+func buildMultivariate(ctx context.Context, opt MultivariateOptions) (*System, error) {
 	ds, err := dataset.GenerateMHealth(opt.Data)
 	if err != nil {
 		// Generation only fails on an invalid Data configuration, which is
@@ -143,7 +143,7 @@ func buildMultivariate(ctx context.Context, opt MultivariateOptions, eng engineO
 		g      parallel.Group
 	)
 	g.Go(func() error {
-		policyPC, err := hec.PrecomputeWith(ctx, dep, ext, policySamples, eng.precompute())
+		policyPC, err := hec.Precompute(ctx, dep, ext, policySamples)
 		if err != nil {
 			return fmt.Errorf("repro: precomputing policy split: %w", err)
 		}
@@ -155,7 +155,7 @@ func buildMultivariate(ctx context.Context, opt MultivariateOptions, eng engineO
 	})
 	g.Go(func() error {
 		var err error
-		testPC, err = hec.PrecomputeWith(ctx, dep, ext, testSamples, eng.precompute())
+		testPC, err = hec.Precompute(ctx, dep, ext, testSamples)
 		if err != nil {
 			return fmt.Errorf("repro: precomputing test split: %w", err)
 		}

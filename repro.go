@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/autoencoder"
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/hec"
@@ -168,25 +169,39 @@ func (s *System) ModelRows() []ModelRow {
 	return rows
 }
 
-// SchemeRows regenerates Table II: the five schemes evaluated on the test
-// split with this system's α. The schemes run concurrently (they replay
-// read-only precomputed outcomes), which is the ParallelEvaluate engine;
-// rows come back in the paper's scheme order regardless.
+// tableII lists the paper's Table II schemes in its row order.
+var tableII = []Scheme{SchemeIoT, SchemeEdge, SchemeCloud, SchemeSuccessive, SchemeAdaptive}
+
+// tableLabel is scheme s's Table II row label; the paper calls its own
+// method "Our Method".
+func tableLabel(s Scheme) string {
+	if s == SchemeAdaptive {
+		return "Our Method"
+	}
+	return s.String()
+}
+
+// SchemeRows regenerates Table II: the paper's five schemes run over the
+// test split with this system's α, in the paper's row order. Each row is a
+// ResultPanel.
 func (s *System) SchemeRows() ([]SchemeRow, error) {
 	return s.SchemeRowsContext(context.Background())
 }
 
 // SchemeRowsContext is SchemeRows with cancellation: a done ctx aborts the
-// concurrent scheme replays and returns an error satisfying
-// errors.Is(err, ErrCanceled) (or ErrDeadline) and ctx.Err().
+// scheme runs and returns an error satisfying errors.Is(err, ErrCanceled)
+// (or ErrDeadline) and ctx.Err().
 func (s *System) SchemeRowsContext(ctx context.Context) ([]SchemeRow, error) {
-	schemes := hec.AllSchemes(s.Policy)
-	results, err := hec.ParallelEvaluate(ctx, schemes, s.testPC, s.Alpha)
+	dev, err := s.replayDevice()
 	if err != nil {
 		return nil, wrapErr("evaluating schemes", err)
 	}
-	rows := make([]SchemeRow, 0, len(results))
-	for _, res := range results {
+	rows := make([]SchemeRow, 0, len(tableII))
+	for _, scheme := range tableII {
+		res, err := s.panel(ctx, dev, scheme)
+		if err != nil {
+			return nil, wrapErr("evaluating schemes", err)
+		}
 		rows = append(rows, SchemeRow{
 			Scheme:      res.Scheme,
 			F1:          res.Confusion.F1(),
@@ -200,10 +215,115 @@ func (s *System) SchemeRowsContext(ctx context.Context) ([]SchemeRow, error) {
 	return rows, nil
 }
 
-// ResultPanel evaluates one scheme and returns its full per-sample series —
-// the data behind the demo's streaming result panel (Fig. 3b).
-func (s *System) ResultPanel(scheme hec.Scheme) (*hec.Result, error) {
-	return hec.Evaluate(context.Background(), scheme, s.testPC, s.Alpha)
+// ResultPanel runs one scheme over the test split and returns its full
+// per-sample series — the data behind the demo's streaming result panel
+// (Fig. 3b). The scheme runs on the device Open builds, through the same
+// dispatch a Session uses, over detectors that answer each test window with
+// the verdict the build precomputed for it. A window's delay is the
+// execution time of every layer tried plus one round trip to the layer
+// whose verdict was kept, plus the policy overhead for a policy-driven
+// scheme. Every scheme but Successive is billed as a Session bills it;
+// Successive skips the round trips of the offloads below its final layer.
+func (s *System) ResultPanel(scheme Scheme) (*hec.Result, error) {
+	dev, err := s.replayDevice()
+	if err != nil {
+		return nil, wrapErr("result panel", err)
+	}
+	res, err := s.panel(context.Background(), dev, scheme)
+	return res, wrapErr("result panel", err)
+}
+
+// panel runs scheme over the test split on dev, a replayDevice, and totals
+// its Table II row.
+func (s *System) panel(ctx context.Context, dev *cluster.Device, scheme Scheme) (*hec.Result, error) {
+	pc := s.testPC
+	if len(pc.Samples) == 0 {
+		return nil, fmt.Errorf("running %v on an empty test split", scheme)
+	}
+	windows := make([][][]float64, len(pc.Samples))
+	for i, sample := range pc.Samples {
+		windows[i] = sample.Frames
+	}
+	outs, err := dev.RunBatch(ctx, scheme, windows)
+	if err != nil {
+		return nil, err
+	}
+	res := &hec.Result{Scheme: tableLabel(scheme), Alpha: s.Alpha}
+	for i, out := range outs {
+		delay := out.ExecMs + pc.RTTs[out.Layer]
+		if scheme.PolicyDriven() {
+			delay = pc.PolicyOverheadMs + delay
+		}
+		res.Add(out.Verdict.Anomaly, pc.Samples[i].Label, delay, out.Layer)
+	}
+	return res, nil
+}
+
+// replayDevice is the device Open builds, with every deployed detector
+// replaced by a replayed one and the extractor by the precomputed contexts.
+func (s *System) replayDevice() (*cluster.Device, error) {
+	r := &replay{Extractor: s.Extractor, pc: s.testPC, at: make(map[*[]float64]int, len(s.testPC.Samples))}
+	for i, sample := range s.testPC.Samples {
+		if len(sample.Frames) > 0 {
+			r.at[&sample.Frames[0]] = i
+		}
+	}
+	dep := *s.Deployment
+	for l, det := range dep.Detectors {
+		dep.Detectors[l] = replayed{Detector: det, r: r, layer: hec.Layer(l)}
+	}
+	return s.device(&dep, r)
+}
+
+// replay serves the test split's precomputed detections by window
+// identity: a test window is known by the address of its first frame. As
+// the extractor, it returns each window's precomputed context; Dim stays
+// the deployed extractor's.
+type replay struct {
+	features.Extractor
+	pc *hec.Precomputed
+	at map[*[]float64]int
+}
+
+// sample is the test-split index of the window frames.
+func (r *replay) sample(frames [][]float64) (int, error) {
+	if len(frames) > 0 {
+		if i, ok := r.at[&frames[0]]; ok {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("window is not in the test split")
+}
+
+// Context implements features.Extractor.
+func (r *replay) Context(frames [][]float64) ([]float64, error) {
+	i, err := r.sample(frames)
+	if err != nil {
+		return nil, err
+	}
+	if r.pc.Contexts == nil {
+		return nil, fmt.Errorf("the test split has no precomputed contexts")
+	}
+	return r.pc.Contexts[i], nil
+}
+
+// replayed is a deployed detector that answers each test window with the
+// verdict precomputed at its layer. It embeds the deployed detector, so its
+// name, size and FlopsPerWindow — hence every execution time — are the
+// deployed model's.
+type replayed struct {
+	anomaly.Detector
+	r     *replay
+	layer hec.Layer
+}
+
+// Detect implements anomaly.Detector.
+func (d replayed) Detect(frames [][]float64) (anomaly.Verdict, error) {
+	i, err := d.r.sample(frames)
+	if err != nil {
+		return anomaly.Verdict{}, err
+	}
+	return d.r.pc.Outcomes[i][d.layer].Verdict, nil
 }
 
 // UniSampleFrames converts a weekly univariate sample into the T×1 frame

@@ -202,7 +202,7 @@ func TestResultPanelSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ResultPanel(hec.Successive{})
+	res, err := sys.ResultPanel(SchemeSuccessive)
 	if err != nil {
 		t.Fatal(err)
 	}

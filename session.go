@@ -10,6 +10,7 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
+	"repro/internal/features"
 	"repro/internal/hec"
 	"repro/internal/routing"
 	"repro/internal/transport"
@@ -429,22 +430,11 @@ func (s *System) Open(scheme Scheme, opts ...SessionOption) (*Session, error) {
 		}
 	}
 
-	localDet := s.Deployment.Detectors[hec.LayerIoT]
-	localExec, err := s.Deployment.Topology.ExecTimeFunc(hec.LayerIoT, localDet, s.Deployment.Recurrent)
+	dev, err := s.device(s.Deployment, s.Extractor)
 	if err != nil {
 		return nil, wrapErr("open session", err)
 	}
-	sess := &Session{
-		scheme: scheme,
-		dep:    s.Deployment,
-		dev: &cluster.Device{
-			Local:            localDet,
-			LocalExecMs:      localExec,
-			Policy:           s.Policy,
-			Extractor:        s.Extractor,
-			PolicyOverheadMs: s.Deployment.PolicyOverheadMs,
-		},
-	}
+	sess := &Session{scheme: scheme, dep: s.Deployment, dev: dev}
 	for l := hec.LayerEdge; l < hec.NumLayers; l++ {
 		switch {
 		case cfg.remotes[l] != nil:
@@ -504,11 +494,28 @@ func (s *System) Open(scheme Scheme, opts ...SessionOption) (*Session, error) {
 			}
 			sess.dev.Remotes[l] = pool
 			sess.owned = append(sess.owned, pool)
-		default:
-			sess.dev.Remotes[l] = localRemote{dep: s.Deployment, layer: l}
 		}
 	}
 	return sess, nil
+}
+
+// device is the in-process device Open starts from and Table II runs on:
+// dep's IoT detector on the device, each offload tier served in-process by
+// localRemote over dep, and the system's policy routing on ext's contexts.
+func (s *System) device(dep *hec.Deployment, ext features.Extractor) (*cluster.Device, error) {
+	local := dep.Detectors[hec.LayerIoT]
+	execMs, err := dep.Topology.ExecTimeFunc(hec.LayerIoT, local, dep.Recurrent)
+	if err != nil {
+		return nil, err
+	}
+	dev := &cluster.Device{Local: local, LocalExecMs: execMs, Extractor: ext, PolicyOverheadMs: dep.PolicyOverheadMs}
+	if s.Policy != nil { // a nil *policy.Network must not become a non-nil PolicySource
+		dev.Policy = s.Policy
+	}
+	for l := hec.LayerEdge; l < hec.NumLayers; l++ {
+		dev.Remotes[l] = localRemote{dep: dep, layer: l}
+	}
+	return dev, nil
 }
 
 // Scheme returns the routing scheme the session was opened with.
@@ -698,11 +705,11 @@ func fromOutcome(out cluster.Outcome) Detection {
 // localRemote serves a tier in-process for sessions opened without a wire
 // remote: the deployed detector judges the window, execution time comes
 // from the calibrated topology model, and network time is the simulated
-// round trip, as in Precompute. Delays agree with the batch reports except
-// Successive's: the live ladder pays the round trip of every offload it
-// tried, the replay only the stopping layer's (see ARCHITECTURE.md §5).
-// Batch dispatches charge the round trip once per batch, mirroring the wire
-// batch RPC.
+// round trip, as in Precompute. Delays agree with Table II except
+// Successive's: a session pays the round trip of every offload it tried,
+// Table II only the stopping layer's (see ARCHITECTURE.md §5). Batch
+// dispatches charge the round trip once per batch, mirroring the wire batch
+// RPC.
 type localRemote struct {
 	dep   *hec.Deployment
 	layer hec.Layer

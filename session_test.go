@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/hec"
 	"repro/internal/transport"
 )
@@ -80,57 +81,94 @@ func TestSessionFixedSchemesMatchPrecomputed(t *testing.T) {
 	}
 }
 
-// TestSessionAdaptiveMatchesResultPanel checks the adaptive session agrees
-// with the simulator's replay: same routing, same verdicts, same delays
-// (policy overhead included).
-func TestSessionAdaptiveMatchesResultPanel(t *testing.T) {
-	sys := fastUniSystem(t)
-	res, err := sys.ResultPanel(hec.Adaptive{Policy: sys.Policy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := sys.Open(SchemeAdaptive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	ctx := context.Background()
-	for i := 0; i < 20 && i < len(sys.TestSamples); i++ {
-		det, err := sess.Detect(ctx, sys.TestSamples[i].Frames)
-		if err != nil {
-			t.Fatalf("sample %d: %v", i, err)
-		}
-		if det.Anomaly != res.Predictions[i] || det.Layer != res.Layers[i] {
-			t.Fatalf("sample %d: session (%v, %v) vs panel (%v, %v)",
-				i, det.Anomaly, det.Layer, res.Predictions[i], res.Layers[i])
-		}
-		if det.DelayMs != res.DelaysMs[i] {
-			t.Fatalf("sample %d: delay %g, want %g", i, det.DelayMs, res.DelaysMs[i])
+// TestSessionMatchesResultPanel checks a session of every scheme against
+// the scheme's ResultPanel, window for window, on both fast systems (see
+// sessionMatchesResultPanel). The three pairs with a test of their own
+// below are left out here.
+func TestSessionMatchesResultPanel(t *testing.T) {
+	for _, sys := range []*System{fastUniSystem(t), fastMultiSystem(t)} {
+		for _, scheme := range cluster.AllSchemes() {
+			if scheme == SchemeAdaptive || sys.Kind == Univariate && scheme == SchemeSuccessive {
+				continue
+			}
+			t.Run(sys.Kind.String()+"/"+scheme.String(), func(t *testing.T) {
+				sessionMatchesResultPanel(t, sys, scheme)
+			})
 		}
 	}
 }
 
-// TestSessionSuccessiveMatchesResultPanel pins how the live Successive
-// scheme relates to the simulator's replay. Verdicts and stopping layers
-// agree window for window; delays do not, by design. The live path charges
-// the round trip of every offload it tried, the replay only the stopping
-// layer's, so live = replay + the round trips of the offload layers tried
-// below the final one.
+// TestSessionAdaptiveMatchesResultPanel checks the univariate adaptive
+// session against its ResultPanel: same routing, verdicts and delays,
+// policy overhead included.
+func TestSessionAdaptiveMatchesResultPanel(t *testing.T) {
+	sessionMatchesResultPanel(t, fastUniSystem(t), SchemeAdaptive)
+}
+
+// TestSessionSuccessiveMatchesResultPanel pins how the univariate live
+// Successive scheme relates to its ResultPanel: verdicts and stopping layers
+// agree, and live delay = panel delay + the round trips of the offloads
+// tried below the final layer.
 func TestSessionSuccessiveMatchesResultPanel(t *testing.T) {
-	sys := fastUniSystem(t)
-	pc := sys.Precomputed()
-	res, err := sys.ResultPanel(hec.Successive{})
+	sessionMatchesResultPanel(t, fastUniSystem(t), SchemeSuccessive)
+}
+
+// TestSessionAdaptiveMultivariateMatchesResultPanel checks the multivariate
+// adaptive session against its ResultPanel, on a policy that splits the
+// test split across layers.
+func TestSessionAdaptiveMultivariateMatchesResultPanel(t *testing.T) {
+	sessionMatchesResultPanel(t, fastMultiSystem(t), SchemeAdaptive)
+}
+
+// sessionMatchesResultPanel checks a session of scheme on sys against the
+// scheme's ResultPanel, window for window. Verdicts and layers agree
+// everywhere, and so do delays, policy overhead included, except
+// Successive's: a session pays the round trip of every offload it tried,
+// the panel only the stopping layer's, so live = panel + the round trips of
+// the offload layers below the final one. DetectBatch judges and routes as
+// Detect does and shares each offload's round trip across the windows that
+// rode it.
+func sessionMatchesResultPanel(t *testing.T, sys *System, scheme Scheme) {
+	t.Helper()
+	ctx := context.Background()
+	rtts := sys.Precomputed().RTTs
+	windows := make([][][]float64, len(sys.TestSamples))
+	for i, s := range sys.TestSamples {
+		windows[i] = s.Frames
+	}
+	res, err := sys.ResultPanel(scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := sys.Open(SchemeSuccessive)
+	// offloads reports whether a window kept at final went
+	// through layer l's offload, and rode[l] counts those that did.
+	offloads := func(l, final Layer) bool {
+		return l > LayerIoT && (l == final || scheme == SchemeSuccessive && l < final)
+	}
+	var rode [hec.NumLayers]int
+	perLayer := map[Layer]int{}
+	for _, final := range res.Layers {
+		perLayer[final]++
+		for l := LayerIoT; l < hec.NumLayers; l++ {
+			if offloads(l, final) {
+				rode[l]++
+			}
+		}
+	}
+	if sys.Kind == Multivariate && scheme == SchemeAdaptive && len(perLayer) < 2 {
+		t.Fatalf("the policy sends every window to one layer (%v); the test lost its split", perLayer)
+	}
+	sess, err := sys.Open(scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	ctx := context.Background()
-	for i, sample := range sys.TestSamples {
-		det, err := sess.Detect(ctx, sample.Frames)
+	batch, err := sess.DetectBatch(ctx, windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range windows {
+		det, err := sess.Detect(ctx, w)
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
@@ -138,13 +176,29 @@ func TestSessionSuccessiveMatchesResultPanel(t *testing.T) {
 			t.Fatalf("sample %d: session (%v, %v) vs panel (%v, %v)",
 				i, det.Anomaly, det.Layer, res.Predictions[i], res.Layers[i])
 		}
-		var extra float64
-		for l := LayerEdge; l < det.Layer; l++ {
-			extra += pc.RTTs[l]
+		var earlier, shared float64
+		for l := LayerIoT; l < hec.NumLayers; l++ {
+			if offloads(l, det.Layer) {
+				shared += rtts[l]/float64(rode[l]) - rtts[l]
+				if l < det.Layer {
+					earlier += rtts[l]
+				}
+			}
 		}
-		if want := res.DelaysMs[i] + extra; math.Abs(det.DelayMs-want) > 1e-9 {
-			t.Fatalf("sample %d at %v: live delay %g, want replay %g + %g of earlier offloads",
-				i, det.Layer, det.DelayMs, res.DelaysMs[i], extra)
+		if scheme != SchemeSuccessive && det.DelayMs != res.DelaysMs[i] {
+			t.Fatalf("sample %d: delay %g, want %g", i, det.DelayMs, res.DelaysMs[i])
+		}
+		if want := res.DelaysMs[i] + earlier; math.Abs(det.DelayMs-want) > 1e-9 {
+			t.Fatalf("sample %d at %v: live delay %g, want panel %g + %g of earlier offloads",
+				i, det.Layer, det.DelayMs, res.DelaysMs[i], earlier)
+		}
+		b := batch[i]
+		if b.Anomaly != det.Anomaly || b.Confident != det.Confident || b.Layer != det.Layer {
+			t.Fatalf("sample %d: DetectBatch (%v, %v, %v) vs Detect (%v, %v, %v)",
+				i, b.Anomaly, b.Confident, b.Layer, det.Anomaly, det.Confident, det.Layer)
+		}
+		if want := det.DelayMs + shared; math.Abs(b.DelayMs-want) > 1e-9 {
+			t.Fatalf("sample %d at %v: DetectBatch delay %g, want %g", i, b.Layer, b.DelayMs, want)
 		}
 	}
 }

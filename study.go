@@ -61,8 +61,8 @@ type HardnessCount struct {
 
 // The Table II rows the headline comparison and Fig. 3b read.
 var (
-	ourMethod = hec.Adaptive{}.Name()
-	cloudOnly = hec.Fixed{Layer: hec.LayerCloud}.Name()
+	ourMethod = tableLabel(SchemeAdaptive)
+	cloudOnly = tableLabel(SchemeCloud)
 )
 
 // Run builds every (kind, seed) pair through BuildContext, at most

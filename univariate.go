@@ -63,12 +63,11 @@ func fastUnivariateOptions() UnivariateOptions {
 // buildUnivariate is the unified builder's univariate backend: it
 // generates the power-demand dataset, trains the three autoencoder
 // detectors, deploys them across the HEC topology, trains the adaptive
-// policy on the policy split, and precomputes test-split detections. eng
-// carries the engine knobs (precompute workers / batch size) that are not
-// part of the model configuration. Cancelling ctx aborts the build at the
-// next stage boundary (between tier trainings, or inside either precompute
-// pass) with an error satisfying errors.Is(err, ctx.Err()).
-func buildUnivariate(ctx context.Context, opt UnivariateOptions, eng engineOptions) (*System, error) {
+// policy on the policy split, and precomputes test-split detections.
+// Cancelling ctx aborts the build at the next stage boundary (between tier
+// trainings, or inside either precompute pass) with an error satisfying
+// errors.Is(err, ctx.Err()).
+func buildUnivariate(ctx context.Context, opt UnivariateOptions) (*System, error) {
 	ds, err := dataset.GeneratePower(opt.Data)
 	if err != nil {
 		// Generation only fails on an invalid Data configuration, which is
@@ -126,7 +125,7 @@ func buildUnivariate(ctx context.Context, opt UnivariateOptions, eng engineOptio
 		g      parallel.Group
 	)
 	g.Go(func() error {
-		policyPC, err := hec.PrecomputeWith(ctx, dep, ext, policySamples, eng.precompute())
+		policyPC, err := hec.Precompute(ctx, dep, ext, policySamples)
 		if err != nil {
 			return fmt.Errorf("repro: precomputing policy split: %w", err)
 		}
@@ -138,7 +137,7 @@ func buildUnivariate(ctx context.Context, opt UnivariateOptions, eng engineOptio
 	})
 	g.Go(func() error {
 		var err error
-		testPC, err = hec.PrecomputeWith(ctx, dep, ext, testSamples, eng.precompute())
+		testPC, err = hec.Precompute(ctx, dep, ext, testSamples)
 		if err != nil {
 			return fmt.Errorf("repro: precomputing test split: %w", err)
 		}
