@@ -368,8 +368,7 @@ func benchWorkload(reps, devices, rounds int) (BenchResult, error) {
 	run := func(p workload.Pattern) func() error {
 		return func() error {
 			_, err := cluster.RunFleet(context.Background(), dev, samples, cluster.FleetConfig{
-				Cohorts: []workload.Cohort{{Scheme: "iot", Devices: devices, Rounds: rounds, Pattern: p}},
-				Seed:    1,
+				Cohorts: []cluster.Cohort{{Scheme: cluster.SchemeIoT, Devices: devices, Rounds: rounds, Pattern: p}},
 			})
 			return err
 		}

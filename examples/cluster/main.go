@@ -262,10 +262,10 @@ func run(ctx context.Context, devices, rounds, scale, poolSize, replicas int, po
 	}
 
 	if elastic {
-		return runAutoscale(ctx, dev, cloudSet, detectors[hec.LayerCloud], top, testSamples, devices, rounds, seed)
+		return runAutoscale(ctx, dev, cloudSet, detectors[hec.LayerCloud], top, testSamples, devices, rounds)
 	}
 	if scenario != "" {
-		return runScenario(ctx, dev, edgeSet, edgeSrvs, testSamples, scenario, devices, rounds, seed)
+		return runScenario(ctx, dev, edgeSet, edgeSrvs, testSamples, scenario, devices, rounds)
 	}
 
 	fmt.Printf("\nlive run: %d devices × %d rounds × %d windows, link delays scaled 1/%d\n",
@@ -275,17 +275,13 @@ func run(ctx context.Context, devices, rounds, scale, poolSize, replicas int, po
 	}
 	fmt.Println()
 	for _, scheme := range cluster.AllSchemes() {
-		st, err := cluster.Run(ctx, dev, testSamples, cluster.Config{
-			Scheme:    scheme,
-			Devices:   devices,
-			Rounds:    rounds,
-			Alpha:     5e-4,
-			BatchSize: batch,
+		fs, err := cluster.RunFleet(ctx, dev, testSamples, cluster.FleetConfig{
+			Cohorts: []cluster.Cohort{{Scheme: scheme, Devices: devices, Rounds: rounds, Alpha: 5e-4, BatchSize: batch}},
 		})
 		if err != nil {
 			return fmt.Errorf("running %v live: %w", scheme, err)
 		}
-		fmt.Println(st)
+		fmt.Println(fs.Cohorts[0])
 	}
 	fmt.Println("\n(Pathological routes every window to the policy's least-preferred layer;")
 	fmt.Println(" healthy live metrics must show it losing to Adaptive on delay and reward.)")
@@ -310,7 +306,7 @@ func run(ctx context.Context, devices, rounds, scale, poolSize, replicas int, po
 // run's report shows the per-cohort live metrics plus the routing
 // layer's per-replica view of the faults: requests, failures, expels
 // and readmits on the victim, the survivors carrying the traffic.
-func runScenario(ctx context.Context, dev *cluster.Device, edgeSet *routing.ReplicaSet, edgeSrvs []*transport.Server, samples []hec.Sample, name string, devices, rounds int, seed int64) error {
+func runScenario(ctx context.Context, dev *cluster.Device, edgeSet *routing.ReplicaSet, edgeSrvs []*transport.Server, samples []hec.Sample, name string, devices, rounds int) error {
 	if len(edgeSrvs) < 2 {
 		return fmt.Errorf("scenario %q needs ≥2 in-process edge replicas (got %d): raise -replicas and drop -edge", name, len(edgeSrvs))
 	}
@@ -355,10 +351,10 @@ func runScenario(ctx context.Context, dev *cluster.Device, edgeSet *routing.Repl
 		return fmt.Errorf("unknown scenario %q (spike-kill | straggler | flap)", name)
 	}
 
-	cohorts := []workload.Cohort{
-		{Name: "edge", Scheme: "edge", Devices: edgeDev, Rounds: rounds, Alpha: 5e-4, Pattern: edgePattern},
-		{Name: "cloud", Scheme: "cloud", Devices: cloudDev, Rounds: rounds, Alpha: 5e-4},
-		{Name: "adaptive", Scheme: "adaptive", Devices: adaptDev, Rounds: rounds, Alpha: 5e-4},
+	cohorts := []cluster.Cohort{
+		{Name: "edge", Scheme: cluster.SchemeEdge, Devices: edgeDev, Rounds: rounds, Alpha: 5e-4, Pattern: edgePattern},
+		{Name: "cloud", Scheme: cluster.SchemeCloud, Devices: cloudDev, Rounds: rounds, Alpha: 5e-4},
+		{Name: "adaptive", Scheme: cluster.SchemeAdaptive, Devices: adaptDev, Rounds: rounds, Alpha: 5e-4},
 	}
 	fmt.Printf("\nscenario %q: %d edge + %d cloud + %d adaptive devices × %d rounds × %d windows, victim %s\n",
 		name, edgeDev, cloudDev, adaptDev, rounds, len(samples), victim.Addr())
@@ -367,7 +363,6 @@ func runScenario(ctx context.Context, dev *cluster.Device, edgeSet *routing.Repl
 	}
 	fs, err := cluster.RunFleet(ctx, dev, samples, cluster.FleetConfig{
 		Cohorts:      cohorts,
-		Seed:         seed,
 		BaseInterval: 2 * time.Millisecond,
 		Scenario:     sc,
 	})
@@ -386,7 +381,7 @@ func runScenario(ctx context.Context, dev *cluster.Device, edgeSet *routing.Repl
 // replicas, and once traffic stops the cooldown-gated drain walks the
 // tier back down to one — with every in-flight window finishing first, so
 // the run completes with zero dropped windows.
-func runAutoscale(ctx context.Context, dev *cluster.Device, cloudSet *routing.ReplicaSet, cloudDet *autoencoder.Model, top hec.Topology, samples []hec.Sample, devices, rounds int, seed int64) error {
+func runAutoscale(ctx context.Context, dev *cluster.Device, cloudSet *routing.ReplicaSet, cloudDet *autoencoder.Model, top hec.Topology, samples []hec.Sample, devices, rounds int) error {
 	snap, err := cluster.SnapshotDetector(cloudDet, hec.LayerCloud.String(), false)
 	if err != nil {
 		return err
@@ -417,14 +412,13 @@ func runAutoscale(ctx context.Context, dev *cluster.Device, cloudSet *routing.Re
 	// A flash crowd: quiet for 200 ms, then every device hammers the cloud
 	// tier flat-out for two seconds, then quiet again.
 	pattern := workload.Spike(200*time.Millisecond, 2*time.Second, 0.25, 40)
-	cohorts := []workload.Cohort{
-		{Name: "cloud-spike", Scheme: "cloud", Devices: devices, Rounds: rounds, Alpha: 5e-4, Pattern: pattern},
+	cohorts := []cluster.Cohort{
+		{Name: "cloud-spike", Scheme: cluster.SchemeCloud, Devices: devices, Rounds: rounds, Alpha: 5e-4, Pattern: pattern},
 	}
 	fmt.Printf("\nelastic demo: %d devices × %d rounds ride %s against a 1-replica cloud tier (max 4)\n",
 		devices, rounds, pattern.Name())
 	fs, err := cluster.RunFleet(ctx, dev, samples, cluster.FleetConfig{
 		Cohorts:      cohorts,
-		Seed:         seed,
 		BaseInterval: 2 * time.Millisecond,
 		Autoscalers:  []*autoscale.Controller{ctl},
 	})

@@ -103,11 +103,10 @@ func TestAutoscaleSpikeScaleUpDrainDown(t *testing.T) {
 	samples := fleetSamples(10)
 	const devices, rounds = 8, 3
 	fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{
-		Cohorts: []workload.Cohort{{
-			Name: "spike", Scheme: "cloud", Devices: devices, Rounds: rounds,
+		Cohorts: []Cohort{{
+			Name: "spike", Scheme: SchemeCloud, Devices: devices, Rounds: rounds,
 			Pattern: workload.Spike(0, time.Minute, 1, 50),
 		}},
-		Seed:         11,
 		BaseInterval: time.Millisecond,
 		Autoscalers:  []*autoscale.Controller{ctl},
 	})
@@ -179,11 +178,11 @@ func TestAutoscaleSpikeScaleUpDrainDown(t *testing.T) {
 // invariant: over a steady uniform fleet that never leaves the policy's
 // hysteresis band, the autoscaler makes zero scale decisions and the
 // run's stats — window counts, routing mix, confusion — are bit-identical
-// to the same-seed run without any autoscaler attached.
+// to the same fleet run without any autoscaler attached.
 func TestAutoscaleNoOpDeterminism(t *testing.T) {
 	srvA := startFleetReplica(t)
 	srvB := startFleetReplica(t)
-	samples := fleetSamples(9) // odd parity: confusion shifts if draws do
+	samples := fleetSamples(9) // odd: labels are 5 true / 4 false
 
 	run := func(withAutoscaler bool) (*FleetStats, autoscale.Status) {
 		t.Helper()
@@ -198,11 +197,10 @@ func TestAutoscaleNoOpDeterminism(t *testing.T) {
 		dev := &Device{Local: stubDetector{verdict: confident(true)}}
 		dev.Remotes[hec.LayerCloud] = set
 		cfg := FleetConfig{
-			Cohorts: []workload.Cohort{
-				{Name: "steady", Scheme: "cloud", Devices: 3, Rounds: 2, Pattern: workload.Uniform(1)},
-				{Name: "local", Scheme: "iot", Devices: 2, Rounds: 2, Pattern: workload.Uniform(1)},
+			Cohorts: []Cohort{
+				{Name: "steady", Scheme: SchemeCloud, Devices: 3, Rounds: 2, Pattern: workload.Uniform(1)},
+				{Name: "local", Scheme: SchemeIoT, Devices: 2, Rounds: 2, Pattern: workload.Uniform(1)},
 			},
-			Seed:         42,
 			BaseInterval: time.Millisecond,
 		}
 		var ctl *autoscale.Controller

@@ -181,11 +181,11 @@ func TestLoadGeneratorBatchMode(t *testing.T) {
 	for i := range samples {
 		samples[i] = hec.Sample{Frames: window, Label: i%2 == 0}
 	}
-	batched, err := Run(context.Background(), mkDev(), samples, Config{Scheme: SchemeEdge, Devices: 3, Alpha: 5e-4, BatchSize: 8})
+	batched, err := runCohort(context.Background(), mkDev(), samples, Cohort{Scheme: SchemeEdge, Devices: 3, Alpha: 5e-4, BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perWindow, err := Run(context.Background(), mkDev(), samples, Config{Scheme: SchemeEdge, Devices: 3, Alpha: 5e-4})
+	perWindow, err := runCohort(context.Background(), mkDev(), samples, Cohort{Scheme: SchemeEdge, Devices: 3, Alpha: 5e-4})
 	if err != nil {
 		t.Fatal(err)
 	}

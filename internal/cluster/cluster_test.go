@@ -233,6 +233,16 @@ func TestParseScheme(t *testing.T) {
 	}
 }
 
+// runCohort drives dev with a one-cohort fleet and returns that cohort's
+// stats.
+func runCohort(ctx context.Context, dev *Device, samples []hec.Sample, c Cohort) (*Stats, error) {
+	fs, err := RunFleet(ctx, dev, samples, FleetConfig{Cohorts: []Cohort{c}})
+	if err != nil {
+		return nil, err
+	}
+	return fs.Cohorts[0], nil
+}
+
 func TestLoadGeneratorAggregates(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
@@ -244,7 +254,7 @@ func TestLoadGeneratorAggregates(t *testing.T) {
 		samples[i] = hec.Sample{Frames: window, Label: i%2 == 0}
 	}
 
-	st, err := Run(context.Background(), dev, samples, Config{Scheme: SchemeAdaptive, Devices: 8, Rounds: 2, Alpha: 5e-4})
+	st, err := runCohort(context.Background(), dev, samples, Cohort{Scheme: SchemeAdaptive, Devices: 8, Rounds: 2, Alpha: 5e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,13 +284,13 @@ func TestLoadGeneratorPropagatesErrors(t *testing.T) {
 	edge := &stubRemote{err: fmt.Errorf("edge down")}
 	dev := testDevice(confident(true), edge, nil)
 	samples := []hec.Sample{{Frames: window}}
-	if _, err := Run(context.Background(), dev, samples, Config{Scheme: SchemeEdge, Devices: 4}); err == nil {
+	if _, err := runCohort(context.Background(), dev, samples, Cohort{Scheme: SchemeEdge, Devices: 4}); err == nil {
 		t.Fatal("remote failure must abort the run")
 	}
-	if _, err := Run(context.Background(), dev, nil, Config{Scheme: SchemeEdge}); err == nil {
+	if _, err := runCohort(context.Background(), dev, nil, Cohort{Scheme: SchemeEdge}); err == nil {
 		t.Fatal("empty sample set must be rejected")
 	}
-	if _, err := Run(context.Background(), nil, samples, Config{}); err == nil {
+	if _, err := runCohort(context.Background(), nil, samples, Cohort{}); err == nil {
 		t.Fatal("nil device must be rejected")
 	}
 }

@@ -28,8 +28,8 @@ func (r *slowRemote) DetectContext(ctx context.Context, frames [][]float64) (tra
 }
 
 // TestRunCancelledDrainsFleet cancels a live load-generation run midway:
-// Run must return ctx's error promptly even though every device is stuck
-// in a slow remote wait.
+// RunFleet must return ctx's error promptly even though every device is
+// stuck in a slow remote wait.
 func TestRunCancelledDrainsFleet(t *testing.T) {
 	dev := testDevice(confident(true), nil, nil)
 	dev.Remotes[hec.LayerEdge] = &slowRemote{delay: 5 * time.Second}
@@ -43,7 +43,7 @@ func TestRunCancelledDrainsFleet(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Run(ctx, dev, samples, Config{Scheme: SchemeEdge, Devices: 4, Rounds: 4})
+	_, err := runCohort(ctx, dev, samples, Cohort{Scheme: SchemeEdge, Devices: 4, Rounds: 4})
 	elapsed := time.Since(start)
 	cancel()
 	if !errors.Is(err, context.Canceled) {

@@ -3,8 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -15,35 +14,79 @@ import (
 	"repro/internal/workload"
 )
 
-// The fleet engine: one run over a heterogeneous device fleet. Cohort
-// mode runs workload.Cohorts concurrently — every cohort with its own
-// scheme, size, batch size, reward weight and arrival pattern, so all six
-// HEC schemes can be live against the same serving plane at once. Trace
-// mode replays a recorded workload.Trace instead: each recorded device
-// becomes a goroutine re-issuing its windows on the recorded timeline.
-// Both modes draw window contents from the run's seed, fold the routing
-// layer's per-replica counters into the result (Stats.Tiers), and can run
-// under a scripted fault Scenario. The legacy single-scheme Run is a thin
-// wrapper over the same core.
+// The fleet engine is the one load generator. RunFleet runs a list of
+// Cohorts concurrently — every cohort with its own scheme, size, batch
+// size, reward weight and arrival pattern, so all six HEC schemes can be
+// live against the same serving plane at once. Device w of a cohort's n
+// starts its passes at sample w·len/n, so the devices hit different
+// windows at any instant and every count is a pure function of the
+// fleet. A run folds the routing layer's per-replica counters into the
+// result (FleetStats.Total.Tiers), and can run under a scripted fault
+// Scenario with autoscalers scoped to it.
 
-// FleetConfig parameterises one fleet run. Exactly one of Cohorts or
-// Trace must be set.
+// Cohort is one sub-fleet of simulated devices: every member routes with
+// the same scheme, dispatches with the same batch size, and paces itself
+// by the same arrival pattern.
+type Cohort struct {
+	// Name labels the cohort in stats; empty defaults to Scheme.String().
+	Name string
+	// Scheme is the routing scheme every device in the cohort uses.
+	Scheme Scheme
+	// Devices is the number of concurrent devices (< 1 means 1). Each runs
+	// on its own goroutine.
+	Devices int
+	// Rounds is how many passes over the sample set each device makes
+	// (< 1 means 1).
+	Rounds int
+	// BatchSize > 1 makes each device ship that many windows per request
+	// through Device.RunBatch (one wire round trip and one vectorised
+	// detection pass per batch); smaller values keep per-window dispatch.
+	// Verdicts and routing are identical either way; only the delay
+	// accounting changes, with each batch's network time shared across its
+	// windows.
+	BatchSize int
+	// Alpha is the delay-cost weight of the cohort's per-window reward.
+	Alpha float64
+	// Pattern modulates the cohort's arrival pacing; nil streams as fast
+	// as the serving plane allows (the closed-loop default).
+	Pattern workload.Pattern
+}
+
+// Label returns the cohort's display name: Name, or Scheme.String().
+func (c Cohort) Label() string {
+	if c.Name != "" {
+		return c.Name
+	}
+	return c.Scheme.String()
+}
+
+// validateCohorts rejects a fleet the engine could not run or report:
+// no cohorts, an unknown scheme, a negative reward weight, or two cohorts
+// with the same label. Sizing fields are clamped instead.
+func validateCohorts(cohorts []Cohort) error {
+	if len(cohorts) == 0 {
+		return fmt.Errorf("cluster: a fleet needs at least one cohort")
+	}
+	seen := make(map[string]bool, len(cohorts))
+	for _, c := range cohorts {
+		if !slices.Contains(AllSchemes(), c.Scheme) {
+			return fmt.Errorf("cluster: cohort %q has unknown scheme %d", c.Label(), int(c.Scheme))
+		}
+		if c.Alpha < 0 {
+			return fmt.Errorf("cluster: cohort %q has negative alpha %g", c.Label(), c.Alpha)
+		}
+		if seen[c.Label()] {
+			return fmt.Errorf("cluster: duplicate cohort label %q", c.Label())
+		}
+		seen[c.Label()] = true
+	}
+	return nil
+}
+
+// FleetConfig parameterises one fleet run.
 type FleetConfig struct {
-	// Cohorts are the concurrent sub-fleets (cohort mode).
-	Cohorts []workload.Cohort
-	// Trace is a recorded fleet to replay (trace mode).
-	Trace *workload.Trace
-	// TraceTimeScale stretches (>1) or compresses (<1) the recorded
-	// timeline; 0 replays as fast as the serving plane allows, keeping only
-	// the recorded ordering per device.
-	TraceTimeScale float64
-	// TraceAlpha is the delay-cost weight of the per-window reward in trace
-	// mode (cohort mode takes it per cohort).
-	TraceAlpha float64
-	// Seed determines every randomised choice the engine makes (per-device
-	// sample rotation): the same seed, fleet and scenario reproduce the
-	// same routing mix and confusion counts.
-	Seed int64
+	// Cohorts are the concurrent sub-fleets; at least one is required.
+	Cohorts []Cohort
 	// BaseInterval is the inter-arrival gap at intensity 1 for patterned
 	// cohorts; 0 disables pacing (closed loop) while still sampling each
 	// cohort's pattern.
@@ -57,9 +100,9 @@ type FleetConfig struct {
 	Autoscalers []*autoscale.Controller
 }
 
-// FleetStats is a fleet run's result: one Stats per cohort (or per scheme
-// token in trace mode) plus the fleet-wide total, which also carries the
-// run's tier routing deltas.
+// FleetStats is a fleet run's result: one Stats per cohort, in cohort
+// order, plus the fleet-wide total, which also carries the run's tier
+// routing deltas.
 type FleetStats struct {
 	Cohorts []*Stats
 	Total   *Stats
@@ -91,116 +134,17 @@ func (fs *FleetStats) Report() string {
 	return b.String()
 }
 
-// cohortPlan is a resolved cohort: scheme parsed, sizes clamped.
-type cohortPlan struct {
-	label   string
-	scheme  Scheme
-	devices int
-	rounds  int
-	batch   int
-	alpha   float64
-	pattern workload.Pattern
-	// legacyOffset keeps the historical Run contract: device w starts its
-	// pass at sample w*len/devices instead of a seeded random offset.
-	legacyOffset bool
-}
-
-// traceStep is one resolved trace event for one device.
-type traceStep struct {
-	at     time.Duration
-	scheme Scheme
-	tok    string
-}
-
-// fleetRun is the resolved form both public entry points hand to the
-// core.
-type fleetRun struct {
-	plans      []cohortPlan // cohort mode iff non-empty
-	traceDevs  []string
-	traceSteps map[string][]traceStep
-	traceAlpha float64
-	traceScale float64
-	seed       int64
-	base       time.Duration
-	scenario   *Scenario
-	ctls       []*autoscale.Controller
-}
-
-// RunFleet runs a heterogeneous fleet (or replays a trace) through dev
-// and aggregates per-cohort and fleet-wide live metrics, including the
-// routing layer's per-replica activity over the run. Cancelling ctx
-// drains the fleet promptly; a scripted scenario whose events cannot all
-// fire before the run ends is an error.
+// RunFleet runs a fleet of cohorts through dev and aggregates per-cohort
+// and fleet-wide live metrics, including the routing layer's per-replica
+// activity over the run. A detection error aborts the whole run.
+// Cancelling ctx drains the fleet promptly (each device stops at its next
+// window, and in-flight remote waits abort through the transport) and
+// RunFleet returns ctx's error; a scripted scenario whose events cannot
+// all fire before the run ends is an error too.
 func RunFleet(ctx context.Context, dev *Device, samples []hec.Sample, cfg FleetConfig) (*FleetStats, error) {
-	if (len(cfg.Cohorts) > 0) == (cfg.Trace != nil) {
-		return nil, fmt.Errorf("cluster: fleet config needs exactly one of Cohorts or Trace")
+	if err := validateCohorts(cfg.Cohorts); err != nil {
+		return nil, err
 	}
-	fr := fleetRun{
-		seed:     cfg.Seed,
-		base:     cfg.BaseInterval,
-		scenario: cfg.Scenario,
-		ctls:     cfg.Autoscalers,
-	}
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Validate(); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		if cfg.TraceTimeScale < 0 {
-			return nil, fmt.Errorf("cluster: negative trace time scale %g", cfg.TraceTimeScale)
-		}
-		names, byDev := cfg.Trace.Devices()
-		fr.traceDevs = names
-		fr.traceSteps = make(map[string][]traceStep, len(names))
-		for _, name := range names {
-			evs := byDev[name]
-			steps := make([]traceStep, len(evs))
-			for i, e := range evs {
-				sch, err := ParseScheme(e.Scheme)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: trace device %q: %w", name, err)
-				}
-				steps[i] = traceStep{
-					at:     time.Duration(e.AtMs * float64(time.Millisecond)),
-					scheme: sch,
-					tok:    e.Scheme,
-				}
-			}
-			fr.traceSteps[name] = steps
-		}
-		fr.traceAlpha = cfg.TraceAlpha
-		fr.traceScale = cfg.TraceTimeScale
-	} else {
-		if err := workload.ValidateCohorts(cfg.Cohorts); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		for _, c := range cfg.Cohorts {
-			sch, err := ParseScheme(c.Scheme)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: cohort %q: %w", c.Label(), err)
-			}
-			p := cohortPlan{
-				label:   c.Label(),
-				scheme:  sch,
-				devices: c.Devices,
-				rounds:  c.Rounds,
-				batch:   c.BatchSize,
-				alpha:   c.Alpha,
-				pattern: c.Pattern,
-			}
-			if p.devices < 1 {
-				p.devices = 1
-			}
-			if p.rounds < 1 {
-				p.rounds = 1
-			}
-			fr.plans = append(fr.plans, p)
-		}
-	}
-	return runFleet(ctx, dev, samples, fr)
-}
-
-// runFleet is the core engine shared by RunFleet and the legacy Run.
-func runFleet(ctx context.Context, dev *Device, samples []hec.Sample, fr fleetRun) (*FleetStats, error) {
 	if dev == nil {
 		return nil, fmt.Errorf("cluster: load generation needs a device")
 	}
@@ -212,43 +156,25 @@ func runFleet(ctx context.Context, dev *Device, samples []hec.Sample, fr fleetRu
 	var windows atomic.Int64
 	start := time.Now()
 	var runner *scenarioRunner
-	if fr.scenario != nil {
-		runner = fr.scenario.start(start, &windows)
+	if cfg.Scenario != nil {
+		runner = cfg.Scenario.start(start, &windows)
 	}
-	for _, ctl := range fr.ctls {
+	for _, ctl := range cfg.Autoscalers {
 		ctl.Start()
 	}
 
-	// One goroutine per device, across every cohort (or every recorded
-	// device), so cohorts genuinely contend for the serving plane.
-	type job struct {
-		cohort int    // index into fr.plans, or -1 in trace mode
-		worker int    // device index within the cohort
-		device string // trace-mode device name
-	}
+	// One goroutine per device, across every cohort, so cohorts genuinely
+	// contend for the serving plane.
+	type job struct{ cohort, worker int }
 	var jobs []job
-	if len(fr.plans) > 0 {
-		for ci, p := range fr.plans {
-			for w := 0; w < p.devices; w++ {
-				jobs = append(jobs, job{cohort: ci, worker: w})
-			}
-		}
-	} else {
-		for _, name := range fr.traceDevs {
-			jobs = append(jobs, job{cohort: -1, device: name})
+	for ci, c := range cfg.Cohorts {
+		for w := 0; w < max(1, c.Devices); w++ {
+			jobs = append(jobs, job{ci, w})
 		}
 	}
-
-	perJob, err := parallel.MapCtx(ctx, len(jobs), len(jobs), func(i int) (map[string]*workerStats, error) {
+	perJob, err := parallel.MapCtx(ctx, len(jobs), len(jobs), func(i int) (*workerStats, error) {
 		j := jobs[i]
-		if j.cohort >= 0 {
-			ws, err := runCohortDevice(ctx, dev, samples, fr.plans[j.cohort], j.cohort, j.worker, fr.seed, fr.base, start, &windows)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]*workerStats{fr.plans[j.cohort].label: ws}, nil
-		}
-		return runTraceDevice(ctx, dev, samples, j.device, fr.traceSteps[j.device], fr.traceScale, fr.traceAlpha, fr.seed, start, &windows)
+		return runCohortDevice(ctx, dev, samples, cfg.Cohorts[j.cohort], j.worker, cfg.BaseInterval, start, &windows)
 	})
 	elapsed := time.Since(start)
 	var scErr error
@@ -257,7 +183,7 @@ func runFleet(ctx context.Context, dev *Device, samples []hec.Sample, fr fleetRu
 	}
 	// Stop only the loops: spawned replicas keep serving (and keep their
 	// counters) until the owning controller's Close drains them.
-	for _, ctl := range fr.ctls {
+	for _, ctl := range cfg.Autoscalers {
 		ctl.Stop()
 	}
 	if err != nil {
@@ -267,84 +193,24 @@ func runFleet(ctx context.Context, dev *Device, samples []hec.Sample, fr fleetRu
 		return nil, scErr
 	}
 
-	// Merge per-label. Label order: cohort order, or sorted scheme tokens
-	// (trace devices are already sorted, and tokens are collected sorted).
-	byLabel := make(map[string][]*workerStats)
-	devCount := make(map[string]int)
-	var order []string
-	seen := make(map[string]bool)
-	schemeOf := make(map[string]Scheme)
-	if len(fr.plans) > 0 {
-		for _, p := range fr.plans {
-			order = append(order, p.label)
-			seen[p.label] = true
-			schemeOf[p.label] = p.scheme
-			devCount[p.label] = p.devices
-		}
+	fs := &FleetStats{Total: &Stats{Name: "fleet", Elapsed: elapsed}}
+	if cfg.Scenario != nil && cfg.Scenario.Name != "" {
+		fs.Total.Name = cfg.Scenario.Name
 	}
-	for i, parts := range perJob {
-		for label, ws := range parts {
-			byLabel[label] = append(byLabel[label], ws)
-			if !seen[label] {
-				seen[label] = true
-				order = append(order, label)
-			}
-			if jobs[i].cohort < 0 {
-				devCount[label]++
-				for _, stp := range fr.traceSteps[jobs[i].device] {
-					if stp.tok == label {
-						schemeOf[label] = stp.scheme
-						break
-					}
-				}
-			}
-		}
+	for _, c := range cfg.Cohorts {
+		fs.Cohorts = append(fs.Cohorts, &Stats{Name: c.Label(), Elapsed: elapsed})
 	}
-	if len(fr.plans) == 0 {
-		// Trace-mode labels surfaced in device order; make them stable.
-		ordered := order[:0]
-		for _, tok := range sortedStrings(order) {
-			ordered = append(ordered, tok)
-		}
-		order = ordered
-	}
-
-	fs := &FleetStats{Total: &Stats{Scheme: "fleet", Name: "fleet", Elapsed: elapsed}}
-	if fr.scenario != nil && fr.scenario.Name != "" {
-		fs.Total.Name = fr.scenario.Name
-	}
-	for _, label := range order {
-		st := &Stats{Name: label, Scheme: schemeOf[label].String(), Devices: devCount[label], Elapsed: elapsed}
-		for _, ws := range byLabel[label] {
+	for i, ws := range perJob {
+		for _, st := range []*Stats{fs.Cohorts[jobs[i].cohort], fs.Total} {
+			st.Devices++
 			st.merge(ws)
-		}
-		fs.Cohorts = append(fs.Cohorts, st)
-		fs.Total.Devices += st.Devices
-		fs.Total.Windows += st.Windows
-		fs.Total.Confusion.Merge(st.Confusion)
-		fs.Total.Delays.Merge(&st.Delays)
-		fs.Total.Reward.Merge(st.Reward)
-		for l, n := range st.LayerCounts {
-			fs.Total.LayerCounts[l] += n
 		}
 	}
 	fs.Total.Tiers = tierDeltas(tiersBefore, TierStatuses(dev))
-	for _, ctl := range fr.ctls {
+	for _, ctl := range cfg.Autoscalers {
 		fs.Scale = append(fs.Scale, ctl.Status())
 	}
 	return fs, nil
-}
-
-// sortedStrings returns a sorted copy of ss.
-func sortedStrings(ss []string) []string {
-	out := make([]string, len(ss))
-	copy(out, ss)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // pace waits out the pattern-modulated inter-arrival gap before the next
@@ -369,45 +235,25 @@ func pace(ctx context.Context, p workload.Pattern, base time.Duration, start tim
 	}
 }
 
-// mixSeed folds identifiers into a per-device RNG seed (splitmix-style)
-// so every device draws an independent, reproducible stream.
-func mixSeed(vs ...int64) int64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vs {
-		x := uint64(v)
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		h = (h ^ x) * 0x94D049BB133111EB
-	}
-	return int64(h)
-}
-
-// runCohortDevice is one cohort member's run: rounds passes over the
-// sample set from a device-specific offset, paced by the cohort's
-// pattern, dispatching per window or per batch.
-func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, p cohortPlan, ci, w int, seed int64, base time.Duration, start time.Time, windows *atomic.Int64) (*workerStats, error) {
+// runCohortDevice is device w's run in cohort c: Rounds passes over the
+// sample set from offset w·len/Devices, paced by the cohort's pattern,
+// dispatching per window or per batch.
+func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, c Cohort, w int, base time.Duration, start time.Time, windows *atomic.Int64) (*workerStats, error) {
 	ws := &workerStats{}
-	var offset int
-	if p.legacyOffset {
-		offset = w * len(samples) / p.devices
-	} else {
-		rng := rand.New(rand.NewSource(mixSeed(seed, int64(ci), int64(w))))
-		offset = rng.Intn(len(samples))
-	}
-	size := max(1, p.batch)
+	offset := w * len(samples) / max(1, c.Devices)
+	size := max(1, c.BatchSize)
 	wins := make([][][]float64, 0, size)
 	labels := make([]bool, 0, size)
 	var one [1]Outcome
 	done := ctx.Done()
-	for r := 0; r < p.rounds; r++ {
+	for r := 0; r < max(1, c.Rounds); r++ {
 		for k := 0; k < len(samples); k += size {
 			select {
 			case <-done:
 				return nil, ctx.Err()
 			default:
 			}
-			if err := pace(ctx, p.pattern, base, start); err != nil {
+			if err := pace(ctx, c.Pattern, base, start); err != nil {
 				return nil, err
 			}
 			wins, labels = wins[:0], labels[:0]
@@ -419,65 +265,18 @@ func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, p c
 			outs := one[:]
 			var err error
 			if len(wins) == 1 {
-				one[0], err = dev.Run(ctx, p.scheme, wins[0])
+				one[0], err = dev.Run(ctx, c.Scheme, wins[0])
 			} else {
-				outs, err = dev.RunBatch(ctx, p.scheme, wins)
+				outs, err = dev.RunBatch(ctx, c.Scheme, wins)
 			}
 			if err != nil {
-				return nil, fmt.Errorf("cluster: cohort %q device %d window %d: %w", p.label, w, k, err)
+				return nil, fmt.Errorf("cluster: cohort %q device %d window %d: %w", c.Label(), w, k, err)
 			}
 			for j, out := range outs {
-				ws.account(out, labels[j], p.alpha)
+				ws.account(out, labels[j], c.Alpha)
 				windows.Add(1)
 			}
 		}
 	}
 	return ws, nil
-}
-
-// runTraceDevice replays one recorded device: its events in recorded
-// order, on the recorded timeline when scale > 0, with window contents
-// drawn from a device-seeded stream (so the replay is deterministic no
-// matter how devices interleave).
-func runTraceDevice(ctx context.Context, dev *Device, samples []hec.Sample, name string, steps []traceStep, scale, alpha float64, seed int64, start time.Time, windows *atomic.Int64) (map[string]*workerStats, error) {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	rng := rand.New(rand.NewSource(mixSeed(seed, int64(h.Sum64()))))
-	parts := make(map[string]*workerStats)
-	done := ctx.Done()
-	for i, stp := range steps {
-		// The seeded draw happens before any waiting so the sample sequence
-		// is a pure function of (seed, device), not of timing.
-		s := samples[rng.Intn(len(samples))]
-		if scale > 0 {
-			target := start.Add(time.Duration(float64(stp.at) * scale))
-			if d := time.Until(target); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-done:
-					t.Stop()
-					return nil, ctx.Err()
-				case <-t.C:
-				}
-			}
-		} else {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		out, err := dev.Run(ctx, stp.scheme, s.Frames)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: trace device %q event %d: %w", name, i, err)
-		}
-		ws := parts[stp.tok]
-		if ws == nil {
-			ws = &workerStats{}
-			parts[stp.tok] = ws
-		}
-		ws.account(out, s.Label, alpha)
-		windows.Add(1)
-	}
-	return parts, nil
 }

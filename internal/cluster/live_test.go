@@ -132,7 +132,7 @@ func TestLiveClusterIntegration(t *testing.T) {
 	}
 
 	runScheme := func(s Scheme) *Stats {
-		st, err := Run(context.Background(), dev, testSamples, Config{Scheme: s, Devices: devices, Alpha: alphaLive})
+		st, err := runCohort(context.Background(), dev, testSamples, Cohort{Scheme: s, Devices: devices, Alpha: alphaLive})
 		if err != nil {
 			t.Fatalf("live %v run: %v", s, err)
 		}

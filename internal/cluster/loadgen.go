@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -10,32 +9,10 @@ import (
 	"repro/internal/policy"
 )
 
-// Config parameterises one load-generation run.
-type Config struct {
-	// Scheme is the routing scheme every simulated device uses.
-	Scheme Scheme
-	// Devices is the number of concurrent simulated IoT devices (< 1 means
-	// 1). Each runs on its own goroutine and streams the full sample set.
-	Devices int
-	// Rounds is how many passes over the sample set each device makes
-	// (< 1 means 1).
-	Rounds int
-	// Alpha is the delay-cost weight of the per-window reward.
-	Alpha float64
-	// BatchSize makes each device accumulate this many windows and ship
-	// them per request through Device.RunBatch (one wire round trip and one
-	// vectorised detection pass per batch). Values < 2 keep per-window
-	// dispatch. Verdicts and routing are identical to per-window mode; only
-	// the delay accounting changes, with each batch's network time shared
-	// across its windows.
-	BatchSize int
-}
-
-// Stats aggregates a live run across all devices.
+// Stats aggregates one cohort's devices, or a whole fleet's, over a run.
 type Stats struct {
-	Scheme string
-	// Name labels the stats line: the cohort label in fleet runs, the
-	// scheme name otherwise. Empty falls back to Scheme for display.
+	// Name labels the stats line: the cohort's label, or the fleet's (or
+	// its scenario's) name on the total.
 	Name    string
 	Devices int
 	// Windows is the total number of windows detected.
@@ -51,10 +28,11 @@ type Stats struct {
 	LayerCounts [hec.NumLayers]int
 	// Elapsed is the wall-clock duration of the whole run.
 	Elapsed time.Duration
-	// Tiers reports what the routing layer did over this run, one entry per
-	// remote tier that exposes introspection (see StatusSource): the
-	// per-replica routing mix, failure/expel/readmit counts and admission
-	// sheds, all as deltas over the run.
+	// Tiers, set on the fleet total only, reports what the routing layer
+	// did over the run, one entry per remote tier that exposes
+	// introspection (see StatusSource): the per-replica routing mix,
+	// failure/expel/readmit counts and admission sheds, all as deltas over
+	// the run.
 	Tiers []TierStatus
 }
 
@@ -84,12 +62,8 @@ func (st *Stats) LayerMix() [hec.NumLayers]float64 {
 // String renders the one-line summary used by the examples.
 func (st *Stats) String() string {
 	mix := st.LayerMix()
-	name := st.Name
-	if name == "" {
-		name = st.Scheme
-	}
 	return fmt.Sprintf("%-12s acc=%.3f p50=%6.1fms p95=%6.1fms p99=%6.1fms mix=[%.2f %.2f %.2f] %6.1f win/s reward=%.3f",
-		name, st.Accuracy(),
+		st.Name, st.Accuracy(),
 		st.Delays.Percentile(50), st.Delays.Percentile(95), st.Delays.Percentile(99),
 		mix[0], mix[1], mix[2], st.Throughput(), st.Reward.Mean())
 }
@@ -123,44 +97,4 @@ func (st *Stats) merge(ws *workerStats) {
 	for l, n := range ws.layerCounts {
 		st.LayerCounts[l] += n
 	}
-}
-
-// Run streams samples through dev from cfg.Devices concurrent simulated
-// devices and aggregates live metrics. Every device makes cfg.Rounds passes
-// over the full sample set, starting at a device-specific offset so the
-// devices hit different layers at any instant; a detection error aborts the
-// whole run. Cancelling ctx drains the device goroutines promptly (each
-// stops at its next window, and in-flight remote waits abort through the
-// transport) and Run returns ctx's error.
-//
-// Run is the single-scheme wrapper over the fleet engine (see RunFleet):
-// one cohort, the historical deterministic device offsets, no pacing, no
-// scenario. Like every fleet run, the result carries the routing layer's
-// per-replica activity over the run in Stats.Tiers.
-func Run(ctx context.Context, dev *Device, samples []hec.Sample, cfg Config) (*Stats, error) {
-	devices := cfg.Devices
-	if devices < 1 {
-		devices = 1
-	}
-	rounds := cfg.Rounds
-	if rounds < 1 {
-		rounds = 1
-	}
-	fs, err := runFleet(ctx, dev, samples, fleetRun{
-		plans: []cohortPlan{{
-			label:        cfg.Scheme.String(),
-			scheme:       cfg.Scheme,
-			devices:      devices,
-			rounds:       rounds,
-			batch:        cfg.BatchSize,
-			alpha:        cfg.Alpha,
-			legacyOffset: true,
-		}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	st := fs.Cohorts[0]
-	st.Tiers = fs.Total.Tiers
-	return st, nil
 }

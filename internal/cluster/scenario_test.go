@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,24 +50,24 @@ func waitForClusterGoroutines(t *testing.T, baseline int) {
 	t.Errorf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), baseline)
 }
 
-// TestRunFleetHeterogeneousCohorts runs all six schemes as one fleet —
-// the heterogeneity the single-scheme Run never exercised — and checks
-// each cohort's window count, routing mix and the fleet-wide total.
+// TestRunFleetHeterogeneousCohorts runs all six schemes as one fleet and
+// checks each cohort's label, window count and routing mix, and the
+// fleet-wide total.
 func TestRunFleetHeterogeneousCohorts(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
 	dev := testDevice(confident(true), edge, cloud)
 	samples := fleetSamples(10)
 
-	cohorts := []workload.Cohort{
-		{Scheme: "iot", Devices: 2, Rounds: 1},
-		{Scheme: "edge", Devices: 2, Rounds: 2},
-		{Scheme: "cloud", Devices: 1, Rounds: 1, BatchSize: 4},
-		{Scheme: "successive", Devices: 1, Rounds: 1},
-		{Scheme: "adaptive", Devices: 2, Rounds: 1, Alpha: 5e-4},
-		{Scheme: "pathological", Devices: 1, Rounds: 1, Alpha: 5e-4},
+	cohorts := []Cohort{
+		{Scheme: SchemeIoT, Devices: 2, Rounds: 1},
+		{Scheme: SchemeEdge, Devices: 2, Rounds: 2},
+		{Scheme: SchemeCloud, Devices: 1, Rounds: 1, BatchSize: 4},
+		{Scheme: SchemeSuccessive, Devices: 1, Rounds: 1},
+		{Scheme: SchemeAdaptive, Devices: 2, Rounds: 1, Alpha: 5e-4},
+		{Name: "bad-policy", Scheme: SchemePathological, Devices: 1, Rounds: 1, Alpha: 5e-4},
 	}
-	fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{Cohorts: cohorts, Seed: 1})
+	fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{Cohorts: cohorts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,38 +95,71 @@ func TestRunFleetHeterogeneousCohorts(t *testing.T) {
 	// Fixed schemes pin their layer; the stub policy (probs 0.1/0.7/0.2)
 	// sends Adaptive to the edge, Pathological to the (confident) local
 	// tier; Successive stops at the confident local verdict.
-	wantLayer := map[string]hec.Layer{
-		"iot": hec.LayerIoT, "edge": hec.LayerEdge, "cloud": hec.LayerCloud,
-		"successive": hec.LayerIoT, "adaptive": hec.LayerEdge, "pathological": hec.LayerIoT,
+	wantLayer := map[Scheme]hec.Layer{
+		SchemeIoT: hec.LayerIoT, SchemeEdge: hec.LayerEdge, SchemeCloud: hec.LayerCloud,
+		SchemeSuccessive: hec.LayerIoT, SchemeAdaptive: hec.LayerEdge, SchemePathological: hec.LayerIoT,
 	}
-	for _, st := range fs.Cohorts {
+	for i, st := range fs.Cohorts {
 		mix := st.LayerMix()
-		if l := wantLayer[st.Name]; mix[l] != 1 {
+		if l := wantLayer[cohorts[i].Scheme]; mix[l] != 1 {
 			t.Fatalf("cohort %q mix = %v, want all %v", st.Name, mix, l)
 		}
 	}
-	if report := fs.Report(); !strings.Contains(report, "adaptive") {
+	if got := fs.Cohorts[0].Name; got != "IoT Device" {
+		t.Fatalf("unnamed IoT cohort label = %q, want the scheme name", got)
+	}
+	if report := fs.Report(); !strings.Contains(report, "Adaptive") || !strings.Contains(report, "bad-policy") {
 		t.Fatalf("fleet report missing cohort line:\n%s", report)
 	}
 }
 
-// TestRunFleetValidation pins the config errors: modes are exclusive,
-// scheme tokens and traces are validated up front.
+// TestCohortValidation pins what a fleet must satisfy before it runs,
+// and how an unnamed cohort is labelled.
+func TestCohortValidation(t *testing.T) {
+	if err := validateCohorts([]Cohort{{Scheme: SchemeEdge}}); err != nil {
+		t.Fatalf("valid cohort rejected: %v", err)
+	}
+	if err := validateCohorts(nil); err == nil {
+		t.Fatal("empty fleet must be rejected")
+	}
+	for _, sch := range []Scheme{-1, SchemePathological + 1} {
+		if err := validateCohorts([]Cohort{{Scheme: sch}}); err == nil {
+			t.Fatalf("unknown scheme %d must be rejected", int(sch))
+		}
+	}
+	if err := validateCohorts([]Cohort{{Scheme: SchemeEdge, Alpha: -1}}); err == nil {
+		t.Fatal("negative alpha must be rejected")
+	}
+	if err := validateCohorts([]Cohort{{Scheme: SchemeEdge}, {Scheme: SchemeEdge}}); err == nil {
+		t.Fatal("duplicate labels must be rejected")
+	}
+	if err := validateCohorts([]Cohort{{Scheme: SchemeEdge}, {Name: "Edge", Scheme: SchemeCloud}}); err == nil {
+		t.Fatal("a name equal to another cohort's scheme label must be rejected")
+	}
+	if err := validateCohorts([]Cohort{{Scheme: SchemeEdge}, {Name: "edge-2", Scheme: SchemeEdge}}); err != nil {
+		t.Fatalf("distinct labels rejected: %v", err)
+	}
+	if got := (Cohort{Name: "x", Scheme: SchemeEdge}).Label(); got != "x" {
+		t.Fatalf("label = %q, want name", got)
+	}
+	if got := (Cohort{Scheme: SchemeEdge}).Label(); got != SchemeEdge.String() {
+		t.Fatalf("label = %q, want the scheme's name %q", got, SchemeEdge.String())
+	}
+}
+
+// TestRunFleetValidation pins that RunFleet refuses an invalid fleet up
+// front.
 func TestRunFleetValidation(t *testing.T) {
 	dev := testDevice(confident(true), &stubRemote{verdict: confident(true)}, &stubRemote{verdict: confident(true)})
 	samples := fleetSamples(4)
-	trace := &workload.Trace{Events: []workload.TraceEvent{{AtMs: 0, Device: "d", Scheme: "edge"}}}
 	cases := []struct {
 		name string
 		cfg  FleetConfig
 	}{
-		{"neither mode", FleetConfig{}},
-		{"both modes", FleetConfig{Cohorts: []workload.Cohort{{Scheme: "edge"}}, Trace: trace}},
-		{"unknown cohort scheme", FleetConfig{Cohorts: []workload.Cohort{{Scheme: "warp"}}}},
-		{"duplicate labels", FleetConfig{Cohorts: []workload.Cohort{{Scheme: "edge"}, {Scheme: "edge"}}}},
-		{"invalid trace", FleetConfig{Trace: &workload.Trace{}}},
-		{"unknown trace scheme", FleetConfig{Trace: &workload.Trace{Events: []workload.TraceEvent{{AtMs: 0, Device: "d", Scheme: "warp"}}}}},
-		{"negative time scale", FleetConfig{Trace: trace, TraceTimeScale: -1}},
+		{"no cohorts", FleetConfig{}},
+		{"unknown cohort scheme", FleetConfig{Cohorts: []Cohort{{Scheme: SchemePathological + 1}}}},
+		{"negative alpha", FleetConfig{Cohorts: []Cohort{{Scheme: SchemeEdge, Alpha: -1}}}},
+		{"duplicate labels", FleetConfig{Cohorts: []Cohort{{Scheme: SchemeEdge}, {Scheme: SchemeEdge}}}},
 	}
 	for _, tc := range cases {
 		if _, err := RunFleet(context.Background(), dev, samples, tc.cfg); err == nil {
@@ -133,97 +168,83 @@ func TestRunFleetValidation(t *testing.T) {
 	}
 }
 
-// TestRunFleetTraceReplay replays a small recorded fleet and checks the
-// per-scheme accounting: every recorded event becomes exactly one window,
-// grouped per scheme token.
-func TestRunFleetTraceReplay(t *testing.T) {
-	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
+// TestFleetDeterministic is the reproducibility contract: the same fleet
+// of mixed schemes and batch sizes, run twice, produces identical
+// per-cohort routing mixes and confusion counts.
+func TestFleetDeterministic(t *testing.T) {
+	edge := &stubBatchRemote{stubRemote: stubRemote{verdict: unconfident(), execMs: 5, netMs: 7}}
 	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
-	dev := testDevice(confident(true), edge, cloud)
-	samples := fleetSamples(10)
-
-	trace := &workload.Trace{Events: []workload.TraceEvent{
-		{AtMs: 0, Device: "dev-a", Scheme: "edge"},
-		{AtMs: 0, Device: "dev-b", Scheme: "cloud"},
-		{AtMs: 1, Device: "dev-a", Scheme: "edge"},
-		{AtMs: 2, Device: "dev-b", Scheme: "edge"},
-		{AtMs: 3, Device: "dev-a", Scheme: "cloud"},
-	}}
-	fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{Trace: trace, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	dev := testDevice(unconfident(), nil, cloud)
+	dev.Remotes[hec.LayerEdge] = edge
+	samples := fleetSamples(9) // odd: labels are 5 true / 4 false
+	cohorts := []Cohort{
+		{Scheme: SchemeEdge, Devices: 2, Rounds: 2, BatchSize: 4},
+		{Scheme: SchemeCloud, Devices: 3, Rounds: 1},
+		{Scheme: SchemeSuccessive, Devices: 2, Rounds: 1, BatchSize: 3},
+		{Scheme: SchemeAdaptive, Devices: 1, Rounds: 3, Alpha: 5e-4},
 	}
-	if fs.Total.Windows != len(trace.Events) {
-		t.Fatalf("total windows = %d, want %d (one per recorded event)", fs.Total.Windows, len(trace.Events))
-	}
-	if len(fs.Cohorts) != 2 {
-		t.Fatalf("got %d per-scheme stats, want 2", len(fs.Cohorts))
-	}
-	byName := map[string]*Stats{}
-	for _, st := range fs.Cohorts {
-		byName[st.Name] = st
-	}
-	if st := byName["cloud"]; st == nil || st.Windows != 2 {
-		t.Fatalf("cloud stats = %+v, want 2 windows", st)
-	}
-	if st := byName["edge"]; st == nil || st.Windows != 3 {
-		t.Fatalf("edge stats = %+v, want 3 windows", st)
-	}
-	if mix := byName["edge"].LayerMix(); mix[hec.LayerEdge] != 1 {
-		t.Fatalf("edge trace mix = %v, want all edge", mix)
-	}
-	if byName["cloud"].Devices != 2 {
-		t.Fatalf("cloud scheme devices = %d, want 2 (both recorded devices used it)", byName["cloud"].Devices)
-	}
-}
-
-// TestFleetDeterministicFromSeed is the reproducibility contract: the
-// same seed, fleet and trace produce identical routing mixes and
-// confusion counts, run after run; a different seed draws different
-// windows.
-func TestFleetDeterministicFromSeed(t *testing.T) {
-	edge := &stubRemote{verdict: confident(true), execMs: 5, netMs: 7}
-	cloud := &stubRemote{verdict: confident(true), execMs: 2, netMs: 11}
-	dev := testDevice(confident(true), edge, cloud)
-	samples := fleetSamples(9) // odd: labels are 5 true / 4 false, so draws shift confusion
-
-	var events []workload.TraceEvent
-	for i := 0; i < 40; i++ {
-		devName := "dev-a"
-		if i%3 == 0 {
-			devName = "dev-b"
-		}
-		scheme := []string{"edge", "cloud", "successive"}[i%3]
-		events = append(events, workload.TraceEvent{AtMs: float64(i), Device: devName, Scheme: scheme})
-	}
-	trace := &workload.Trace{Events: events}
-
-	run := func(seed int64) *FleetStats {
+	run := func() *FleetStats {
 		t.Helper()
-		fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{Trace: trace, Seed: seed})
+		fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{Cohorts: cohorts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fs
 	}
-	a, b := run(7), run(7)
-	if a.Total.LayerCounts != b.Total.LayerCounts {
-		t.Fatalf("same seed, different routing mix: %v vs %v", a.Total.LayerCounts, b.Total.LayerCounts)
-	}
-	if a.Total.Confusion != b.Total.Confusion {
-		t.Fatalf("same seed, different confusion: %+v vs %+v", a.Total.Confusion, b.Total.Confusion)
-	}
-	for i := range a.Cohorts {
-		if a.Cohorts[i].Confusion != b.Cohorts[i].Confusion {
-			t.Fatalf("cohort %q confusion differs across same-seed runs", a.Cohorts[i].Name)
+	a, b := run(), run()
+	for i, c := range cohorts {
+		sa, sb := a.Cohorts[i], b.Cohorts[i]
+		if want := c.Devices * c.Rounds * len(samples); sa.Windows != want || sb.Windows != want {
+			t.Fatalf("cohort %q windows = %d, %d, want %d", sa.Name, sa.Windows, sb.Windows, want)
+		}
+		if sa.LayerCounts != sb.LayerCounts {
+			t.Fatalf("cohort %q routing mix differs across runs: %v vs %v", sa.Name, sa.LayerCounts, sb.LayerCounts)
+		}
+		if sa.Confusion != sb.Confusion {
+			t.Fatalf("cohort %q confusion differs across runs: %+v vs %+v", sa.Name, sa.Confusion, sb.Confusion)
 		}
 	}
-	// Different seeds draw different windows; with odd label parity the
-	// confusion almost surely shifts. Don't fail the suite on the tiny
-	// collision chance — just require the counts stay internally sane.
-	c := run(8)
-	if c.Total.Windows != a.Total.Windows {
-		t.Fatalf("window count depends on seed: %d vs %d", c.Total.Windows, a.Total.Windows)
+	// Successive escalates past the unconfident IoT verdict and the
+	// unconfident edge verdict to the cloud.
+	if mix := a.Cohorts[2].LayerMix(); mix[hec.LayerCloud] != 1 {
+		t.Fatalf("successive mix = %v, want all cloud", mix)
+	}
+}
+
+// firstWindows is a batch remote that records the first window of every
+// batch it serves.
+type firstWindows struct {
+	stubBatchRemote
+	mu     sync.Mutex
+	firsts []float64
+}
+
+func (r *firstWindows) DetectBatchContext(ctx context.Context, windows [][][]float64) (transport.BatchResult, error) {
+	r.mu.Lock()
+	r.firsts = append(r.firsts, windows[0][0][0])
+	r.mu.Unlock()
+	return r.stubBatchRemote.DetectBatchContext(ctx, windows)
+}
+
+// TestFleetDeviceOffsets pins the start-offset rule: device w of a
+// cohort's n starts its pass at sample w·len/n.
+func TestFleetDeviceOffsets(t *testing.T) {
+	edge := &firstWindows{stubBatchRemote: stubBatchRemote{stubRemote: stubRemote{verdict: confident(true)}}}
+	dev := testDevice(confident(true), nil, nil)
+	dev.Remotes[hec.LayerEdge] = edge
+	samples := make([]hec.Sample, 10)
+	for i := range samples {
+		samples[i] = hec.Sample{Frames: [][]float64{{float64(i)}}}
+	}
+	_, err := RunFleet(context.Background(), dev, samples, FleetConfig{
+		Cohorts: []Cohort{{Scheme: SchemeEdge, Devices: 2, Rounds: 1, BatchSize: len(samples)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(edge.firsts)
+	if want := []float64{0, float64(len(samples) / 2)}; !slices.Equal(edge.firsts, want) {
+		t.Fatalf("passes started at samples %v, want %v", edge.firsts, want)
 	}
 }
 
@@ -250,8 +271,7 @@ func TestScenarioKillDuringFleet(t *testing.T) {
 	samples := fleetSamples(10)
 	const devices, rounds = 4, 5
 	fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{
-		Cohorts: []workload.Cohort{{Scheme: "edge", Devices: devices, Rounds: rounds}},
-		Seed:    3,
+		Cohorts: []Cohort{{Scheme: SchemeEdge, Devices: devices, Rounds: rounds}},
 		Scenario: &Scenario{
 			Name:   "kill-mid-run",
 			Events: []Event{{AfterWindows: 40, Action: Kill(srvA)}},
@@ -316,7 +336,7 @@ func TestScenarioStragglerPathologicalPolicy(t *testing.T) {
 		dev.Remotes[hec.LayerEdge] = set
 
 		fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{
-			Cohorts: []workload.Cohort{{Scheme: "edge", Devices: devices, Rounds: rounds}},
+			Cohorts: []Cohort{{Scheme: SchemeEdge, Devices: devices, Rounds: rounds}},
 			Scenario: &Scenario{
 				Name:   "straggler",
 				Events: []Event{{Action: Straggle(srvS, lag)}},
@@ -381,8 +401,8 @@ func TestScenarioFlappingReplica(t *testing.T) {
 	samples := fleetSamples(10)
 	const devices, rounds, cycles = 2, 10, 2
 	fs, err := RunFleet(context.Background(), dev, samples, FleetConfig{
-		Cohorts: []workload.Cohort{{
-			Scheme: "edge", Devices: devices, Rounds: rounds,
+		Cohorts: []Cohort{{
+			Scheme: SchemeEdge, Devices: devices, Rounds: rounds,
 			Pattern: workload.Uniform(1),
 		}},
 		BaseInterval: time.Millisecond,
@@ -417,7 +437,7 @@ func TestScenarioUnfiredEventIsAnError(t *testing.T) {
 	edge := &stubRemote{verdict: confident(true)}
 	dev := testDevice(confident(true), edge, &stubRemote{verdict: confident(true)})
 	_, err := RunFleet(context.Background(), dev, fleetSamples(2), FleetConfig{
-		Cohorts: []workload.Cohort{{Scheme: "iot"}},
+		Cohorts: []Cohort{{Scheme: SchemeIoT}},
 		Scenario: &Scenario{
 			Name:   "too-late",
 			Events: []Event{{At: time.Hour, Action: ActionFunc("noop", func() error { return nil })}},
@@ -428,9 +448,10 @@ func TestScenarioUnfiredEventIsAnError(t *testing.T) {
 	}
 }
 
-// TestLegacyRunReportsTiers pins the fold-in: the single-scheme Run now
-// carries the routing layer's per-replica activity too.
-func TestLegacyRunReportsTiers(t *testing.T) {
+// TestOneCohortRunReportsTiers pins the tier deltas of the simplest
+// fleet: one cohort on a one-replica cloud tier, where the run's requests
+// to that replica are exactly its windows.
+func TestOneCohortRunReportsTiers(t *testing.T) {
 	srv := startFleetReplica(t)
 	set, err := routing.New(routing.Config{Addrs: []string{srv.Addr()}})
 	if err != nil {
@@ -440,14 +461,17 @@ func TestLegacyRunReportsTiers(t *testing.T) {
 	dev := &Device{Local: stubDetector{verdict: confident(true)}}
 	dev.Remotes[hec.LayerCloud] = set
 
-	st, err := Run(context.Background(), dev, fleetSamples(6), Config{Scheme: SchemeCloud, Devices: 2})
+	fs, err := RunFleet(context.Background(), dev, fleetSamples(6), FleetConfig{
+		Cohorts: []Cohort{{Scheme: SchemeCloud, Devices: 2}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Tiers) != 1 || st.Tiers[0].Layer != hec.LayerCloud {
-		t.Fatalf("run tiers = %+v, want the cloud tier", st.Tiers)
+	tiers := fs.Total.Tiers
+	if len(tiers) != 1 || tiers[0].Layer != hec.LayerCloud {
+		t.Fatalf("run tiers = %+v, want the cloud tier", tiers)
 	}
-	if got := st.Tiers[0].Replicas[0].Requests; got != uint64(st.Windows) {
-		t.Fatalf("tier requests = %d, want %d (deltas over the run)", got, st.Windows)
+	if got, want := tiers[0].Replicas[0].Requests, uint64(fs.Cohorts[0].Windows); got != want || want != 12 {
+		t.Fatalf("tier requests = %d, cohort windows = %d, want 12 of each (deltas over the run)", got, want)
 	}
 }

@@ -105,10 +105,3 @@ func (s *Standardizer) Apply(frame []float64) []float64 {
 	}
 	return frame
 }
-
-// ApplyAll standardises every frame in place.
-func (s *Standardizer) ApplyAll(frames [][]float64) {
-	for _, f := range frames {
-		s.Apply(f)
-	}
-}

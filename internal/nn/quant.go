@@ -52,21 +52,6 @@ func (m QuantMode) String() string {
 	}
 }
 
-// ParseQuantMode converts a mode name ("none", "fp16", "int8") to a
-// QuantMode.
-func ParseQuantMode(s string) (QuantMode, error) {
-	switch s {
-	case "none":
-		return QuantNone, nil
-	case "fp16":
-		return QuantFP16, nil
-	case "int8":
-		return QuantInt8, nil
-	default:
-		return QuantNone, fmt.Errorf("nn: unknown quantization mode %q (want none|fp16|int8)", s)
-	}
-}
-
 // QuantizeParams quantizes params in place for deployment at the given mode
 // and invalidates their panel caches, returning the largest absolute
 // rounding error introduced so callers can assert it is benign. QuantNone

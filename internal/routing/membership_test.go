@@ -35,6 +35,8 @@ func churn(set *ReplicaSet) (expels, readmits uint64) {
 // TestAddReceivesTraffic: a replica Added to a live set starts receiving
 // requests immediately — the synchronous dial means the very next
 // round-robin pass reaches it — and joining counts no readmission.
+// Removing it again leaves the survivor in the rotation with its counters
+// untouched.
 func TestAddReceivesTraffic(t *testing.T) {
 	srvA := startReplica(t, stubDetector{})
 	srvB := startReplica(t, stubDetector{})
@@ -67,6 +69,17 @@ func TestAddReceivesTraffic(t *testing.T) {
 	}
 	if st.Readmits != 0 || st.Expels != 0 {
 		t.Fatalf("membership join counted as churn: expels=%d readmits=%d", st.Expels, st.Readmits)
+	}
+
+	before := statusOf(set, srvA.Addr())
+	if err := set.Remove(srvB.Addr()); err != nil {
+		t.Fatalf("removing the added replica: %v", err)
+	}
+	if got := set.Addrs(); len(got) != 1 || got[0] != srvA.Addr() {
+		t.Fatalf("membership after remove = %v, want [%s]", got, srvA.Addr())
+	}
+	if after := statusOf(set, srvA.Addr()); after == nil || *after != *before {
+		t.Fatalf("survivor's counters changed across a remove: before %+v after %+v", before, after)
 	}
 }
 
@@ -228,81 +241,6 @@ func TestMembershipChurnCountersExact(t *testing.T) {
 	}
 	if got := set.Size(); got != 2 {
 		t.Fatalf("size after cycles = %d, want 2", got)
-	}
-}
-
-// TestResolveReconciles: Resolve converges the membership to exactly the
-// given address list — extras drained out, missing members dialed in,
-// survivors keeping their counters.
-func TestResolveReconciles(t *testing.T) {
-	srvA := startReplica(t, stubDetector{})
-	srvB := startReplica(t, stubDetector{})
-	srvC := startReplica(t, stubDetector{})
-	set, err := New(Config{Addrs: []string{srvA.Addr(), srvB.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-	if _, err := set.DetectContext(context.Background(), window()); err != nil {
-		t.Fatal(err)
-	}
-	before := statusOf(set, srvB.Addr())
-
-	if err := set.Resolve(srvB.Addr(), srvC.Addr()); err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
-	got := set.Addrs()
-	want := map[string]bool{srvB.Addr(): true, srvC.Addr(): true}
-	if len(got) != 2 || !want[got[0]] || !want[got[1]] {
-		t.Fatalf("membership after resolve = %v, want exactly %v", got, want)
-	}
-	after := statusOf(set, srvB.Addr())
-	if after == nil || after.Requests != before.Requests {
-		t.Fatalf("survivor lost its counters across resolve: before %+v after %+v", before, after)
-	}
-}
-
-// TestResolverCallbackGrowsMembership: a Config.Resolver change is picked
-// up within one health interval — the tier grows without the session
-// reopening anything.
-func TestResolverCallbackGrowsMembership(t *testing.T) {
-	srvA := startReplica(t, stubDetector{})
-	srvB := startReplica(t, stubDetector{})
-	var target atomic.Value
-	target.Store([]string{srvA.Addr()})
-	const interval = 10 * time.Millisecond
-	set, err := New(Config{
-		Addrs:          []string{srvA.Addr()},
-		HealthInterval: interval,
-		Resolver:       func() []string { return target.Load().([]string) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer set.Close()
-
-	target.Store([]string{srvA.Addr(), srvB.Addr()})
-	deadline := time.Now().Add(50 * interval)
-	for set.Size() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("resolver change not applied: membership %v", set.Addrs())
-		}
-		time.Sleep(interval / 4)
-	}
-	if _, err := set.DetectContext(context.Background(), window()); err != nil {
-		t.Fatalf("detect after resolver growth: %v", err)
-	}
-
-	target.Store([]string{srvA.Addr()})
-	deadline = time.Now().Add(50 * interval)
-	for set.Size() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("resolver shrink not applied: membership %v", set.Addrs())
-		}
-		time.Sleep(interval / 4)
-	}
-	if e, r := churn(set); e != 0 || r != 0 {
-		t.Fatalf("resolver reconciliation counted churn: expels=%d readmits=%d", e, r)
 	}
 }
 

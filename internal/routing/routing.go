@@ -72,13 +72,6 @@ type Config struct {
 	// included (default 2 s). A probe that overruns it counts as down.
 	// Add's synchronous dial is bounded by the same budget.
 	HealthTimeout time.Duration
-	// Resolver, if set, is the set's external membership source: it is
-	// polled once per HealthInterval tick (so it needs HealthInterval > 0
-	// to have any effect) and the membership is reconciled to exactly the
-	// addresses it returns, via the same Add/Remove path a caller would
-	// use. Reconciliation is best-effort per tick — an undialable new
-	// address is retried on the next tick.
-	Resolver func() []string
 	// DrainTimeout bounds how long Remove waits for a draining replica's
 	// in-flight requests before force-closing its pool (default 30 s).
 	DrainTimeout time.Duration
@@ -244,18 +237,18 @@ func (r *replica) closePool() {
 //
 // Membership is dynamic: Add and Remove grow and shrink the set while
 // requests are in flight (Remove drains — new work stops routing there,
-// in-flight requests finish, then the pool closes), and Resolve reconciles
-// the membership declaratively, so tiers scale without sessions reopening.
+// in-flight requests finish, then the pool closes), so tiers scale without
+// sessions reopening.
 type ReplicaSet struct {
 	cfg      Config
 	policy   Policy
 	retries  int
 	poolSize int
 
-	// memMu guards the membership slice, which is copy-on-write: Add,
-	// Remove and Resolve install a fresh slice, so the snapshot members()
-	// hands a request stays valid (and index-stable) for that request's
-	// whole failover loop no matter how membership churns underneath.
+	// memMu guards the membership slice, which is copy-on-write: Add and
+	// Remove install a fresh slice, so the snapshot members() hands a
+	// request stays valid (and index-stable) for that request's whole
+	// failover loop no matter how membership churns underneath.
 	memMu    sync.RWMutex
 	replicas []*replica
 
@@ -348,9 +341,7 @@ func New(cfg Config) (*ReplicaSet, error) {
 // healthLoop periodically probes every replica with the transport ping,
 // reviving members that recovered and expelling ones that stopped
 // answering — so routing converges on the live membership even when no
-// request happens to touch a broken replica. When a Resolver is
-// configured, each tick first reconciles the membership to the resolver's
-// address list, then probes what remains.
+// request happens to touch a broken replica.
 func (s *ReplicaSet) healthLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.HealthInterval)
@@ -360,11 +351,6 @@ func (s *ReplicaSet) healthLoop() {
 		case <-s.stop:
 			return
 		case <-ticker.C:
-			if f := s.cfg.Resolver; f != nil {
-				// Best-effort: a failed add or a refused remove is retried
-				// on the next tick; health probing must not stall on it.
-				_ = s.Resolve(f()...)
-			}
 			s.CheckHealth()
 		}
 	}
@@ -392,23 +378,11 @@ func (s *ReplicaSet) CheckHealth() {
 			defer wg.Done()
 			verdict := make(chan bool, 1)
 			go func() {
-				defer r.probing.Store(false)
-				ctx, cancel := context.WithTimeout(context.Background(), timeout)
-				defer cancel()
-				pool, err := r.ensurePool(ctx, s.cfg.Dial, s.poolSize)
-				if err != nil {
-					verdict <- false
-					return
-				}
-				st, err := pool.PingStatus(ctx)
-				if err == nil && st.Scheduled {
-					// The probe doubles as a backlog scrape: queue depth
-					// and cumulative server-side cancels ride the hello
-					// response from scheduling replicas.
-					r.queueDepth.Store(int64(st.QueueDepth))
-					r.peerCanceled.Store(st.Canceled)
-				}
-				verdict <- err == nil
+				ok := s.probe(r, timeout)
+				// Release before delivering: once CheckHealth returns, the
+				// next call must be free to probe this replica again.
+				r.probing.Store(false)
+				verdict <- ok
 			}()
 			select {
 			case ok := <-verdict:
@@ -426,6 +400,26 @@ func (s *ReplicaSet) CheckHealth() {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// probe dials r if needed and pings it, all within timeout, reporting
+// whether it answered.
+func (s *ReplicaSet) probe(r *replica, timeout time.Duration) bool {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	pool, err := r.ensurePool(ctx, s.cfg.Dial, s.poolSize)
+	if err != nil {
+		return false
+	}
+	st, err := pool.PingStatus(ctx)
+	if err == nil && st.Scheduled {
+		// The probe doubles as a backlog scrape: queue depth and
+		// cumulative server-side cancels ride the hello response from
+		// scheduling replicas.
+		r.queueDepth.Store(int64(st.QueueDepth))
+		r.peerCanceled.Store(st.Canceled)
+	}
+	return err == nil
 }
 
 // choose runs the routing policy over the usable candidates from reps
@@ -666,9 +660,9 @@ func (s *ReplicaSet) Addrs() []string {
 // Add dials addr and admits it to the rotation. The dial is synchronous
 // and bounded by HealthTimeout, so a successfully added replica starts
 // receiving traffic immediately — the very next request can route to it.
-// An undialable address is not added (retry once the replica is up, or
-// let a Resolver tick do it). Joining is membership, not recovery: Add
-// does not count a readmission, mirroring New's initial dials.
+// An undialable address is not added (retry once the replica is up).
+// Joining is membership, not recovery: Add does not count a readmission,
+// mirroring New's initial dials.
 func (s *ReplicaSet) Add(addr string) error {
 	if s.closed.Load() {
 		return fmt.Errorf("routing: replica set is closed (%w)", transport.ErrRemote)
@@ -752,39 +746,6 @@ func (s *ReplicaSet) Remove(addr string) error {
 	}
 	r.closePool()
 	return nil
-}
-
-// Resolve reconciles the membership to exactly addrs: missing addresses
-// are added, extra members are drained and removed, survivors keep their
-// rotation order and counters. Errors (an undialable new address, a
-// refused last-replica removal) are joined and returned, but
-// reconciliation continues past them — the next Resolve converges
-// further. This is the callback surface an external control plane (an
-// autoscaler's actuator, a service-discovery watcher via Config.Resolver)
-// drives membership through without sessions reopening.
-func (s *ReplicaSet) Resolve(addrs ...string) error {
-	want := make(map[string]bool, len(addrs))
-	for _, a := range addrs {
-		want[a] = true
-	}
-	have := make(map[string]bool)
-	var errs []error
-	for _, a := range s.Addrs() {
-		have[a] = true
-		if !want[a] {
-			if err := s.Remove(a); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	for _, a := range addrs {
-		if !have[a] {
-			if err := s.Add(a); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // ReplicaStatus is one replica's observable state.

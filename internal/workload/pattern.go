@@ -1,21 +1,13 @@
 // Package workload models what a real IoT fleet throws at the serving
-// plane, replacing the uniform synthetic stream the load generator fired
-// until now. It has three parts:
-//
-//   - temporal arrival patterns (Pattern): servegen-style multi-period
-//     intensity curves — diurnal sinusoids, bursts, ramps, spikes and sums
-//     of them — that the cluster runtime turns into per-device pacing;
-//   - device cohorts (Cohort): heterogeneous sub-fleets with their own
-//     scheme, size, rounds, batch size, reward weight and pattern, so all
-//     six HEC schemes can be live in one run;
-//   - trace replay (Trace): recorded fleets parsed from CSV/JSON and
-//     re-run deterministically from a seed.
+// plane: temporal arrival patterns (Pattern), servegen-style multi-period
+// intensity curves — diurnal sinusoids, bursts, ramps, spikes and sums of
+// them — that the cluster runtime turns into per-device pacing.
 //
 // The package is pure: no clocks, no goroutines, no transport — every
 // Pattern is a deterministic function of elapsed time, so the same
 // configuration always describes the same workload. The cluster runtime
-// (internal/cluster.RunFleet) owns the actual goroutines, sockets and
-// fault injection.
+// (internal/cluster.RunFleet) owns the device cohorts, the goroutines,
+// sockets and fault injection.
 package workload
 
 import (
