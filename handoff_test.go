@@ -48,12 +48,12 @@ func TestPrecomputeHandoffMatchesTwoPass(t *testing.T) {
 
 // handoffDetectAllocs is what a warm multivariate adaptive Session.Detect of
 // a window the policy keeps at the IoT layer allocates on the one-pass path:
-// the verdicts (seq2seq), the scores (mat) and the action distribution the
-// policy network returns — its forward pass runs on pooled scratch. The
-// device's handoff state, the encoder and decoder scratch and the
-// reconstruction are pooled too. The two-pass path adds the context vector
+// the verdicts (seq2seq) and the action distribution the policy network
+// returns — its forward pass runs on pooled scratch. The device's handoff
+// state, the encoder and decoder scratch, the reconstruction and the
+// scores are pooled too. The two-pass path adds the context vector
 // EncodedState returns.
-const handoffDetectAllocs = 3
+const handoffDetectAllocs = 2
 
 // TestSessionAdaptiveMultivariateAllocs pins the allocations of the one-pass
 // adaptive Detect exactly, and checks that the two-pass path the device

@@ -96,7 +96,14 @@ func (s *Scorer) Score(errVec []float64) (float64, error) {
 // low-dimensional scoring. Safe for concurrent use: the scorer itself is
 // read-only after fitting.
 func (s *Scorer) ScoreMatrix(errs *mat.Matrix) ([]float64, error) {
-	scores, err := s.gauss.LogPDFRows(errs)
+	return s.ScoreMatrixInto(nil, errs)
+}
+
+// ScoreMatrixInto is ScoreMatrix writing the scores into dst's storage,
+// resized to one score per row (reallocated only when dst is too short),
+// and returning it — the form detectors use to score into pooled scratch.
+func (s *Scorer) ScoreMatrixInto(dst []float64, errs *mat.Matrix) ([]float64, error) {
+	scores, err := s.gauss.LogPDFRowsInto(dst, errs)
 	if err != nil {
 		return nil, fmt.Errorf("anomaly: scoring matrix: %w", err)
 	}
@@ -147,7 +154,10 @@ func (s *Scorer) Judge(scores []float64, conf Confidence) Verdict {
 type Detector interface {
 	// Name identifies the model (e.g. "AE-IoT", "BiLSTM-seq2seq-Cloud").
 	Name() string
-	// Detect judges one window.
+	// Detect judges one window. frames is valid only during the call: a
+	// serving node decodes each request into recycled storage and reuses
+	// it once the verdict is written, so an implementation that needs the
+	// readings afterwards copies them.
 	Detect(frames [][]float64) (Verdict, error)
 	// NumParams reports the trainable-parameter count (the paper's
 	// "#Parameters", a memory-footprint proxy).
@@ -161,7 +171,8 @@ type Detector interface {
 // vectorised pass through the batched tensor engine. DetectBatch must return
 // one verdict per window, each equal to Detect on that window (the
 // repository's models implement Detect as DetectBatch of one), and must be
-// safe for concurrent use like Detect.
+// safe for concurrent use like Detect. As in Detect, windows is valid only
+// during the call.
 type BatchDetector interface {
 	Detector
 	DetectBatch(windows [][][]float64) ([]Verdict, error)

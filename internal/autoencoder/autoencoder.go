@@ -259,8 +259,9 @@ func (m *Model) Detect(frames [][]float64) (anomaly.Verdict, error) {
 // pool so concurrent batch detections stay allocation-free in steady state
 // without sharing any mutable state.
 type detectScratch struct {
-	xb mat.Matrix
-	ws nn.BatchScratch
+	xb     mat.Matrix
+	ws     nn.BatchScratch
+	scores []float64
 }
 
 var detectScratchPool = sync.Pool{New: func() any { return new(detectScratch) }}
@@ -302,10 +303,11 @@ func (m *Model) DetectBatch(windows [][][]float64) ([]anomaly.Verdict, error) {
 		xb.Data[i] = v - xb.Data[i]
 	}
 	pointErrs := &mat.Matrix{Rows: len(xb.Data), Cols: 1, Data: xb.Data}
-	scores, err := m.Scorer.ScoreMatrix(pointErrs)
+	scores, err := m.Scorer.ScoreMatrixInto(scratch.scores, pointErrs)
 	if err != nil {
 		return nil, err
 	}
+	scratch.scores = scores
 	out := make([]anomaly.Verdict, len(windows))
 	for w := range out {
 		out[w] = m.Scorer.Judge(scores[w*m.inputDim:(w+1)*m.inputDim], m.Conf)

@@ -119,8 +119,10 @@ func TestDetectBatchMatchesDetect(t *testing.T) {
 }
 
 // TestDetectSteadyStateAllocs keeps the per-window scalar path from growing
-// back: a warm Detect allocates its verdict and score slices, not the
-// thousands of per-point vectors the deleted path did.
+// back: a warm Detect allocates its verdict slice (the scores go into
+// pooled scratch), not the thousands of per-point vectors the deleted path
+// did. The bound leaves room for the race detector, which drops pooled
+// scratch at random.
 func TestDetectSteadyStateAllocs(t *testing.T) {
 	// The paper-scale weekly window: 672 readings.
 	rng := rand.New(rand.NewSource(8))

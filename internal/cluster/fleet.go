@@ -174,7 +174,7 @@ func RunFleet(ctx context.Context, dev *Device, samples []hec.Sample, cfg FleetC
 	}
 	perJob, err := parallel.MapCtx(ctx, len(jobs), len(jobs), func(i int) (*workerStats, error) {
 		j := jobs[i]
-		return runCohortDevice(ctx, dev, samples, cfg.Cohorts[j.cohort], j.worker, cfg.BaseInterval, start, &windows)
+		return runCohortDevice(ctx, dev, samples, cfg.Cohorts[j.cohort], j.worker, cfg.BaseInterval, start, &windows, runner)
 	})
 	elapsed := time.Since(start)
 	var scErr error
@@ -237,8 +237,9 @@ func pace(ctx context.Context, p workload.Pattern, base time.Duration, start tim
 
 // runCohortDevice is device w's run in cohort c: Rounds passes over the
 // sample set from offset w·len/Devices, paced by the cohort's pattern,
-// dispatching per window or per batch.
-func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, c Cohort, w int, base time.Duration, start time.Time, windows *atomic.Int64) (*workerStats, error) {
+// dispatching per window or per batch. Each completed window counts in
+// windows and is reported to the scenario runner (nil without one).
+func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, c Cohort, w int, base time.Duration, start time.Time, windows *atomic.Int64, runner *scenarioRunner) (*workerStats, error) {
 	ws := &workerStats{}
 	offset := w * len(samples) / max(1, c.Devices)
 	size := max(1, c.BatchSize)
@@ -274,7 +275,7 @@ func runCohortDevice(ctx context.Context, dev *Device, samples []hec.Sample, c C
 			}
 			for j, out := range outs {
 				ws.account(out, labels[j], c.Alpha)
-				windows.Add(1)
+				runner.reached(windows.Add(1))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -249,14 +250,24 @@ type Scenario struct {
 }
 
 // scenarioRunner drives a Scenario's timeline on its own goroutine,
-// polling the fleet's elapsed clock and window counter.
+// polling the fleet's elapsed clock and window counter. A progress gate is
+// not left to the poll: gate holds the window count the next
+// AfterWindows-gated event waits for, and the device that completes that
+// window hands the runner a pass over sync and waits for it (reached).
 type scenarioRunner struct {
 	sc      *Scenario
 	start   time.Time
 	windows *atomic.Int64
+	gate    atomic.Int64
+	sync    chan chan struct{}
 	quit    chan struct{}
 	done    chan struct{}
-	err     error
+
+	// events is the timeline in firing order; fired marks what has fired.
+	// Both belong to the run goroutine once it starts.
+	events []Event
+	fired  []bool
+	err    error
 }
 
 func (sc *Scenario) start(start time.Time, windows *atomic.Int64) *scenarioRunner {
@@ -264,19 +275,57 @@ func (sc *Scenario) start(start time.Time, windows *atomic.Int64) *scenarioRunne
 		sc:      sc,
 		start:   start,
 		windows: windows,
+		sync:    make(chan chan struct{}),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
+		events:  append([]Event(nil), sc.Events...),
+		fired:   make([]bool, len(sc.Events)),
 	}
+	sort.SliceStable(r.events, func(i, j int) bool { return r.events[i].At < r.events[j].At })
+	// The first gate is set before any window completes, so a fleet that
+	// outruns the runner goroutine's start still stops at it.
+	r.setGate()
 	go r.run()
 	return r
 }
 
+// setGate points the gate at the lowest window count an unfired event
+// still waits for; an event whose count has passed waits only on its At,
+// which the runner's tick serves.
+func (r *scenarioRunner) setGate() {
+	n, g := r.windows.Load(), int64(math.MaxInt64)
+	for i, ev := range r.events {
+		if !r.fired[i] && ev.AfterWindows > n {
+			g = min(g, ev.AfterWindows)
+		}
+	}
+	r.gate.Store(g)
+}
+
+// reached is told the fleet's count n after each completed window. The
+// device that reaches the progress gate runs a pass of the timeline and
+// waits for it, so an event gated on AfterWindows fires before that device
+// starts another window, not at the runner's next tick: a fast fleet would
+// otherwise finish the run in between. A nil runner does nothing.
+func (r *scenarioRunner) reached(n int64) {
+	if r == nil {
+		return
+	}
+	g := r.gate.Load()
+	if n < g || !r.gate.CompareAndSwap(g, math.MaxInt64) {
+		return
+	}
+	ack := make(chan struct{})
+	select {
+	case r.sync <- ack:
+		<-ack
+	case <-r.done:
+	}
+}
+
 func (r *scenarioRunner) run() {
 	defer close(r.done)
-	events := make([]Event, len(r.sc.Events))
-	copy(events, r.sc.Events)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	fired := make([]bool, len(events))
+	events, fired := r.events, r.fired
 	var errs []error
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
@@ -313,6 +362,14 @@ func (r *scenarioRunner) run() {
 			}
 			r.err = errors.Join(errs...)
 			return
+		case ack := <-r.sync:
+			all := pass()
+			r.setGate()
+			close(ack)
+			if all {
+				r.err = errors.Join(errs...)
+				return
+			}
 		case <-tick.C:
 			if pass() {
 				r.err = errors.Join(errs...)

@@ -382,6 +382,53 @@ func TestLogPDFRowsMatchesLogPDF(t *testing.T) {
 	}
 }
 
+// TestLogPDFRowsIntoReusesDst: scoring into a dirty buffer that is long
+// enough gives LogPDFRows' bits in that buffer's storage, with no
+// allocation up to the widest Gaussian scored on the stack.
+func TestLogPDFRowsIntoReusesDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, dim := range []int{1, 5, lockstepDim + 1} {
+		xs := randMatrix(67, dim, rng)
+		g, err := FitGaussian(matrixRows(randMatrix(200, dim, rng)), 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := g.LogPDFRows(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, 3, 100)
+		for i := range dst[:cap(dst)] {
+			dst[:cap(dst)][i] = math.NaN()
+		}
+		got, err := g.LogPDFRowsInto(dst, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != xs.Rows || &got[0] != &dst[:1][0] {
+			t.Fatalf("dim %d: %d scores, in dst's storage %v", dim, len(got), &got[0] == &dst[:1][0])
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("dim %d row %d: into dst %g, LogPDFRows %g", dim, i, got[i], want[i])
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() { got, _ = g.LogPDFRowsInto(got, xs) })
+		if dim <= lockstepDim && allocs != 0 {
+			t.Fatalf("dim %d: LogPDFRowsInto allocates %.0f objects into a long enough dst", dim, allocs)
+		}
+	}
+}
+
+// matrixRows views m's rows as slices.
+func matrixRows(m *Matrix) [][]float64 {
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return rows
+}
+
 // BenchmarkMulIntoBatch32 measures the AE-Cloud-shaped batch forward product
 // (32×672 by 672×336) through the blocked kernel.
 func BenchmarkMulIntoBatch32(b *testing.B) {

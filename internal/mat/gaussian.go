@@ -144,10 +144,22 @@ const (
 // lane. A last block of fewer than four rows runs the same loop over zero
 // rows in the spare lanes.
 func (g *Gaussian) LogPDFRows(xs *Matrix) ([]float64, error) {
+	return g.LogPDFRowsInto(nil, xs)
+}
+
+// LogPDFRowsInto is LogPDFRows writing the scores into dst's storage,
+// resized to xs.Rows (reallocated only when dst is too short), and
+// returning it: a caller that keeps the result between calls scores
+// without allocating.
+func (g *Gaussian) LogPDFRowsInto(dst []float64, xs *Matrix) ([]float64, error) {
 	if xs.Cols != g.dim {
 		return nil, fmt.Errorf("%w: LogPDFRows input dim %d, want %d", ErrShape, xs.Cols, g.dim)
 	}
-	out := make([]float64, xs.Rows)
+	out := dst[:0]
+	if cap(out) < xs.Rows {
+		out = make([]float64, xs.Rows)
+	}
+	out = out[:xs.Rows]
 	if g.dim == 1 {
 		// Univariate fast path: the 1×1 factor solve collapses to two
 		// divisions — same operations, same order as Solve, so the scores

@@ -428,7 +428,11 @@ func (s *ReplicaSet) probe(r *replica, timeout time.Duration) bool {
 // request only gives up when the budget does. Returns the chosen
 // replica's index within reps.
 func (s *ReplicaSet) choose(reps []*replica, tried []bool) int {
-	idx := make([]int, 0, len(reps))
+	var idxBuf, inflightBuf [stackReplicas]int
+	idx := idxBuf[:0]
+	if len(reps) > stackReplicas {
+		idx = make([]int, 0, len(reps))
+	}
 	pick := func(healthyOnly, skipTried bool) []int {
 		idx = idx[:0]
 		for i, r := range reps {
@@ -460,15 +464,53 @@ func (s *ReplicaSet) choose(reps []*replica, tried []bool) int {
 		// attempt (or the error path) handles it.
 		return -1
 	}
-	inflight := make([]int, len(candidates))
+	var inflight []int
+	if len(candidates) <= stackReplicas {
+		inflight = inflightBuf[:len(candidates)]
+	} else {
+		inflight = make([]int, len(candidates))
+	}
 	for k, i := range candidates {
 		inflight[k] = int(reps[i].inflight.Load())
 	}
-	k := s.policy.Pick(inflight)
+	k := runPolicy(s.policy, inflight)
 	if k < 0 || k >= len(candidates) {
 		k = 0
 	}
 	return candidates[k]
+}
+
+// stackReplicas is the membership size up to which a request's routing
+// bookkeeping (candidates, their in-flight counts, which replicas it
+// tried) lives on the stack; larger sets take it from the heap.
+const stackReplicas = 8
+
+// triedFor returns n cleared tried-flags, in buf when it is long enough.
+func triedFor(buf []bool, n int) []bool {
+	if n > len(buf) {
+		return make([]bool, n)
+	}
+	clear(buf[:n])
+	return buf[:n]
+}
+
+// runPolicy runs p.Pick, calling the built-in policies directly so the
+// in-flight counts, which may live on the caller's stack, stay there; any
+// other policy gets a heap copy, since an interface call may keep its
+// argument.
+func runPolicy(p Policy, inflight []int) int {
+	switch p := p.(type) {
+	case *roundRobin:
+		return p.Pick(inflight)
+	case leastInFlight:
+		return p.Pick(inflight)
+	case *powerOfTwo:
+		return p.Pick(inflight)
+	case alwaysBusiest:
+		return p.Pick(inflight)
+	default:
+		return p.Pick(append([]int(nil), inflight...))
+	}
 }
 
 // retryable reports whether a failed attempt should fail over to another
@@ -511,7 +553,8 @@ func (s *ReplicaSet) do(ctx context.Context, call func(*transport.Pool) error) e
 	// skipped by choose via their removed flag.
 	reps := s.members()
 	attempts := s.retries + 1
-	tried := make([]bool, len(reps))
+	var triedBuf [stackReplicas]bool
+	tried := triedFor(triedBuf[:], len(reps))
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if err := ctx.Err(); err != nil {
@@ -528,7 +571,7 @@ func (s *ReplicaSet) do(ctx context.Context, call func(*transport.Pool) error) e
 			// The whole snapshot drained away mid-request; retry over the
 			// current membership.
 			reps = s.members()
-			tried = make([]bool, len(reps))
+			tried = triedFor(triedBuf[:], len(reps))
 			if i = s.choose(reps, tried); i < 0 {
 				lastErr = fmt.Errorf("routing: no replica in rotation (%w)", transport.ErrRemote)
 				continue

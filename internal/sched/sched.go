@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -76,17 +77,27 @@ type Stats struct {
 	Done     uint64 // grants released
 }
 
+// entry is one request's state while the scheduler knows it. It lives
+// inside its Grant, so a request that finds a free slot costs the
+// scheduler one allocation.
 type entry struct {
 	key   Key
 	item  Item
-	ready chan error // buffered 1: nil = granted, else the shed reason
+	ready chan error // made when the entry queues; buffered 1: nil = granted, else the shed reason
 	index int        // heap position while queued
 
 	running  bool
-	cancel   chan struct{} // non-nil once running; closed by Cancel
-	canceled bool          // cancel already closed
+	cancel   chan struct{} // made by the first Canceled call, under s.mu; closed by Cancel
+	canceled atomic.Bool   // Cancel found the entry running
 	done     bool          // grant released
 }
+
+// closedChan is what Canceled returns when Cancel came first.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Scheduler is the per-node admission controller. Zero value is not
 // usable; construct with New.
@@ -146,11 +157,14 @@ func (s *Scheduler) Acquire(key Key, deadline time.Time, class int) (*Grant, err
 		return nil, fmt.Errorf("sched: duplicate request key %+v", key)
 	}
 	s.seq++
-	e := &entry{
-		key:   key,
-		item:  Item{Deadline: deadline, Class: class, Seq: s.seq},
-		ready: make(chan error, 1),
+	if s.running >= s.limit && s.queue.Len() >= s.maxQ {
+		s.busy++
+		s.mu.Unlock()
+		return nil, ErrBusy
 	}
+	g := &Grant{s: s, e: entry{key: key, item: Item{Deadline: deadline, Class: class, Seq: s.seq}}}
+	e := &g.e
+	s.byKey[key] = e
 	// Invariant: the queue is non-empty only while every slot is taken
 	// (dispatch refills slots before Acquire can observe them free), so a
 	// free slot means nothing is waiting and admission order is preserved.
@@ -158,24 +172,17 @@ func (s *Scheduler) Acquire(key Key, deadline time.Time, class int) (*Grant, err
 		s.running++
 		s.admitted++
 		e.running = true
-		e.cancel = make(chan struct{})
-		s.byKey[key] = e
 		s.mu.Unlock()
-		return &Grant{s: s, e: e}, nil
+		return g, nil
 	}
-	if s.queue.Len() >= s.maxQ {
-		s.busy++
-		s.mu.Unlock()
-		return nil, ErrBusy
-	}
+	e.ready = make(chan error, 1)
 	heap.Push(&s.queue, e)
-	s.byKey[key] = e
 	s.mu.Unlock()
 
 	if err := <-e.ready; err != nil {
 		return nil, err
 	}
-	return &Grant{s: s, e: e}, nil
+	return g, nil
 }
 
 // Cancel frees the capacity held by the request with the given key: a
@@ -190,10 +197,12 @@ func (s *Scheduler) Cancel(key Key) bool {
 		return false
 	}
 	if e.running {
-		if !e.canceled {
-			e.canceled = true
+		if !e.canceled.Load() {
+			e.canceled.Store(true)
 			s.canceled++
-			close(e.cancel)
+			if e.cancel != nil {
+				close(e.cancel)
+			}
 		}
 		return true
 	}
@@ -238,7 +247,6 @@ func (s *Scheduler) dispatchLocked() {
 		s.running++
 		s.admitted++
 		e.running = true
-		e.cancel = make(chan struct{})
 		e.ready <- nil
 	}
 }
@@ -248,22 +256,26 @@ func (s *Scheduler) dispatchLocked() {
 // it runs.
 type Grant struct {
 	s *Scheduler
-	e *entry
+	e entry
 }
 
 // Canceled is closed when the request is canceled while running.
 // Long-running or interruptible handlers should select on it.
-func (g *Grant) Canceled() <-chan struct{} { return g.e.cancel }
+func (g *Grant) Canceled() <-chan struct{} {
+	s := g.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if g.e.cancel == nil {
+		if g.e.canceled.Load() {
+			return closedChan
+		}
+		g.e.cancel = make(chan struct{})
+	}
+	return g.e.cancel
+}
 
 // IsCanceled reports whether the request was canceled while running.
-func (g *Grant) IsCanceled() bool {
-	select {
-	case <-g.e.cancel:
-		return true
-	default:
-		return false
-	}
-}
+func (g *Grant) IsCanceled() bool { return g.e.canceled.Load() }
 
 // Done releases the slot and dispatches the next queued entry per the
 // policy. Idempotent.

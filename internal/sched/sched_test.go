@@ -362,3 +362,72 @@ func TestDuplicateKeyRejected(t *testing.T) {
 	}
 	g.Done()
 }
+
+// TestAcquireFastPathAllocs pins the cost of passing a free slot: Acquire
+// allocates the grant, with its entry inside, and nothing else — no ready
+// channel (nothing queues) and no cancel channel (nobody asked for one).
+func TestAcquireFastPathAllocs(t *testing.T) {
+	s, err := New(Config{MaxConcurrent: 2, MaxQueue: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		req++
+		g, err := s.Acquire(Key{Conn: 1, Req: req}, time.Time{}, ClassInteractive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.IsCanceled() {
+			t.Fatal("fresh grant reads canceled")
+		}
+		g.Done()
+	})
+	if allocs > 1 {
+		t.Fatalf("Acquire+Done on a free slot allocates %.0f objects, want ≤ 1", allocs)
+	}
+}
+
+// TestCanceledEitherOrder: the cancel channel is made on demand, so it
+// must close whether a handler asks for it before the cancel arrives or
+// after.
+func TestCanceledEitherOrder(t *testing.T) {
+	s, err := New(Config{MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := s.Acquire(Key{Req: 1}, time.Time{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := s.Acquire(Key{Req: 2}, time.Time{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := early.Canceled()
+	select {
+	case <-asked:
+		t.Fatal("cancel channel closed before any cancel")
+	default:
+	}
+	for _, req := range []uint64{1, 2} {
+		if !s.Cancel(Key{Req: req}) {
+			t.Fatalf("cancel of running request %d found nothing", req)
+		}
+	}
+	for name, ch := range map[string]<-chan struct{}{"asked before": asked, "asked after": late.Canceled()} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cancel channel %s the cancel never closed", name)
+		}
+	}
+	if !early.IsCanceled() || !late.IsCanceled() {
+		t.Fatal("IsCanceled false after cancel")
+	}
+	if s.Cancel(Key{Req: 1}); s.Stats().Canceled != 2 {
+		t.Fatalf("canceled = %d after a repeated cancel, want 2", s.Stats().Canceled)
+	}
+	early.Done()
+	late.Done()
+}

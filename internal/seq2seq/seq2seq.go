@@ -208,6 +208,8 @@ type detectScratch struct {
 	errs mat.Matrix
 	// kept lists the kept windows' positions in the run.
 	kept []int
+	// scores holds the kept windows' point scores.
+	scores []float64
 }
 
 // detectScratchPool leases DetectKept its workspace, so steady-state
@@ -276,10 +278,11 @@ func (m *Model) DetectKept(windows [][][]float64, keep anomaly.Keep) ([]anomaly.
 			return nil, err
 		}
 		if len(sc.kept) > 0 {
-			scores, err := m.Scorer.ScoreMatrix(&sc.errs)
+			scores, err := m.Scorer.ScoreMatrixInto(sc.scores, &sc.errs)
 			if err != nil {
 				return nil, err
 			}
+			sc.scores = scores
 			T := len(run[0])
 			for r, k := range sc.kept {
 				out[start+k] = m.Scorer.Judge(scores[r*T:(r+1)*T], m.Conf)

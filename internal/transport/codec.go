@@ -75,9 +75,20 @@ func (binaryCodec) AppendRequest(dst []byte, req *DetectRequest) ([]byte, error)
 	}
 }
 
-// DecodeRequest decodes a payload produced by AppendRequest into req.
+// DecodeRequest decodes a payload produced by AppendRequest into req. The
+// decoded request shares no storage with payload.
 func (binaryCodec) DecodeRequest(payload []byte, req *DetectRequest) error {
-	cur := cursor{b: payload}
+	return decodeRequest(payload, req, nil)
+}
+
+// decodeRequest is DecodeRequest with the detection windows decoded into ws
+// (reset first) instead of fresh arrays; a nil ws allocates them, as
+// DecodeRequest does. Either way the decoded request is the same value.
+func decodeRequest(payload []byte, req *DetectRequest, ws *windowScratch) error {
+	cur := cursor{b: payload, ws: ws}
+	if ws != nil {
+		ws.reset()
+	}
 	if v := cur.u8(); v != layoutDetect {
 		return fmt.Errorf("transport: request opens with layout byte %d, want %d", v, layoutDetect)
 	}
@@ -90,11 +101,16 @@ func (binaryCodec) DecodeRequest(payload []byte, req *DetectRequest) error {
 		req.Frames = cur.frames()
 	case OpDetectBatch:
 		if n := cur.count(4, "window"); n > 0 {
-			ws := make([][][]float64, n)
-			for i := range ws {
-				ws[i] = cur.frames()
+			var wins [][][]float64
+			if ws != nil {
+				wins = ws.takeWindows(n)
+			} else {
+				wins = make([][][]float64, n)
 			}
-			req.Windows = ws
+			for i := range wins {
+				wins[i] = cur.frames()
+			}
+			req.Windows = wins
 		}
 	case OpHello:
 		req.Version = cur.u8()
@@ -304,11 +320,64 @@ func appendFrames(b []byte, frames [][]float64) []byte {
 }
 
 // cursor walks a payload, latching the first decode error so call sites
-// stay linear instead of checking every read.
+// stay linear instead of checking every read. Windows are decoded into ws
+// when it is set, into fresh arrays otherwise.
 type cursor struct {
 	b   []byte
 	i   int
 	err error
+	ws  *windowScratch
+}
+
+// windowScratch is recycled storage for decoded detection windows: the
+// float64 values of every frame, the frame headers that slice them and a
+// batch's window headers. A decode takes what it needs from the front and
+// allocates only when a payload needs more than the scratch holds; the
+// windows it hands out stay valid until the next reset.
+type windowScratch struct {
+	values  []float64
+	frames  [][]float64
+	windows [][][]float64
+}
+
+func (ws *windowScratch) reset() {
+	ws.values, ws.frames, ws.windows = ws.values[:0], ws.frames[:0], ws.windows[:0]
+}
+
+// bytes is the scratch's retained capacity in bytes.
+func (ws *windowScratch) bytes() int {
+	return 8*cap(ws.values) + 24*cap(ws.frames) + 24*cap(ws.windows)
+}
+
+// takeValues returns the next n values. When they do not fit, the scratch
+// moves to a larger array; slices already handed out keep the old one. The
+// result is never nil, as a fresh make would not be.
+func (ws *windowScratch) takeValues(n int) []float64 {
+	at := len(ws.values)
+	if ws.values == nil || at+n > cap(ws.values) {
+		ws.values, at = make([]float64, 0, max(2*cap(ws.values), n)), 0
+	}
+	ws.values = ws.values[:at+n]
+	return ws.values[at : at+n : at+n]
+}
+
+// takeFrames returns the next n frame headers, as takeValues does values.
+func (ws *windowScratch) takeFrames(n int) [][]float64 {
+	at := len(ws.frames)
+	if at+n > cap(ws.frames) {
+		ws.frames, at = make([][]float64, 0, max(2*cap(ws.frames), n)), 0
+	}
+	ws.frames = ws.frames[:at+n]
+	return ws.frames[at : at+n : at+n]
+}
+
+// takeWindows returns n window headers; a request has one batch.
+func (ws *windowScratch) takeWindows(n int) [][][]float64 {
+	if n > cap(ws.windows) {
+		ws.windows = make([][][]float64, n)
+	}
+	ws.windows = ws.windows[:n]
+	return ws.windows
 }
 
 func (c *cursor) remaining() int { return len(c.b) - c.i }
@@ -427,7 +496,8 @@ func (c *cursor) verdict() anomaly.Verdict {
 // frames decodes one window. It pre-scans the frame lengths so every
 // float64 in the window lands in a single backing array — one allocation
 // for the values plus one for the frame headers, however many frames the
-// window has.
+// window has, and none when the cursor decodes into scratch that holds
+// them.
 func (c *cursor) frames() [][]float64 {
 	n := c.count(4, "frame")
 	if n == 0 {
@@ -451,8 +521,13 @@ func (c *cursor) frames() [][]float64 {
 		total += int(fl)
 		j += int(fl) * 8
 	}
-	backing := make([]float64, total)
-	frames := make([][]float64, n)
+	var backing []float64
+	var frames [][]float64
+	if c.ws != nil {
+		backing, frames = c.ws.takeValues(total), c.ws.takeFrames(n)
+	} else {
+		backing, frames = make([]float64, total), make([][]float64, n)
+	}
 	at := 0
 	for f := range frames {
 		fl := int(c.u32()) // pre-scanned above; fits the payload

@@ -15,6 +15,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -244,33 +245,44 @@ type ModelSnapshot struct {
 	Conf anomaly.Confidence
 }
 
-// writeFrame writes one frame: the 4-byte big-endian payload length
-// followed by the payload. Oversized payloads are rejected before anything
-// hits the wire, leaving the connection usable.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxMessageBytes {
-		return fmt.Errorf("transport: message of %d bytes exceeds limit", len(payload))
+// frameHeader is the size of a frame's length prefix: 4 bytes, big-endian,
+// before every payload.
+const frameHeader = 4
+
+// beginFrame empties buf for encoding one frame: it reserves the length
+// prefix, so the payload is appended straight behind it and the frame
+// leaves in one write.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// sendFrame fills in the length prefix of a frame built on beginFrame and
+// writes the frame in a single Write. An oversized payload is rejected
+// before anything hits the wire, leaving the connection usable.
+func sendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > maxMessageBytes {
+		return fmt.Errorf("transport: message of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: writing length prefix: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: writing payload: %w", err)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("transport: writing frame: %w", err)
 	}
 	return nil
 }
 
-// readFrame reads one frame, reusing buf's storage when it is big enough.
-// The returned payload is only valid until the next readFrame on the same
-// buf.
+// readFrame reads one frame, reusing buf's storage (for the length prefix
+// too) when it is big enough. The returned payload is only valid until the
+// next readFrame on the same buf. The read loops read through a
+// bufio.Reader, so a small frame costs one read call, prefix and payload
+// together.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, frameHeader)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown detection
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxMessageBytes {
 		return nil, fmt.Errorf("transport: incoming message of %d bytes exceeds limit", n)
 	}
@@ -282,6 +294,20 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("transport: reading payload: %w", err)
 	}
 	return payload, nil
+}
+
+// maxKeptBytes caps the buffers and scratch a connection or the request
+// pool keeps between frames: one large frame (a model chunk, a hostile or
+// legitimate 16 MiB batch) is served, and its storage dropped rather than
+// held for the node's lifetime.
+const maxKeptBytes = 1 << 20
+
+// keep returns buf for reuse, or nil when it grew past maxKeptBytes.
+func keep(buf []byte) []byte {
+	if cap(buf) > maxKeptBytes {
+		return nil
+	}
+	return buf
 }
 
 // ServerOptions configures ServeWith.
@@ -528,12 +554,41 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverRequest is one request's life on a node, taken from reqPool: the
+// request decoded into recycled window storage, its response, the batch
+// exec times and the encoded response frame. It goes back to the pool only
+// once nothing refers to it: after the response is written, or once a
+// cancel or shed means none will be.
+type serverRequest struct {
+	req      DetectRequest
+	resp     DetectResponse
+	win      windowScratch
+	execEach []float64
+	out      []byte
+}
+
+var reqPool = sync.Pool{New: func() any { return new(serverRequest) }}
+
+// bytes is the storage sr keeps between requests.
+func (sr *serverRequest) bytes() int { return sr.win.bytes() + 8*cap(sr.execEach) + cap(sr.out) }
+
+// recycle returns sr to the pool, unless it grew past maxKeptBytes.
+func (sr *serverRequest) recycle() {
+	if sr.bytes() > maxKeptBytes {
+		return
+	}
+	// Forget what the request and response point at (a chunk response
+	// points into the served model), so the pool pins only sr's storage.
+	sr.req, sr.resp = DetectRequest{}, DetectResponse{}
+	reqPool.Put(sr)
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	var (
 		wmu      sync.Mutex // serialises response writes on this connection
-		wbuf     []byte     // response encode buffer, guarded by wmu
 		inflight sync.WaitGroup
 		slots    = make(chan struct{}, maxInFlightPerConn)
+		br       = bufio.NewReader(conn)
 		rbuf     []byte // frame read buffer, owned by this loop
 	)
 	connID := s.connSeq.Add(1)
@@ -545,56 +600,59 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	for {
-		payload, err := readFrame(conn, rbuf)
+		payload, err := readFrame(br, rbuf)
 		if err != nil {
 			return // peer closed, drain deadline hit, or protocol error
 		}
-		rbuf = payload[:cap(payload)]
-		req := new(DetectRequest)
-		if err := BinaryCodec.DecodeRequest(payload, req); err != nil {
+		rbuf = keep(payload[:cap(payload)])
+		sr := reqPool.Get().(*serverRequest)
+		if err := decodeRequest(payload, &sr.req, &sr.win); err != nil {
 			// Undecodable frame — another protocol (a gob-era peer) or
 			// garbage: the stream position is lost.
+			sr.recycle()
 			return
 		}
-		if req.Op == OpCancel {
+		if sr.req.Op == OpCancel {
 			// One-way frame, handled inline on the read loop without taking
 			// an in-flight slot: freeing capacity must not itself queue
 			// behind the saturation it is trying to relieve. Without a
 			// scheduler there is nothing to free — the request is already
 			// running — so the frame is a no-op either way, never an error.
 			if s.sched != nil {
-				s.sched.Cancel(sched.Key{Conn: connID, Req: req.TargetID})
+				s.sched.Cancel(sched.Key{Conn: connID, Req: sr.req.TargetID})
 			}
+			sr.recycle()
 			continue
 		}
 		slots <- struct{}{} // backpressure: stop reading when saturated
 		inflight.Add(1)
 		go func() {
 			defer func() {
+				sr.recycle()
 				<-slots
 				inflight.Done()
 			}()
-			resp, write := s.process(connID, req)
-			if !write {
+			if !s.process(connID, sr) {
 				return // canceled: nobody is waiting for a response
 			}
-			wmu.Lock()
 			var err error
-			if wbuf, err = BinaryCodec.AppendResponse(wbuf[:0], resp); err == nil {
+			if sr.out, err = BinaryCodec.AppendResponse(beginFrame(sr.out), &sr.resp); err == nil {
 				// A failed write means the peer is gone; the read loop will
 				// notice shortly.
-				_ = writeFrame(conn, wbuf)
+				wmu.Lock()
+				_ = sendFrame(conn, sr.out)
+				wmu.Unlock()
 			}
-			wmu.Unlock()
 		}()
 	}
 }
 
 // process runs one decoded request through admission (when a scheduler is
-// configured) and the handler, reporting whether a response should be
-// written — canceled requests get none: the client already withdrew its
-// pending slot, so a response would just be dropped.
-func (s *Server) process(connID uint64, req *DetectRequest) (resp *DetectResponse, write bool) {
+// configured) and the handler, leaving the answer in sr.resp and reporting
+// whether it should be written — canceled requests get none: the client
+// already withdrew its pending slot, so a response would just be dropped.
+func (s *Server) process(connID uint64, sr *serverRequest) (write bool) {
+	req := &sr.req
 	var grant *sched.Grant
 	if s.sched != nil && (req.Op == OpDetect || req.Op == OpDetectBatch) {
 		var deadline time.Time
@@ -611,15 +669,18 @@ func (s *Server) process(connID uint64, req *DetectRequest) (resp *DetectRespons
 			grant = g
 			defer grant.Done()
 		case errors.Is(err, sched.ErrBusy):
-			return &DetectResponse{ID: req.ID, Code: CodeBusy,
-				Err: "server at capacity: scheduler queue full"}, true
+			sr.resp = DetectResponse{ID: req.ID, Code: CodeBusy,
+				Err: "server at capacity: scheduler queue full"}
+			return true
 		case errors.Is(err, sched.ErrExpired):
-			return &DetectResponse{ID: req.ID, Code: CodeExpired,
-				Err: "deadline expired while queued; work shed"}, true
+			sr.resp = DetectResponse{ID: req.ID, Code: CodeExpired,
+				Err: "deadline expired while queued; work shed"}
+			return true
 		case errors.Is(err, sched.ErrCanceled):
-			return nil, false
+			return false
 		default:
-			return &DetectResponse{ID: req.ID, Err: err.Error()}, true
+			sr.resp = DetectResponse{ID: req.ID, Err: err.Error()}
+			return true
 		}
 	}
 	// Straggler injection: sleep the fault delay outside the measured
@@ -634,17 +695,14 @@ func (s *Server) process(connID uint64, req *DetectRequest) (resp *DetectRespons
 			select {
 			case <-time.After(time.Duration(d)):
 			case <-grant.Canceled():
-				return nil, false
+				return false
 			}
 		} else {
 			time.Sleep(time.Duration(d))
 		}
 	}
-	resp = s.handle(req)
-	if grant != nil && grant.IsCanceled() {
-		return nil, false
-	}
-	return resp, true
+	sr.resp = s.handle(sr)
+	return grant == nil || !grant.IsCanceled()
 }
 
 // SchedStats snapshots the server's scheduler; ok is false when the
@@ -656,7 +714,9 @@ func (s *Server) SchedStats() (st sched.Stats, ok bool) {
 	return s.sched.Stats(), true
 }
 
-func (s *Server) handle(req *DetectRequest) *DetectResponse {
+// handle answers sr.req; a batch's exec times go into sr.execEach.
+func (s *Server) handle(sr *serverRequest) DetectResponse {
+	req := &sr.req
 	// Deadline shedding: if the client's propagated deadline has already
 	// passed, the response cannot be useful no matter how fast detection
 	// runs — skip the detector entirely and tell the client why. Only
@@ -664,7 +724,7 @@ func (s *Server) handle(req *DetectRequest) *DetectResponse {
 	// does not go stale, and the hello/ping is not detection work.
 	if req.DeadlineUnixMicro > 0 && (req.Op == OpDetect || req.Op == OpDetectBatch) &&
 		time.Now().UnixMicro() > req.DeadlineUnixMicro {
-		return &DetectResponse{
+		return DetectResponse{
 			ID:   req.ID,
 			Code: CodeExpired,
 			Err:  "deadline expired before processing; work shed",
@@ -677,44 +737,45 @@ func (s *Server) handle(req *DetectRequest) *DetectResponse {
 		v, err := sv.detector.Detect(req.Frames)
 		proc := float64(time.Since(start)) / float64(time.Millisecond)
 		if err != nil {
-			return &DetectResponse{ID: req.ID, ProcMs: proc, Err: err.Error()}
+			return DetectResponse{ID: req.ID, ProcMs: proc, Err: err.Error()}
 		}
 		exec := proc
 		if sv.execMs != nil {
 			exec = sv.execMs(len(req.Frames))
 		}
-		return &DetectResponse{ID: req.ID, Verdict: v, ExecMs: exec, ProcMs: proc}
+		return DetectResponse{ID: req.ID, Verdict: v, ExecMs: exec, ProcMs: proc}
 	case OpDetectBatch:
 		if len(req.Windows) == 0 {
-			return &DetectResponse{ID: req.ID, Err: "empty detection batch"}
+			return DetectResponse{ID: req.ID, Err: "empty detection batch"}
 		}
 		start := time.Now()
 		vs, err := anomaly.DetectAll(sv.detector, req.Windows)
 		proc := float64(time.Since(start)) / float64(time.Millisecond)
 		if err != nil {
-			return &DetectResponse{ID: req.ID, ProcMs: proc, Err: err.Error()}
+			return DetectResponse{ID: req.ID, ProcMs: proc, Err: err.Error()}
 		}
-		execEach := make([]float64, len(req.Windows))
-		for i, w := range req.Windows {
+		execEach := sr.execEach[:0]
+		for _, w := range req.Windows {
 			if sv.execMs != nil {
-				execEach[i] = sv.execMs(len(w))
+				execEach = append(execEach, sv.execMs(len(w)))
 			} else {
 				// No compute model: split the measured handling time evenly.
-				execEach[i] = proc / float64(len(req.Windows))
+				execEach = append(execEach, proc/float64(len(req.Windows)))
 			}
 		}
-		return &DetectResponse{ID: req.ID, Verdicts: vs, ExecMsEach: execEach, ProcMs: proc}
+		sr.execEach = execEach
+		return DetectResponse{ID: req.ID, Verdicts: vs, ExecMsEach: execEach, ProcMs: proc}
 	case OpModelVersion:
 		if sv.dist == nil {
-			return &DetectResponse{ID: req.ID, Err: "no model snapshot available on this node"}
+			return DetectResponse{ID: req.ID, Err: "no model snapshot available on this node"}
 		}
-		return &DetectResponse{ID: req.ID, layout: layoutManifest, Manifest: sv.dist.manifest}
+		return DetectResponse{ID: req.ID, layout: layoutManifest, Manifest: sv.dist.manifest}
 	case OpModelChunk:
 		return s.handleModelChunk(sv, req)
 	case OpHello:
 		// The server answers every hello with its own version; the client
 		// decides whether the two match.
-		resp := &DetectResponse{ID: req.ID, layout: layoutHello, Version: protocolVersion}
+		resp := DetectResponse{ID: req.ID, layout: layoutHello, Version: protocolVersion}
 		if sv.dist != nil {
 			// Carry the model's content address on the hello, so health
 			// probes double as staleness probes: a watcher node learns a
@@ -734,7 +795,7 @@ func (s *Server) handle(req *DetectRequest) *DetectResponse {
 		}
 		return resp
 	default:
-		return &DetectResponse{ID: req.ID, Err: fmt.Sprintf("unknown op %d", req.Op)}
+		return DetectResponse{ID: req.ID, Err: fmt.Sprintf("unknown op %d", req.Op)}
 	}
 }
 
@@ -742,19 +803,19 @@ func (s *Server) handle(req *DetectRequest) *DetectResponse {
 // The server is stateless across chunks — the request names the byte range,
 // the response names the version the bytes belong to — which is what makes
 // the transfer resumable on any replica serving the same version.
-func (s *Server) handleModelChunk(sv *serving, req *DetectRequest) *DetectResponse {
+func (s *Server) handleModelChunk(sv *serving, req *DetectRequest) DetectResponse {
 	if sv.dist == nil {
-		return &DetectResponse{ID: req.ID, Err: "no model snapshot available on this node"}
+		return DetectResponse{ID: req.ID, Err: "no model snapshot available on this node"}
 	}
 	payload := sv.dist.payload
 	if req.WantDelta {
 		var err error
 		if payload, err = sv.dist.deltaPayload(req.WantTensors); err != nil {
-			return &DetectResponse{ID: req.ID, Err: err.Error()}
+			return DetectResponse{ID: req.ID, Err: err.Error()}
 		}
 	}
 	if req.ChunkOffset < 0 || req.ChunkOffset > len(payload) {
-		return &DetectResponse{ID: req.ID,
+		return DetectResponse{ID: req.ID,
 			Err: fmt.Sprintf("chunk offset %d outside payload of %d bytes", req.ChunkOffset, len(payload))}
 	}
 	size := req.ChunkSize
@@ -768,7 +829,7 @@ func (s *Server) handleModelChunk(sv *serving, req *DetectRequest) *DetectRespon
 		size = rem
 	}
 	chunk := payload[req.ChunkOffset : req.ChunkOffset+size]
-	return &DetectResponse{
+	return DetectResponse{
 		ID:           req.ID,
 		layout:       layoutChunk,
 		ModelVersion: sv.dist.manifest.Version,
@@ -882,10 +943,10 @@ type Client struct {
 	oneWay time.Duration
 
 	wmu    sync.Mutex // serialises request writes; guards encBuf
-	encBuf []byte     // request encode buffer, guarded by wmu
+	encBuf []byte     // request frame buffer, guarded by wmu
 
 	mu      sync.Mutex // guards pending, nextID, err
-	pending map[uint64]chan *DetectResponse
+	pending map[uint64]chan DetectResponse
 	nextID  uint64
 	err     error
 }
@@ -918,7 +979,7 @@ func DialContext(ctx context.Context, addr string, opt DialOptions) (*Client, er
 	c := &Client{
 		conn:    conn,
 		oneWay:  opt.OneWay,
-		pending: make(map[uint64]chan *DetectResponse),
+		pending: make(map[uint64]chan DetectResponse),
 	}
 	go c.readLoop()
 	if err := c.hello(ctx); err != nil {
@@ -973,16 +1034,17 @@ func (c *Client) InFlight() int {
 // afterwards (Broken reports true) — pools and replica sets evict and
 // redial.
 func (c *Client) readLoop() {
+	br := bufio.NewReader(c.conn)
 	var rbuf []byte
 	for {
-		payload, err := readFrame(c.conn, rbuf)
+		payload, err := readFrame(br, rbuf)
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		rbuf = payload[:cap(payload)]
-		resp := new(DetectResponse)
-		if err := BinaryCodec.DecodeResponse(payload, resp); err != nil {
+		rbuf = keep(payload[:cap(payload)])
+		var resp DetectResponse
+		if err := BinaryCodec.DecodeResponse(payload, &resp); err != nil {
 			c.fail(err)
 			return
 		}
@@ -1027,6 +1089,12 @@ func connError() error {
 	return fmt.Errorf("%w (%w)", ErrConn, ErrRemote)
 }
 
+// respChans recycles the channels calls wait on. A channel goes back only
+// after it delivered its response: one closed by a connection failure, or
+// abandoned by a canceled call that a late response may still reach, is
+// left to the collector.
+var respChans = sync.Pool{New: func() any { return make(chan DetectResponse, 1) }}
+
 // do sends one request and waits for its response, ctx cancellation, or
 // connection failure, whichever comes first. The caller's deadline rides
 // the wire in DeadlineUnixMicro so the server can shed expired work. On
@@ -1034,20 +1102,20 @@ func connError() error {
 // later arrives for it is dropped by the read loop — and ctx's error is
 // returned unwrapped-by-ErrRemote so callers can tell cancellation apart
 // from remote failure.
-func (c *Client) do(ctx context.Context, req *DetectRequest) (*DetectResponse, error) {
+func (c *Client) do(ctx context.Context, req *DetectRequest) (DetectResponse, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return DetectResponse{}, err
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		req.DeadlineUnixMicro = deadline.UnixMicro()
 	}
-	ch := make(chan *DetectResponse, 1)
 	c.mu.Lock()
 	if c.pending == nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, fmt.Errorf("transport: connection down: %w (%w)", err, connError())
+		return DetectResponse{}, fmt.Errorf("transport: connection down: %w (%w)", err, connError())
 	}
+	ch := respChans.Get().(chan DetectResponse)
 	c.nextID++
 	req.ID = c.nextID
 	c.pending[req.ID] = ch
@@ -1055,13 +1123,14 @@ func (c *Client) do(ctx context.Context, req *DetectRequest) (*DetectResponse, e
 
 	c.wmu.Lock()
 	var encErr, writeErr error
-	c.encBuf, encErr = BinaryCodec.AppendRequest(c.encBuf[:0], req)
-	if encErr == nil && len(c.encBuf) > maxMessageBytes {
-		encErr = fmt.Errorf("transport: message of %d bytes exceeds limit", len(c.encBuf))
+	c.encBuf, encErr = BinaryCodec.AppendRequest(beginFrame(c.encBuf), req)
+	if n := len(c.encBuf) - frameHeader; encErr == nil && n > maxMessageBytes {
+		encErr = fmt.Errorf("transport: message of %d bytes exceeds limit", n)
 	}
 	if encErr == nil {
-		writeErr = writeFrame(c.conn, c.encBuf)
+		writeErr = sendFrame(c.conn, c.encBuf)
 	}
+	c.encBuf = keep(c.encBuf)
 	c.wmu.Unlock()
 	if encErr != nil || writeErr != nil {
 		c.mu.Lock()
@@ -1075,9 +1144,9 @@ func (c *Client) do(ctx context.Context, req *DetectRequest) (*DetectResponse, e
 			// request's failure, not the link's, so it must not read as
 			// ErrConn (which would evict healthy connections and expel
 			// healthy replicas).
-			return nil, fmt.Errorf("transport: sending request: %w (%w)", encErr, ErrRemote)
+			return DetectResponse{}, fmt.Errorf("transport: sending request: %w (%w)", encErr, ErrRemote)
 		}
-		return nil, fmt.Errorf("transport: sending request: %w (%w)", writeErr, connError())
+		return DetectResponse{}, fmt.Errorf("transport: sending request: %w (%w)", writeErr, connError())
 	}
 	select {
 	case resp, ok := <-ch:
@@ -1085,8 +1154,11 @@ func (c *Client) do(ctx context.Context, req *DetectRequest) (*DetectResponse, e
 			c.mu.Lock()
 			err := c.err
 			c.mu.Unlock()
-			return nil, fmt.Errorf("transport: connection lost mid-request: %w (%w)", err, connError())
+			return DetectResponse{}, fmt.Errorf("transport: connection lost mid-request: %w (%w)", err, connError())
 		}
+		// The read loop took ch out of pending before sending: nothing
+		// refers to it any more.
+		respChans.Put(ch)
 		return resp, nil
 	case <-ctx.Done():
 		c.mu.Lock()
@@ -1100,7 +1172,7 @@ func (c *Client) do(ctx context.Context, req *DetectRequest) (*DetectResponse, e
 		if req.Op == OpDetect || req.Op == OpDetectBatch {
 			c.sendCancel(req.ID)
 		}
-		return nil, fmt.Errorf("transport: request abandoned: %w", ctx.Err())
+		return DetectResponse{}, fmt.Errorf("transport: request abandoned: %w", ctx.Err())
 	}
 }
 
@@ -1120,9 +1192,9 @@ func (c *Client) sendCancel(targetID uint64) {
 	c.mu.Unlock()
 	c.wmu.Lock()
 	var err error
-	c.encBuf, err = BinaryCodec.AppendRequest(c.encBuf[:0], &DetectRequest{ID: id, Op: OpCancel, TargetID: targetID})
+	c.encBuf, err = BinaryCodec.AppendRequest(beginFrame(c.encBuf), &DetectRequest{ID: id, Op: OpCancel, TargetID: targetID})
 	if err == nil {
-		_ = writeFrame(c.conn, c.encBuf)
+		_ = sendFrame(c.conn, c.encBuf)
 	}
 	c.wmu.Unlock()
 }
@@ -1134,17 +1206,17 @@ func (c *Client) sendCancel(targetID uint64) {
 // share it so the protocol cannot drift between the per-window and batch
 // paths. ctx cancellation is honoured during both injected delays and while
 // waiting for the response.
-func (c *Client) timedDo(ctx context.Context, req *DetectRequest) (*DetectResponse, float64, error) {
+func (c *Client) timedDo(ctx context.Context, req *DetectRequest) (DetectResponse, float64, error) {
 	start := time.Now()
 	if err := parallel.Sleep(ctx, c.oneWay); err != nil {
-		return nil, 0, fmt.Errorf("transport: request abandoned on uplink: %w", err)
+		return DetectResponse{}, 0, fmt.Errorf("transport: request abandoned on uplink: %w", err)
 	}
 	resp, err := c.do(ctx, req)
 	if err != nil {
-		return nil, 0, err
+		return DetectResponse{}, 0, err
 	}
 	if err := parallel.Sleep(ctx, c.oneWay); err != nil {
-		return nil, 0, fmt.Errorf("transport: response abandoned on downlink: %w", err)
+		return DetectResponse{}, 0, fmt.Errorf("transport: response abandoned on downlink: %w", err)
 	}
 	wall := float64(time.Since(start)) / float64(time.Millisecond)
 	netMs := wall - resp.ProcMs
@@ -1184,7 +1256,7 @@ func (c *Client) DetectContext(ctx context.Context, frames [][]float64) (DetectR
 		return DetectResult{}, err
 	}
 	if resp.Err != "" {
-		return DetectResult{}, remoteError("remote detection", resp)
+		return DetectResult{}, remoteError("remote detection", &resp)
 	}
 	return DetectResult{
 		Verdict: resp.Verdict,
@@ -1222,7 +1294,7 @@ func (c *Client) DetectBatchContext(ctx context.Context, windows [][][]float64) 
 		return BatchResult{}, err
 	}
 	if resp.Err != "" {
-		return BatchResult{}, remoteError("remote batch detection", resp)
+		return BatchResult{}, remoteError("remote batch detection", &resp)
 	}
 	if len(resp.Verdicts) != len(windows) || len(resp.ExecMsEach) != len(windows) {
 		return BatchResult{}, fmt.Errorf("transport: batch response carries %d verdicts / %d exec times for %d windows (%w)",
@@ -1256,7 +1328,7 @@ func (c *Client) ModelManifestContext(ctx context.Context) (*ModelManifest, erro
 		return nil, err
 	}
 	if resp.Err != "" {
-		return nil, remoteError("probing model version", resp)
+		return nil, remoteError("probing model version", &resp)
 	}
 	if resp.Manifest == nil || resp.Manifest.Version == "" {
 		return nil, fmt.Errorf("transport: peer returned an empty model manifest (%w)", ErrRemote)
@@ -1278,7 +1350,7 @@ func (c *Client) ModelChunkContext(ctx context.Context, offset, size int, want [
 		return ModelChunk{}, err
 	}
 	if resp.Err != "" {
-		return ModelChunk{}, remoteError("fetching model chunk", resp)
+		return ModelChunk{}, remoteError("fetching model chunk", &resp)
 	}
 	if crc32.ChecksumIEEE(resp.Chunk) != resp.ChunkCRC {
 		return ModelChunk{}, fmt.Errorf("transport: model chunk at offset %d failed its CRC %w", offset, connError())

@@ -62,6 +62,11 @@ func startServerWith(t *testing.T, opt ServerOptions) *Server {
 	return srv
 }
 
+// writeFrame sends payload as one frame, playing a peer by hand.
+func writeFrame(w io.Writer, payload []byte) error {
+	return sendFrame(w, append(beginFrame(nil), payload...))
+}
+
 // writeRequest frames and sends one request, playing a client by hand.
 func writeRequest(t *testing.T, conn net.Conn, req *DetectRequest) {
 	t.Helper()
